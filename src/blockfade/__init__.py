@@ -17,10 +17,10 @@ from .bounds import (
     dispersion_v_bf,
     dispersion_v_bf_prime,
     nocsit_stats,
+    sweep_dispersion_stats,
 )
 from .errors import (
     BlockfadeError,
-    ConvergenceError,
     DomainError,
     InvalidParameterError,
 )
@@ -49,8 +49,10 @@ from .waterfill import (
     capacity,
     link_c,
     link_l,
+    link_terms,
     link_v,
     solve_waterfill,
+    water_levels,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +61,6 @@ __all__ = [
     "BlockfadeError",
     "BoundPoint",
     "ChannelSpec",
-    "ConvergenceError",
     "DensityStats",
     "DispersionStats",
     "DomainError",
@@ -80,6 +81,7 @@ __all__ = [
     "hoeffding_violation_bound",
     "link_c",
     "link_l",
+    "link_terms",
     "link_v",
     "make_distribution",
     "mcdiarmid_violation_bound",
@@ -88,7 +90,9 @@ __all__ = [
     "simulate_information_density",
     "simulate_st_controller",
     "solve_waterfill",
+    "sweep_dispersion_stats",
     "std_normal_cdf",
     "std_normal_inv_cdf",
     "std_normal_pdf",
+    "water_levels",
 ]

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError, InvalidParameterError
 from .fading import ChannelSpec
 from .specfun import std_normal_inv_cdf
-from .waterfill import PowerAllocation, capacity, solve_waterfill
+from .waterfill import PowerAllocation, link_terms, water_fill
 
 __all__ = [
     "DispersionStats",
@@ -21,24 +21,40 @@ __all__ = [
     "dispersion_v_bf_prime",
     "nocsit_stats",
     "dispersion_stats",
+    "sweep_dispersion_stats",
     "bound_point",
 ]
 
 
-def _mean_and_var(values: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
-    # Two-pass centered form; exact finite sums over the states.
-    mean = float(probs @ values)
-    centered = values - mean
-    return mean, float(probs @ (centered * centered))
+def _mean_and_var(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Two-pass centered form along the state (last) axis; exact finite sums.
+    # np.sum reduces each row alone, so a row's result does not depend on
+    # how many rows are stacked (a BLAS matrix-vector product can).
+    mean = np.sum(values * probs, axis=-1)
+    centered = values - mean[..., None]
+    return mean, np.sum(centered * centered * probs, axis=-1)
 
 
-def _link_terms(spec: ChannelSpec, g2: np.ndarray):
-    s2 = spec.noise_var
-    c_vals = 0.5 * np.log1p(g2 / s2)
-    l_vals = g2 / (s2 + g2)
-    one_minus_l = 1.0 - l_vals
-    v_vals = 0.5 * (1.0 - one_minus_l * one_minus_l)
-    return c_vals, l_vals, v_vals
+def _link_moments(spec: ChannelSpec, g2: np.ndarray):
+    # Per row of received powers g2 (rows x states): the link terms C and L,
+    # the capacity E[C], E[V] and V_bf = E[V] + n_c*Var C + Var L / 2.
+    probs = np.asarray(spec.fading.probs, dtype=float)
+    c_vals, l_vals, v_vals = link_terms(g2, spec.noise_var)
+    cap, var_c = _mean_and_var(c_vals, probs)
+    _, var_l = _mean_and_var(l_vals, probs)
+    mean_v = np.sum(v_vals * probs, axis=-1)
+    return c_vals, l_vals, cap, mean_v, mean_v + spec.n_c * var_c + 0.5 * var_l
+
+
+def _v_bf_prime_rows(spec: ChannelSpec, c_vals: np.ndarray, l_vals: np.ndarray,
+                     mean_v: np.ndarray, budgets: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    # E[V] + Var(n_c*C + budget/(2*level) - L/2) per row, from _link_moments.
+    probs = np.asarray(spec.fading.probs, dtype=float)
+    composite = (spec.n_c * c_vals
+                 + (budgets / (2.0 * levels))[:, None]
+                 - 0.5 * l_vals)
+    _, var_comp = _mean_and_var(composite, probs)
+    return mean_v + var_comp
 
 
 def dispersion_v_bf(spec: ChannelSpec, alloc: PowerAllocation) -> float:
@@ -47,13 +63,8 @@ def dispersion_v_bf(spec: ChannelSpec, alloc: PowerAllocation) -> float:
     Mean per-use dispersion plus n_c times the variance of the per-use
     rate plus half the variance of the received-power fraction.
     """
-    probs = np.asarray(spec.fading.probs, dtype=float)
-    g2 = alloc.gain_power(spec.fading.gains)
-    c_vals, l_vals, v_vals = _link_terms(spec, g2)
-    mean_v = float(probs @ v_vals)
-    _, var_c = _mean_and_var(c_vals, probs)
-    _, var_l = _mean_and_var(l_vals, probs)
-    return mean_v + spec.n_c * var_c + 0.5 * var_l
+    g2 = alloc.gain_power(spec.fading.gains)[None, :]
+    return float(_link_moments(spec, g2)[4][0])
 
 
 def dispersion_v_bf_prime(spec: ChannelSpec, alloc: PowerAllocation) -> float:
@@ -63,15 +74,16 @@ def dispersion_v_bf_prime(spec: ChannelSpec, alloc: PowerAllocation) -> float:
     n_c*C(G) + budget/(2*level) - L(G)/2; the constant middle term does
     not move the variance but is kept as part of the defining expression.
     """
-    probs = np.asarray(spec.fading.probs, dtype=float)
-    g2 = alloc.gain_power(spec.fading.gains)
-    c_vals, l_vals, v_vals = _link_terms(spec, g2)
-    mean_v = float(probs @ v_vals)
-    composite = (spec.n_c * c_vals
-                 + alloc.budget / (2.0 * alloc.water_level)
-                 - 0.5 * l_vals)
-    _, var_comp = _mean_and_var(composite, probs)
-    return mean_v + var_comp
+    g2 = alloc.gain_power(spec.fading.gains)[None, :]
+    c_vals, l_vals, _, mean_v, _ = _link_moments(spec, g2)
+    return float(_v_bf_prime_rows(spec, c_vals, l_vals, mean_v, np.array([alloc.budget]),
+                                  np.array([alloc.water_level]))[0])
+
+
+def _nocsit_rows(spec: ChannelSpec, budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    gains = np.asarray(spec.fading.gains, dtype=float)
+    _, _, cap, _, v = _link_moments(spec, gains * gains * budgets[:, None])
+    return cap, v
 
 
 def nocsit_stats(spec: ChannelSpec, budget: float) -> tuple[float, float]:
@@ -82,14 +94,8 @@ def nocsit_stats(spec: ChannelSpec, budget: float) -> tuple[float, float]:
     """
     if not (budget > 0.0) or not math.isfinite(budget):
         raise InvalidParameterError(f"power budget must be positive and finite, got {budget!r}")
-    gains = np.asarray(spec.fading.gains, dtype=float)
-    probs = np.asarray(spec.fading.probs, dtype=float)
-    g2 = gains * gains * budget
-    c_vals, l_vals, v_vals = _link_terms(spec, g2)
-    cap, var_c = _mean_and_var(c_vals, probs)
-    mean_v = float(probs @ v_vals)
-    _, var_l = _mean_and_var(l_vals, probs)
-    return cap, mean_v + spec.n_c * var_c + 0.5 * var_l
+    cap, v = _nocsit_rows(spec, np.array([float(budget)]))
+    return float(cap[0]), float(v[0])
 
 
 @dataclass(frozen=True)
@@ -116,16 +122,22 @@ class DispersionStats:
 
 def dispersion_stats(spec: ChannelSpec, budget: float) -> DispersionStats:
     """Solve the allocation and collect every bound ingredient at once."""
-    alloc = solve_waterfill(spec, budget)
-    nocsit_cap, nocsit_v = nocsit_stats(spec, budget)
-    return DispersionStats(
-        capacity=capacity(spec, alloc),
-        v_bf=dispersion_v_bf(spec, alloc),
-        v_bf_prime=dispersion_v_bf_prime(spec, alloc),
-        water_level=alloc.water_level,
-        nocsit_capacity=nocsit_cap,
-        nocsit_v=nocsit_v,
-    )
+    return sweep_dispersion_stats(spec, [budget])[0]
+
+
+def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> list[DispersionStats]:
+    """dispersion_stats for every budget of a 1-D sequence, in one array pass.
+
+    Row i equals dispersion_stats(spec, budgets[i]) bit for bit.
+    """
+    budgets = np.asarray(budgets, dtype=float)
+    levels, powers = water_fill(spec, budgets)
+    gains = np.asarray(spec.fading.gains, dtype=float)
+    c_vals, l_vals, cap, mean_v, v_bf = _link_moments(spec, gains * gains * powers)
+    v_bf_prime = _v_bf_prime_rows(spec, c_vals, l_vals, mean_v, budgets, levels)
+    nocsit_cap, nocsit_v = _nocsit_rows(spec, budgets)
+    columns = (cap, v_bf, v_bf_prime, levels, nocsit_cap, nocsit_v)  # field order
+    return [DispersionStats(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,21 @@ Configuration comes from a single JSON file; command-line flags override
 individual fields. Outputs are a pure function of the resolved
 configuration, so repeated runs are byte-identical.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 verification failure.
+Exit codes: 0 success, 1 configuration error, 3 verification failure;
+2 is reserved and unused.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
 
-from .bounds import dispersion_stats, bound_point
-from .errors import ConvergenceError, DomainError, InvalidParameterError
+from .bounds import bound_point, dispersion_stats, sweep_dispersion_stats
+from .errors import DomainError, InvalidParameterError
 from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh
-from .montecarlo import SimConfig, simulate_information_density, simulate_st_controller
+from .montecarlo import (SimConfig, check_density_config, simulate_information_density,
+                         simulate_st_controller)
 from .svg import render_line_chart
 
 __all__ = ["main", "PRESET_NAME", "preset_fading"]
@@ -87,12 +89,14 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route that through the
-    # config-error path instead (2 is reserved for numeric failures).
+    # config-error path instead (2 is reserved).
     def error(self, message):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first command and reused: parsing leaves it unchanged.
     parser = _Parser(prog="blockfade",
                      description="Finite-blocklength rate bounds for block-fading channels")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -359,10 +363,9 @@ def cmd_rate_vs_power(args) -> int:
     blocks = _require_int(section, "power_sweep", "blocks", 1)
     grid_db = _power_grid_db(section)
 
+    budgets = [10.0 ** (db / 10.0) for db in grid_db]
     rows = []
-    for db in grid_db:
-        budget = 10.0 ** (db / 10.0)
-        stats = dispersion_stats(spec, budget)
+    for budget, stats in zip(budgets, sweep_dispersion_stats(spec, budgets)):
         bp = bound_point(stats, blocks * n_c, n_c, fading.num_states, epsilon, beta)
         rows.append(_row(bp, budget, n_c, stats.capacity))
     _emit_outputs(cfg, rows, grid_db, "average power (dB)", False)
@@ -381,24 +384,27 @@ def cmd_verify(args) -> int:
         raise InvalidParameterError('invalid config field "seed" in mc: must be an integer')
     alpha = float(mc["alpha"])
 
+    # Build and check both configs before either simulation runs.
     controller_cfg = SimConfig(
         spec=spec, budget=budget,
         blocks=_require_int(mc["controller"], "mc.controller", "blocks", 1),
         alpha=alpha,
         trials=_require_int(mc["controller"], "mc.controller", "trials", 1),
         seed=seed)
-    violation = simulate_st_controller(controller_cfg)
-    p_hat = violation.empirical_prob
-    slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / violation.trials)
-    controller_threshold = violation.hoeffding_bound + slack
-    controller_pass = p_hat <= controller_threshold
-
     density_cfg = SimConfig(
         spec=spec, budget=budget,
         blocks=_require_int(mc["density"], "mc.density", "blocks", 1),
         alpha=alpha,
         trials=_require_int(mc["density"], "mc.density", "trials", 1),
         seed=seed)
+    check_density_config(density_cfg)
+
+    violation = simulate_st_controller(controller_cfg)
+    p_hat = violation.empirical_prob
+    slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / violation.trials)
+    controller_threshold = violation.hoeffding_bound + slack
+    controller_pass = p_hat <= controller_threshold
+
     density = simulate_information_density(density_cfg)
     n = density_cfg.blocks * n_c
     mean_tol = 3.0 * math.sqrt(density.analytic_var / (density_cfg.trials * n))
@@ -469,9 +475,6 @@ def main(argv=None) -> int:
     except (InvalidParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,3 @@ class InvalidParameterError(BlockfadeError, ValueError):
 
 class DomainError(BlockfadeError, ValueError):
     """A mathematical function was evaluated outside its domain."""
-
-
-class ConvergenceError(BlockfadeError, RuntimeError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .fading import ChannelSpec
 from .specfun import std_normal_cdf
-from .waterfill import PowerAllocation, capacity, link_c, link_v, solve_waterfill
+from .waterfill import PowerAllocation, capacity, link_terms, solve_waterfill
 
 __all__ = [
     "SimConfig",
@@ -34,6 +34,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _CONTROLLER_STREAM = 1
 _DENSITY_STREAM = 11
+_MIN_DENSITY_TRIALS = 100
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def _density_coefficients(spec: ChannelSpec, alloc: PowerAllocation):
     n_c = spec.n_c
     g2 = gains * gains * powers
     denom = 2.0 * s2 * (s2 + g2)
-    base = np.array([n_c * link_c(x, s2) for x in g2])
+    base = n_c * link_terms(g2, s2)[0]
     offset = n_c * s2 * gains * gains * powers / denom
     lin = 2.0 * gains * np.sqrt(powers) * s2 / denom
     quad = g2 / denom
@@ -231,6 +232,13 @@ def _ks_distance(sorted_sample: np.ndarray) -> float:
     d_plus = float(np.max(steps - cdf))
     d_minus = float(np.max(cdf - (steps - 1.0 / n)))
     return max(d_plus, d_minus, 0.0)
+
+
+def check_density_config(cfg: SimConfig) -> None:
+    """Reject a config the density simulation cannot run: fewer than 100 trials."""
+    if cfg.trials < _MIN_DENSITY_TRIALS:
+        raise InvalidParameterError(
+            f"density simulation needs at least {_MIN_DENSITY_TRIALS} trials, got {cfg.trials}")
 
 
 def simulate_information_density(cfg: SimConfig) -> DensityStats:
@@ -247,9 +255,7 @@ def simulate_information_density(cfg: SimConfig) -> DensityStats:
     achievability dispersion does not arise for a fixed unit-energy
     codeword, so the target is deliberately not the full bound constant.
     """
-    if cfg.trials < 100:
-        raise InvalidParameterError(
-            f"density simulation needs at least 100 trials, got {cfg.trials}")
+    check_density_config(cfg)
     spec = cfg.spec
     n_c, s2 = spec.n_c, spec.noise_var
     alloc = solve_waterfill(spec, cfg.budget)
@@ -257,9 +263,7 @@ def simulate_information_density(cfg: SimConfig) -> DensityStats:
     fixed = base + offset
 
     probs = np.asarray(spec.fading.probs, dtype=float)
-    g2 = alloc.gain_power(spec.fading.gains)
-    c_vals = np.array([link_c(x, s2) for x in g2])
-    v_vals = np.array([link_v(x, s2) for x in g2])
+    c_vals, _, v_vals = link_terms(alloc.gain_power(spec.fading.gains), s2)
     mean_c = float(probs @ c_vals)
     var_c = float(probs @ ((c_vals - mean_c) ** 2))
     analytic_mean = capacity(spec, alloc)

@@ -19,6 +19,7 @@ from blockfade import (
     nocsit_stats,
     solve_waterfill,
     std_normal_inv_cdf,
+    sweep_dispersion_stats,
 )
 from oracles import (
     TWO_STATE,
@@ -137,6 +138,37 @@ class TestDispersionStats:
         assert stats.capacity == pytest.approx(TWO_STATE["capacity"], abs=1e-9)
         assert stats.water_level == pytest.approx(1.625, abs=1e-9)
         assert stats.v_bf > stats.v_bf_prime > 0.0
+
+    @given(random_channels(), st.integers(1, 60))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_sweep_rows_equal_single_budget_calls(self, params, points):
+        gains, probs, noise_var, budget = params
+        spec = ChannelSpec(noise_var=noise_var, n_c=3, fading=make_distribution(gains, probs))
+        budgets = list(np.geomspace(budget / 30.0, budget * 30.0, points))
+        rows = sweep_dispersion_stats(spec, budgets)
+        assert len(rows) == points
+        for b, row in zip(budgets, rows):
+            # one code path: the single-budget call is the one-row sweep
+            assert row == dispersion_stats(spec, b)
+            alloc = solve_waterfill(spec, b)
+            assert row.water_level == alloc.water_level
+            assert row.capacity == capacity(spec, alloc)
+            assert row.v_bf == dispersion_v_bf(spec, alloc)
+            assert row.v_bf_prime == dispersion_v_bf_prime(spec, alloc)
+            assert (row.nocsit_capacity, row.nocsit_v) == nocsit_stats(spec, b)
+
+    def test_sweep_matches_oracle_on_preset(self):
+        spec = preset_spec()
+        budgets = [10.0 ** (db / 10.0) for db in range(0, 21, 5)]
+        for b, row in zip(budgets, sweep_dispersion_stats(spec, budgets)):
+            oracle = oracle_channel_quantities(spec.fading.gains, spec.fading.probs, 1.0, 1, b)
+            for field in ("capacity", "v_bf", "v_bf_prime", "nocsit_capacity", "nocsit_v"):
+                assert getattr(row, field) == pytest.approx(oracle[field], rel=1e-12), field
+            assert row.water_level == pytest.approx(oracle["level"], rel=1e-12)
+
+    def test_sweep_rejects_bad_budget(self):
+        with pytest.raises(InvalidParameterError):
+            sweep_dispersion_stats(two_state_spec(), [1.0, -1.0])
 
     def test_rejects_nonsense(self):
         with pytest.raises(InvalidParameterError):

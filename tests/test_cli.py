@@ -4,6 +4,7 @@ import math
 import pytest
 
 from blockfade import ChannelSpec, bound_point, discretize_rayleigh, dispersion_stats, make_distribution
+import blockfade.cli as cli
 from blockfade.cli import _clamped_rate_series, main, preset_fading
 
 TWO_STATE_JSON = '{"gains": [1.0, 2.0], "probs": [0.5, 0.5]}'
@@ -109,6 +110,38 @@ class TestPowerSweep:
         gaps = [float(r["rate_lb_st"]) - float(r["rate_nocsit"]) for r in rows]
         assert gaps[-1] < gaps[0]
 
+    def test_csv_bytes_equal_rows_from_single_budget_stats(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["rate-vs-power", "--out", str(out)]) == 0
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=preset_fading())
+        lines = [",".join(("n", "B", "n_c", "power_linear", "epsilon", "capacity",
+                           "rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt",
+                           "rate_nocsit", "log_m_lb_st", "log_m_lb_lt",
+                           "log_m_ub_st", "log_m_ub_lt"))]
+        for i in range(41):
+            budget = 10.0 ** ((0.0 + 20.0 * i / 40) / 10.0)
+            stats = dispersion_stats(spec, budget)
+            bp = bound_point(stats, 4000, 1, 10, 0.01, 0.01)
+            values = (bp.rate_lb_st, bp.rate_lb_lt, bp.rate_ub_st, bp.rate_ub_lt,
+                      bp.rate_nocsit, bp.log_m_lb_st, bp.log_m_lb_lt,
+                      bp.log_m_ub_st, bp.log_m_ub_lt)
+            lines.append(",".join([str(bp.n), str(bp.blocks), "1"]
+                                  + [f"{v:.17g}" for v in (budget, 0.01, stats.capacity)]
+                                  + [f"{v:.17g}" for v in values]))
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    def test_tiny_power_keeps_the_strongest_state_on(self, tmp_path):
+        # at -180 dB the budget is far below one unit in the last place of
+        # the strong state's floor 1/4; that state still takes the whole
+        # budget, so C = 0.5*0.5*log(1 + 4*2e-18) = 2e-18 up to 1e-17 relative
+        out = tmp_path / "t.csv"
+        assert main(["rate-vs-blocklength", "--channel", TWO_STATE_JSON, "--power-db", "-180",
+                     "--points", "2", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row["capacity"]) == pytest.approx(2e-18, rel=1e-12)
+
     def test_single_power_point_matches_blocklength_command(self, tmp_path):
         p_out, b_out = tmp_path / "p.csv", tmp_path / "b.csv"
         p_cfg = tmp_path / "p.json"
@@ -188,6 +221,16 @@ class TestConfigHandling:
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["rate-vs-blocklength", "--frobnicate"]) == 1
 
+    def test_reused_parser_recovers_after_usage_error(self, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        out = tmp_path / "o.csv"
+        assert main(["rate-vs-blocklength", "--frobnicate"]) == 1
+        assert main(["rate-vs-blocklength", "--points", "1", "--out", str(out)]) == 0
+        assert main(["no-such-command"]) == 1
+        assert main(["rate-vs-power", "--points", "2", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2
+
     def test_clamping_helper_floors_rates_at_zero(self):
         rows = [{"capacity": 0.5, "rate_lb_st": -0.25, "rate_lb_lt": -0.1,
                  "rate_ub_st": 0.2, "rate_ub_lt": 0.3, "rate_nocsit": -0.05}]
@@ -252,6 +295,17 @@ class TestVerify:
         cfg.write_text(json.dumps({"mc": {"density": {"trials": 0}}}))
         assert main(["verify", "--config", str(cfg)]) == 1
         assert "trials" in capsys.readouterr().err
+
+    def test_density_trial_rule_checked_before_any_simulation(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def must_not_run(cfg):
+            raise AssertionError("controller simulated before the config was checked")
+
+        monkeypatch.setattr(cli, "simulate_st_controller", must_not_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mc": {"density": {"trials": 50}}}))
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert "100 trials" in capsys.readouterr().err
 
     def test_default_verify_passes(self, tmp_path):
         # the documented default: two-state channel, seed 42, full trial

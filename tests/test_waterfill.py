@@ -11,11 +11,13 @@ from blockfade import (
     capacity,
     link_c,
     link_l,
+    link_terms,
     link_v,
     make_distribution,
     solve_waterfill,
+    water_levels,
 )
-from oracles import closed_form_water_level
+from oracles import closed_form_water_level, oracle_link_c, oracle_link_l, oracle_link_v
 
 
 def channel(gains, probs, noise_var=1.0, n_c=1):
@@ -65,6 +67,21 @@ class TestLinkFunctions:
         with pytest.raises(DomainError):
             link_c(1.0, 0.0)
 
+    def test_array_kernel_matches_oracle(self):
+        x = np.array([[0.0, 0.1, 1.0], [5.5, 10.0, 1e4]])
+        c, l, v = link_terms(x, 2.0)
+        assert c.shape == l.shape == v.shape == x.shape
+        for (i, j), xi in np.ndenumerate(x):
+            assert c[i, j] == pytest.approx(oracle_link_c(xi, 2.0), rel=1e-14, abs=1e-300)
+            assert l[i, j] == pytest.approx(oracle_link_l(xi, 2.0), rel=1e-14, abs=1e-300)
+            assert v[i, j] == pytest.approx(oracle_link_v(xi, 2.0), rel=1e-14, abs=1e-300)
+
+
+    def test_dispersion_keeps_relative_precision_at_tiny_power(self):
+        # v = l - l^2/2: 1 - (1 - l)^2 would cancel to 0 for l below 1e-16
+        _, l, v = link_terms(np.array([1e-20, 1e-12]), 1.0)
+        assert v.tolist() == pytest.approx([1e-20, 1e-12 - 1.5e-24], rel=1e-14)
+        assert link_v(1e-20, 1.0) == pytest.approx(1e-20, rel=1e-14)
 
 class TestSolveWaterfill:
     def test_single_state_level_is_budget_plus_floor(self):
@@ -131,6 +148,92 @@ class TestSolveWaterfill:
         alloc = solve_waterfill(channel(gains, probs, noise_var), budget)
         oracle = closed_form_water_level(gains, probs, noise_var, budget)
         assert alloc.water_level == pytest.approx(oracle, abs=1e-10 * max(1.0, oracle))
+
+
+def breakpoint_budgets(gains, probs, noise_var):
+    """Budgets at which the next weaker state is about to turn on.
+
+    With states m.. active, the level reaches the floor of state m-1
+    when the budget is sum_{j>=m} q_j*(f_{m-1} - f_j); entry m-1 of the
+    result is that budget and floors[m-1] is the level there.
+    """
+    floors = [noise_var / (g * g) for g in gains]
+    budgets = [math.fsum(q * (floors[m - 1] - f) for q, f in zip(probs[m:], floors[m:]))
+               for m in range(1, len(gains))]
+    return budgets, floors
+
+
+class TestWaterLevels:
+    @given(random_channels())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_array_solve_matches_scalar_and_oracle(self, params):
+        gains, probs, noise_var, budget = params
+        spec = channel(gains, probs, noise_var)
+        probs = list(spec.fading.probs)
+        at_break, floors = breakpoint_budgets(gains, probs, noise_var)
+        near_break = [b * (1.0 + s) for b in at_break for s in (-1e-6, 1e-6)]
+        budgets = [budget, 1e-3 * budget, 1e3 * budget] + near_break + at_break
+        levels = water_levels(spec, budgets)
+        assert levels.shape == (len(budgets),)
+
+        for b, level in zip(budgets, levels):
+            # the array pass is the scalar solve, bit for bit
+            assert solve_waterfill(spec, b).water_level == level
+            powers = [max(0.0, level - f) for f in floors]
+            spent = math.fsum(q * p for q, p in zip(probs, powers))
+            assert abs(spent - b) <= 1e-9 * max(1.0, b)
+
+        # away from a breakpoint the oracle's active set is unambiguous
+        for b, level in zip(budgets[:3 + len(near_break)], levels):
+            oracle = closed_form_water_level(gains, probs, noise_var, b)
+            assert abs(level - oracle) <= 1e-12 * oracle
+        # on a breakpoint the level equals the floor of the state about to
+        # turn on (the oracle's strict consistency test cannot split that
+        # tie in floating point, so the floor is the reference)
+        for m, level in enumerate(levels[len(budgets) - len(at_break):], start=1):
+            assert abs(level - floors[m - 1]) <= 1e-12 * floors[m - 1]
+
+    def test_tiny_budget_keeps_the_strongest_state_on(self):
+        # budget/q is far below one unit in the last place of the strongest
+        # floor (1/4), so the level rounds to that floor; the strongest state
+        # must still take the whole budget
+        spec = channel([1.0, 2.0], [0.5, 0.5])
+        alloc = solve_waterfill(spec, 1e-18)
+        assert alloc.water_level == pytest.approx(0.25, rel=1e-15)
+        assert alloc.powers[0] == 0.0
+        assert alloc.powers[1] == pytest.approx(2e-18, rel=1e-15)
+        spent = 0.5 * alloc.powers[0] + 0.5 * alloc.powers[1]
+        assert abs(spent - 1e-18) <= 1e-15 * 1e-18
+        assert water_levels(spec, [1e-18, 1.0]).tolist() == [alloc.water_level, 1.625]
+
+    @given(random_channels(), st.floats(-6.0, 12.0), st.floats(-18.0, 12.0))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_budget_met_at_extreme_noise_to_budget_ratios(self, params, log_noise, log_budget):
+        # floors noise/g^2 up to ~1e14 against budgets down to 1e-18: the
+        # powers are formed as depths below the level, so the spent power
+        # keeps its relative precision, well inside 1e-9*max(1, budget)
+        gains, probs, _, _ = params
+        noise_var, budget = 10.0 ** log_noise, 10.0 ** log_budget
+        spec = channel(gains, probs, noise_var)
+        alloc = solve_waterfill(spec, budget)
+        spent = math.fsum(q * p for q, p in zip(spec.fading.probs, alloc.powers))
+        assert abs(spent - budget) <= 1e-12 * budget
+        assert alloc.powers[-1] > 0.0
+        assert water_levels(spec, [budget])[0] == alloc.water_level
+
+    def test_two_state_breakpoint(self):
+        # floors 1 and 1/4: the weak state turns on at budget 0.5*(1 - 1/4)
+        spec = channel([1.0, 2.0], [0.5, 0.5])
+        levels = water_levels(spec, [0.1, 0.375, 1.0])
+        assert levels.tolist() == pytest.approx([0.45, 1.0, 1.625], abs=1e-15)
+
+    def test_empty_budget_array(self):
+        assert water_levels(channel([1.0, 2.0], [0.5, 0.5]), []).shape == (0,)
+
+    @pytest.mark.parametrize("budgets", [[1.0, 0.0], [math.nan], [1.0, math.inf], [[1.0]]])
+    def test_invalid_budgets(self, budgets):
+        with pytest.raises(InvalidParameterError):
+            water_levels(channel([1.0, 2.0], [0.5, 0.5]), budgets)
 
 
 class TestCapacity:
