@@ -34,11 +34,9 @@ from .montecarlo import (
     DensityStats,
     SimConfig,
     ViolationReport,
-    canonical_delta_n,
     delta_b,
     density_block_moments,
     hoeffding_violation_bound,
-    mcdiarmid_violation_bound,
     min_blocks_for_backoff,
     simulate_information_density,
     simulate_st_controller,
@@ -70,7 +68,6 @@ __all__ = [
     "SimConfig",
     "ViolationReport",
     "bound_point",
-    "canonical_delta_n",
     "capacity",
     "delta_b",
     "density_block_moments",
@@ -84,7 +81,6 @@ __all__ = [
     "link_terms",
     "link_v",
     "make_distribution",
-    "mcdiarmid_violation_bound",
     "min_blocks_for_backoff",
     "nocsit_stats",
     "simulate_information_density",

@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the Monte Carlo verification suite",
                        description="run the Monte Carlo verification suite")
     add_common(p)
-    p.add_argument("--seed", type=int, help="base seed for the per-trial substreams")
+    p.add_argument("--seed", type=int, help="base seed for the simulations' counter-based substreams")
     p.add_argument("--trials", type=int, help="trial count for both simulations")
     p.add_argument("--alpha", type=float, help="back-off exponent, in (0, 1)")
 

@@ -1,10 +1,14 @@
 """Monte Carlo checks for the power controller and the information density.
 
-Both simulations draw their randomness from per-trial counter-based
-substreams: a Philox generator keyed by (seed, purpose) whose 256-bit
-counter starts at trial_index * 2^192. Trial t therefore sees the same
-draws no matter how many trials run, in what order, or on how many
-workers, and aggregation is a plain order-independent reduction.
+Both simulations draw their randomness from counter-based substreams: a
+Philox generator keyed by (seed, purpose) whose 256-bit counter starts at
+index * 2^192. The density simulation takes one substream per trial. The
+controller needs only each trial's fading-state counts, which are
+Multinomial(blocks, probs), so it takes one substream per chunk of 4096
+trials and draws the chunk's counts in one call; the chunk size is part
+of the determinism contract. Either way trial t sees the same draws no
+matter how many trials run, in what order, or on how many workers, and
+aggregation is a plain order-independent reduction.
 """
 
 import math
@@ -23,8 +27,6 @@ __all__ = [
     "DensityStats",
     "delta_b",
     "hoeffding_violation_bound",
-    "canonical_delta_n",
-    "mcdiarmid_violation_bound",
     "min_blocks_for_backoff",
     "density_block_moments",
     "simulate_st_controller",
@@ -35,6 +37,8 @@ _MASK64 = (1 << 64) - 1
 _CONTROLLER_STREAM = 1
 _DENSITY_STREAM = 11
 _MIN_DENSITY_TRIALS = 100
+# Trials per controller substream; changing it changes every result.
+_CONTROLLER_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -116,24 +120,6 @@ def hoeffding_violation_bound(blocks: int, delta: float, water_level: float) -> 
     return math.exp(-blocks * delta * delta / (2.0 * water_level * water_level))
 
 
-def canonical_delta_n(n: int, alpha: float) -> float:
-    """Shrinking threshold n^(-(1-alpha)/2) used with the McDiarmid bound."""
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n!r}")
-    if not (0.0 < alpha < 1.0):
-        raise InvalidParameterError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
-    return float(n) ** (-(1.0 - alpha) / 2.0)
-
-
-def mcdiarmid_violation_bound(n: int, delta_n: float, kappa: float, c: float) -> float:
-    """Bounded-difference bound exp(-2*n*delta_n^2 / (kappa + c)^2)."""
-    if n < 1 or delta_n < 0.0 or not (kappa > 0.0) or not (c > 0.0):
-        raise InvalidParameterError(
-            f"need n >= 1, delta_n >= 0, kappa > 0, c > 0; got {n!r}, {delta_n!r}, {kappa!r}, {c!r}")
-    spread = kappa + c
-    return math.exp(-2.0 * n * delta_n * delta_n / (spread * spread))
-
-
 def min_blocks_for_backoff(budget: float, alpha: float, water_level: float) -> int:
     """Smallest block count whose back-off delta_b stays below the budget."""
     # delta_b < budget  <=>  blocks^(1-alpha) > 2*water_level^2/budget^2
@@ -144,10 +130,15 @@ def min_blocks_for_backoff(budget: float, alpha: float, water_level: float) -> i
     return blocks
 
 
+def _philox_key(seed: int, stream: int) -> int:
+    # 128-bit Philox key = (stream, seed).
+    return ((stream & _MASK64) << 64) | (seed & _MASK64)
+
+
 def _trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
-    # 128-bit Philox key = (stream, seed); trial index in the top counter
-    # word gives every trial 2^192 draws of separation.
-    key = ((stream & _MASK64) << 64) | (seed & _MASK64)
+    # The trial index in the top counter word gives every trial 2^192
+    # draws of separation.
+    key = _philox_key(seed, stream)
     return np.random.Generator(np.random.Philox(key=key, counter=trial << 192))
 
 
@@ -157,14 +148,31 @@ def _state_sampler(spec: ChannelSpec):
     return cum
 
 
+def _controller_spends(cfg: SimConfig, powers: np.ndarray):
+    """Yield each chunk's per-trial total spends, chunk by chunk.
+
+    Chunk c holds trials c*4096 .. c*4096+4095 and draws their state
+    counts from its own Philox substream. The row sums reduce each trial
+    on its own, so a trial's spend does not depend on the chunk's fill.
+    """
+    probs = np.asarray(cfg.spec.fading.probs, dtype=float)
+    key = _philox_key(cfg.seed, _CONTROLLER_STREAM)
+    for chunk, start in enumerate(range(0, cfg.trials, _CONTROLLER_CHUNK)):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=chunk << 192))
+        size = min(_CONTROLLER_CHUNK, cfg.trials - start)
+        counts = rng.multinomial(cfg.blocks, probs, size=size)
+        yield np.sum(counts * powers, axis=-1)
+
+
 def simulate_st_controller(cfg: SimConfig) -> ViolationReport:
     """Sample the backed-off power controller and count budget violations.
 
     Per trial, a fading sequence of length ``blocks`` is drawn and the
     controller allocates water-filling power against the reduced budget
     (budget - delta_b). With unit-energy reference symbols the running
-    energy constraint can only be breached at the full sum, so one
-    comparison per trial decides the violation.
+    energy constraint can only be breached at the full sum, which depends
+    on the sequence only through its state counts k ~ Multinomial(blocks,
+    probs): the trial violates iff k . powers > blocks * budget.
     """
     spec = cfg.spec
     full = solve_waterfill(spec, cfg.budget)
@@ -177,15 +185,9 @@ def simulate_st_controller(cfg: SimConfig) -> ViolationReport:
 
     backed = solve_waterfill(spec, cfg.budget - backoff)
     powers = np.asarray(backed.powers, dtype=float)
-    cum = _state_sampler(spec)
     cap_total = cfg.blocks * cfg.budget
-
-    violations = 0
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, _CONTROLLER_STREAM, trial)
-        states = np.searchsorted(cum, rng.random(cfg.blocks), side="right")
-        if float(powers[states].sum()) > cap_total:
-            violations += 1
+    violations = sum(int(np.count_nonzero(spends > cap_total))
+                     for spends in _controller_spends(cfg, powers))
 
     return ViolationReport(
         empirical_prob=violations / cfg.trials,

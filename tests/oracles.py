@@ -4,11 +4,15 @@ Everything here deliberately avoids the library's code paths: the
 quantile oracle bisects a high-precision series cdf (mpmath), the
 water-level oracle enumerates active sets in closed form instead of
 bisecting, and moment accumulation uses fsum over reversed state order
-with the uncentered variance formula.
+with the uncentered variance formula. The controller's violation
+probability is summed exactly over the state counts, and its original
+per-block sampler is kept here as a sampling reference.
 """
 
 import math
+from itertools import accumulate
 
+import numpy as np
 from mpmath import mp
 
 mp.dps = 40
@@ -118,6 +122,99 @@ def oracle_dispersions_for_alloc(gains, probs, noise_var, n_c, powers, level, bu
         "v_bf": mean_v + n_c * var_c + 0.5 * var_l,
         "v_bf_prime": mean_v + var_comp,
     }
+
+
+def waterfill_powers(gains, probs, noise_var, budget) -> list[float]:
+    """Water-filling powers at the closed-form level."""
+    level = closed_form_water_level(gains, probs, noise_var, budget)
+    return [max(0.0, level - noise_var / (g * g)) for g in gains]
+
+
+def controller_powers(gains, probs, noise_var, budget, blocks, alpha) -> list[float]:
+    """Powers of the short-term controller: water-filling at the backed-off budget.
+
+    The back-off is level * sqrt(2 / blocks^(1 - alpha)), with the level
+    of the full budget.
+    """
+    level = closed_form_water_level(gains, probs, noise_var, budget)
+    backoff = level * math.sqrt(2.0 / blocks ** (1.0 - alpha))
+    return waterfill_powers(gains, probs, noise_var, budget - backoff)
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for k in range(total + 1):
+        for rest in _compositions(total - k, parts - 1):
+            yield (k, *rest)
+
+
+def exact_violation_probability(probs, powers, blocks, cap) -> float:
+    """Exact chance that one controller trial spends more than cap.
+
+    The spend depends on the fading sequence only through its state
+    counts k ~ Multinomial(blocks, probs). Every count vector is
+    enumerated; the probabilities (lgamma form) of those with
+    k . powers > cap are added with fsum. For two states that is the
+    binomial tail, blocks + 1 terms; S states need C(blocks + S - 1, S - 1)
+    terms, so keep blocks small there. A spend within 1e-9 * cap of the
+    cap raises ValueError: rounding, not the channel, would decide it.
+    """
+    log_q = [math.log(q) for q in probs]
+    head = math.lgamma(blocks + 1)
+    terms = []
+    for counts in _compositions(blocks, len(probs)):
+        spend = math.fsum(k * p for k, p in zip(counts, powers))
+        if abs(spend - cap) <= 1e-9 * cap:
+            raise ValueError(f"counts {counts} spend {spend!r}, a tie with the cap {cap!r}")
+        if spend > cap:
+            terms.append(math.exp(
+                head + math.fsum(k * lq - math.lgamma(k + 1) for k, lq in zip(counts, log_q))))
+    return math.fsum(terms)
+
+
+def per_block_violations(probs, powers, blocks, cap, trials, seed, stream=1) -> int:
+    """Violation count of the original per-block controller sampler.
+
+    Trial t has its own Philox generator, key (stream, seed) and counter
+    t * 2^192. It draws one uniform per block, maps each to a state by the
+    cumulative probabilities, and counts a violation when the states'
+    powers sum to more than cap.
+    """
+    cum = np.cumsum(np.asarray(probs, dtype=float))
+    cum[-1] = 1.0
+    powers = np.asarray(powers, dtype=float)
+    key = (stream << 64) | (seed & ((1 << 64) - 1))
+    violations = 0
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=trial << 192))
+        states = np.searchsorted(cum, rng.random(blocks), side="right")
+        violations += float(powers[states].sum()) > cap
+    return violations
+
+
+def binomial_acceptance_region(trials, p, false_alarm) -> tuple[int, int]:
+    """Counts [lo, hi] a Binomial(trials, p) draw leaves with chance <= false_alarm.
+
+    lo is the largest count with P(X < lo) <= false_alarm / 2 and hi the
+    smallest with P(X > hi) <= false_alarm / 2. The pmf (lgamma form) is
+    taken on mean +- (12 sd + 12), outside which the mass is negligible
+    next to any false-alarm rate above 1e-20, and each tail is summed
+    from its own end.
+    """
+    mean = trials * p
+    reach = 12.0 * math.sqrt(trials * p * (1.0 - p)) + 12.0
+    a, b = max(0, math.floor(mean - reach)), min(trials, math.ceil(mean + reach))
+    log_p, log_q = math.log(p), math.log1p(-p)
+    head = math.lgamma(trials + 1)
+    pmf = [math.exp(head - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                    + k * log_p + (trials - k) * log_q) for k in range(a, b + 1)]
+    below = [0.0, *accumulate(pmf)]  # below[i] = P(a <= X < a + i)
+    above = [0.0, *accumulate(reversed(pmf))]  # above[i] = P(X > b - i)
+    lo = a + max(i for i in range(len(pmf)) if below[i] <= false_alarm / 2.0)
+    hi = b - max(i for i in range(len(pmf)) if above[i] <= false_alarm / 2.0)
+    return lo, hi
 
 
 # Hand-solved two-state benchmark: gains {1, 2}, probs {1/2, 1/2},

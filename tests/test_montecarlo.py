@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,20 +9,26 @@ from blockfade import (
     ChannelSpec,
     InvalidParameterError,
     SimConfig,
-    canonical_delta_n,
     delta_b,
     density_block_moments,
+    discretize_rayleigh,
     hoeffding_violation_bound,
     link_c,
     link_v,
     make_distribution,
-    mcdiarmid_violation_bound,
     min_blocks_for_backoff,
     simulate_information_density,
     simulate_st_controller,
     solve_waterfill,
 )
-from blockfade.montecarlo import _ks_distance
+from blockfade.montecarlo import _controller_spends, _ks_distance
+from oracles import (
+    binomial_acceptance_region,
+    controller_powers,
+    exact_violation_probability,
+    per_block_violations,
+    waterfill_powers,
+)
 from test_waterfill import random_channels
 
 TWO_STATE = make_distribution([1.0, 2.0], [0.5, 0.5])
@@ -63,22 +70,6 @@ class TestScalarBounds:
         values = [hoeffding_violation_bound(b, 0.05, 1.0) for b in (10, 100, 1000, 10000)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_mcdiarmid_zero_delta(self):
-        assert mcdiarmid_violation_bound(100, 0.0, 1.0, 3.0) == 1.0
-
-    def test_mcdiarmid_reference_value(self):
-        n = 10_000
-        dn = canonical_delta_n(n, 0.01)
-        assert dn == pytest.approx(n ** -0.495, rel=1e-15)
-        bound = mcdiarmid_violation_bound(n, dn, 2.0, 2.0)
-        assert bound == pytest.approx(math.exp(-2.0 * n ** 0.01 / 16.0), rel=1e-13)
-        assert bound == pytest.approx(0.872, abs=1e-3)
-
-    def test_mcdiarmid_decreasing_with_canonical_delta(self):
-        values = [mcdiarmid_violation_bound(n, canonical_delta_n(n, 0.2), 2.0, 2.0)
-                  for n in (100, 10_000, 1_000_000)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
     @pytest.mark.parametrize("call", [
         lambda: delta_b(0, 0.1, 1.0),
         lambda: delta_b(10, 0.0, 1.0),
@@ -86,9 +77,6 @@ class TestScalarBounds:
         lambda: delta_b(10, 0.1, 0.0),
         lambda: hoeffding_violation_bound(0, 0.1, 1.0),
         lambda: hoeffding_violation_bound(10, -0.1, 1.0),
-        lambda: mcdiarmid_violation_bound(0, 0.1, 1.0, 1.0),
-        lambda: mcdiarmid_violation_bound(10, 0.1, 0.0, 1.0),
-        lambda: canonical_delta_n(0, 0.1),
     ])
     def test_scalar_preconditions(self, call):
         with pytest.raises(InvalidParameterError):
@@ -158,16 +146,94 @@ class TestController:
             simulate_st_controller(cfg)
 
     def test_rare_violations_are_counted(self):
-        # widely spread gains with a tiny back-off exponent push the
-        # violation event to roughly 3 sigma, so a large fixed-seed run
-        # observes a handful of violations while staying far below the bound
-        spec = ChannelSpec(noise_var=1.0, n_c=1,
-                           fading=make_distribution([0.18, 30.0], [0.5, 0.5]))
+        # widely spread gains with a tiny back-off exponent put the exact
+        # violation probability at 5.575e-4, far below the bound; the count
+        # over 4M trials must lie in that probability's binomial acceptance
+        # region at a false-alarm rate of 1e-6
+        gains, probs = [0.18, 30.0], [0.5, 0.5]
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution(gains, probs))
         cfg = SimConfig(spec=spec, budget=1.0, blocks=1000, alpha=0.01,
-                        trials=40_000, seed=42)
+                        trials=4_000_000, seed=42)
+        exact = exact_violation_probability(
+            probs, controller_powers(gains, probs, 1.0, 1.0, 1000, 0.01), 1000, 1000.0)
+        assert exact == pytest.approx(5.575e-4, abs=5e-8)
         report = simulate_st_controller(cfg)
-        assert report.empirical_prob == 0.0005  # 20 violations, fixed seed
+        lo, hi = binomial_acceptance_region(cfg.trials, exact, 1e-6)
+        assert lo <= round(report.empirical_prob * cfg.trials) <= hi
         assert report.empirical_prob <= report.hoeffding_bound
+
+    def test_exact_probability_at_verify_defaults(self):
+        gains, probs = [1.0, 2.0], [0.5, 0.5]
+        powers = controller_powers(gains, probs, 1.0, 1.0, 1000, 0.1)
+        exact = exact_violation_probability(probs, powers, 1000, 1000.0)
+        assert exact == pytest.approx(1.854e-18, rel=5e-4)
+        report = simulate_st_controller(two_state_cfg(blocks=1000, trials=10))
+        assert report.lambda_b == pytest.approx(powers[0] + 1.0, rel=1e-12)
+        assert exact < report.hoeffding_bound
+
+
+def _violations(cfg, powers, cap):
+    return sum(np.count_nonzero(spends > cap) for spends in _controller_spends(cfg, powers))
+
+
+class TestControllerEngine:
+    # A block's power lies in [0, level], so its s.d. is at most level/2,
+    # and the canonical back-off puts a violation at least 2*sqrt(2) s.d.
+    # above the mean spend (about 2e-3 under the normal approximation).
+    # To compare rates, these tests hand the engine water-filling powers
+    # at a budget just under the cap instead. FALSE_ALARM is the chance
+    # that each check fails a correct engine.
+    FALSE_ALARM = 1e-6
+
+    def test_two_state_agrees_with_per_block_sampler_and_exact(self):
+        gains, probs = [1.0, 2.0], [0.5, 0.5]
+        blocks, cap = 200, 200.0
+        powers = np.array(waterfill_powers(gains, probs, 1.0, 0.9713))
+        exact = exact_violation_probability(probs, powers, blocks, cap)
+        assert 0.05 <= exact <= 0.3
+
+        cfg = two_state_cfg(blocks=blocks, trials=200_000, seed=3)
+        new = _violations(cfg, powers, cap)
+        old_trials = 20_000
+        old = per_block_violations(probs, powers, blocks, cap, old_trials, seed=3)
+
+        for count, trials in ((new, cfg.trials), (old, old_trials)):
+            lo, hi = binomial_acceptance_region(trials, exact, self.FALSE_ALARM)
+            assert lo <= count <= hi
+        # two-proportion z test of the two samplers against each other
+        pooled = (new + old) / (cfg.trials + old_trials)
+        se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / cfg.trials + 1.0 / old_trials))
+        z_crit = NormalDist().inv_cdf(1.0 - self.FALSE_ALARM / 2.0)
+        assert abs(new / cfg.trials - old / old_trials) <= z_crit * se
+
+    def test_three_state_agrees_with_multinomial_enumeration(self):
+        gains, probs = [0.5, 1.0, 2.0], [0.2, 0.3, 0.5]
+        blocks, cap = 30, 30.0
+        powers = np.array(waterfill_powers(gains, probs, 1.0, 0.9017))
+        exact = exact_violation_probability(probs, powers, blocks, cap)
+        assert 0.05 <= exact <= 0.3
+
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution(gains, probs))
+        cfg = SimConfig(spec=spec, budget=1.0, blocks=blocks, alpha=0.5,
+                        trials=500_000, seed=17)
+        lo, hi = binomial_acceptance_region(cfg.trials, exact, self.FALSE_ALARM)
+        assert lo <= _violations(cfg, powers, cap) <= hi
+
+    @pytest.mark.parametrize("fading", [TWO_STATE, discretize_rayleigh(0.1, 4.1, 10, 1.0)],
+                             ids=["two-state", "preset"])
+    def test_trial_results_do_not_depend_on_chunk_boundaries(self, fading):
+        # one substream per 4096-trial chunk: runs that end inside, at or
+        # just past a chunk edge see the same spends for the trials they share
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=fading)
+        powers = np.asarray(solve_waterfill(spec, 0.9).powers)
+        spends = {}
+        for trials in (4095, 4096, 4097, 8199):
+            cfg = SimConfig(spec=spec, budget=1.0, blocks=50, alpha=0.1, trials=trials, seed=5)
+            spends[trials] = np.concatenate(list(_controller_spends(cfg, powers)))
+            assert spends[trials].shape == (trials,)
+        longest = spends[8199]
+        for trials in (4095, 4096, 4097):
+            assert np.array_equal(spends[trials], longest[:trials])
 
 
 class TestDensityMoments:
@@ -250,6 +316,8 @@ class TestReportSerialization:
         import json
 
         report = simulate_st_controller(two_state_cfg(blocks=100, trials=200))
+        # a NumPy scalar here would turn verify's pass flags into np.bool_
+        assert type(report.empirical_prob) is float
         again = json.loads(json.dumps(dataclasses.asdict(report)))
         assert again["empirical_prob"] == report.empirical_prob
         assert again["lambda_b"] == report.lambda_b
