@@ -45,10 +45,8 @@ from .specfun import std_normal_cdf, std_normal_inv_cdf, std_normal_pdf
 from .waterfill import (
     PowerAllocation,
     capacity,
-    link_c,
     link_l,
     link_terms,
-    link_v,
     solve_waterfill,
     water_levels,
 )
@@ -76,10 +74,8 @@ __all__ = [
     "dispersion_v_bf",
     "dispersion_v_bf_prime",
     "hoeffding_violation_bound",
-    "link_c",
     "link_l",
     "link_terms",
-    "link_v",
     "make_distribution",
     "min_blocks_for_backoff",
     "nocsit_stats",

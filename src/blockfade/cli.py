@@ -4,9 +4,11 @@ Three subcommands: ``rate-vs-blocklength`` and ``rate-vs-power`` sweep
 the closed-form bounds into a CSV (plus an optional SVG chart), and
 ``verify`` runs the Monte Carlo checks and emits a JSON report.
 
-Configuration comes from a single JSON file; command-line flags override
-individual fields. Outputs are a pure function of the resolved
-configuration, so repeated runs are byte-identical.
+Every config field is one row of ``_FIELDS``. A command reads the
+defaults of its rows, then a single JSON file, then command-line flags,
+and checks the whole result before any work starts. Outputs are a pure
+function of the resolved configuration, so repeated runs are
+byte-identical.
 
 Exit codes: 0 success, 1 configuration error, 3 verification failure;
 2 is reserved and unused.
@@ -17,9 +19,10 @@ import functools
 import json
 import math
 import sys
+from typing import NamedTuple
 
 from .bounds import bound_point, dispersion_stats, sweep_dispersion_stats
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh
 from .montecarlo import (SimConfig, check_density_config, simulate_information_density,
                          simulate_st_controller)
@@ -33,49 +36,91 @@ _CSV_COLUMNS = ("n", "B", "n_c", "power_linear", "epsilon", "capacity",
                 "rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt", "rate_nocsit",
                 "log_m_lb_st", "log_m_lb_lt", "log_m_ub_st", "log_m_ub_lt")
 
-_ALLOWED_KEYS = {"channel", "noise_var", "n_c", "power_db", "power_linear",
-                 "epsilon", "beta", "blocklength_sweep", "power_sweep", "mc",
-                 "out", "svg"}
-_ALLOWED_BLOCK_SWEEP = {"b_min", "b_max", "points", "log_spaced"}
-_ALLOWED_POWER_SWEEP = {"p_min_db", "p_max_db", "points", "blocks"}
-_ALLOWED_MC = {"seed", "alpha", "controller", "density"}
-_ALLOWED_MC_SIM = {"blocks", "trials"}
-
 _KS_THRESHOLD = 0.02
 _VAR_REL_TOLERANCE = 0.02
 
-
-def _sweep_defaults(axis: str) -> dict:
-    cfg = {
-        "channel": PRESET_NAME,
-        "noise_var": 1.0,
-        "n_c": 1,
-        "power_db": 5.0,
-        "epsilon": 0.01,
-        "beta": 0.01,
-    }
-    if axis == "blocklength":
-        cfg["blocklength_sweep"] = {"b_min": 100, "b_max": 10000, "points": 40,
-                                    "log_spaced": True}
-    else:
-        cfg["power_sweep"] = {"p_min_db": 0.0, "p_max_db": 20.0, "points": 41,
-                              "blocks": 4000}
-    return cfg
+_COMMANDS = ("rate-vs-blocklength", "rate-vs-power", "verify")
+_REQUIRED = object()  # no default: the file or a flag must set the field
+_UNREAD = object()    # the command does not read the field and rejects it
 
 
-def _verify_defaults() -> dict:
-    return {
-        "channel": {"gains": [1.0, 2.0], "probs": [0.5, 0.5]},
-        "noise_var": 1.0,
-        "n_c": 1,
-        "power_linear": 1.0,
-        "mc": {
-            "seed": 42,
-            "alpha": 0.1,
-            "controller": {"blocks": 1000, "trials": 100000},
-            "density": {"blocks": 10000, "trials": 10000},
-        },
-    }
+class _Field(NamedTuple):
+    """One config field.
+
+    path: dotted path into the JSON config. kind: a key of ``_KINDS``.
+    defaults: one entry per command, in ``_COMMANDS`` order: the default,
+    None (optional, no default), ``_REQUIRED`` or ``_UNREAD``.
+    An "int" must be >= lo; a "number" or "db" must be finite and lie
+    strictly between lo and hi. flag: the command-line flag that
+    overrides the field, if any; help: what the flag sets (its help text
+    adds the kind and bounds).
+    """
+
+    path: str
+    kind: str
+    defaults: tuple
+    lo: float | None = None
+    hi: float | None = None
+    flag: str | None = None
+    help: str | None = None
+
+
+# Per kind: the JSON value types it accepts (the first also parses its
+# flag) and how error messages describe it. A bool is never a number.
+_KINDS = {
+    "int": ((int,), "an integer"),
+    "number": ((float, int), "a number"),
+    "db": ((float, int), "a number of dB whose 10^(dB/10) is positive and finite"),
+    "bool": ((bool,), "true or false"),
+    "path": ((str,), "a non-empty string"),
+    "channel": ((str, dict), f'"{PRESET_NAME}", a fading profile object, its JSON text or a path'),
+}
+
+_FIELDS = (
+    # path, kind, defaults for (rate-vs-blocklength, rate-vs-power, verify), bounds, flag
+    _Field("channel", "channel",
+           (PRESET_NAME, PRESET_NAME, {"gains": [1.0, 2.0], "probs": [0.5, 0.5]}),
+           flag="--channel", help="fading law"),
+    _Field("noise_var", "number", (1.0, 1.0, 1.0), lo=0.0),
+    _Field("n_c", "int", (1, 1, 1), lo=1, flag="--nc", help="channel uses per fading block"),
+    _Field("power_db", "db", (5.0, _UNREAD, None), flag="--power-db",
+           help="average power budget"),
+    _Field("power_linear", "number", (None, _UNREAD, 1.0), lo=0.0),
+    _Field("epsilon", "number", (0.01, 0.01, _UNREAD), lo=0.0, hi=0.5, flag="--epsilon",
+           help="target error probability"),
+    _Field("beta", "number", (0.01, 0.01, _UNREAD), lo=0.0, hi=1.0, flag="--beta",
+           help="lower-bound correction exponent"),
+    _Field("blocklength_sweep.b_min", "int", (100, _UNREAD, _UNREAD), lo=1),
+    _Field("blocklength_sweep.b_max", "int", (10000, _UNREAD, _UNREAD), lo=1),
+    _Field("blocklength_sweep.points", "int", (40, _UNREAD, _UNREAD), lo=1, flag="--points",
+           help="number of sweep points"),
+    _Field("blocklength_sweep.log_spaced", "bool", (True, _UNREAD, _UNREAD)),
+    _Field("power_sweep.p_min_db", "db", (_UNREAD, 0.0, _UNREAD)),
+    _Field("power_sweep.p_max_db", "db", (_UNREAD, 20.0, _UNREAD)),
+    _Field("power_sweep.points", "int", (_UNREAD, 41, _UNREAD), lo=1, flag="--points",
+           help="number of sweep points"),
+    _Field("power_sweep.blocks", "int", (_UNREAD, 4000, _UNREAD), lo=1),
+    # SimConfig bounds the seed to [0, 2^64).
+    _Field("mc.seed", "int", (_UNREAD, _UNREAD, 42), flag="--seed",
+           help="base seed for the simulations' counter-based substreams"),
+    _Field("mc.alpha", "number", (_UNREAD, _UNREAD, 0.1), lo=0.0, hi=1.0, flag="--alpha",
+           help="back-off exponent"),
+    _Field("mc.controller.blocks", "int", (_UNREAD, _UNREAD, 1000), lo=1),
+    _Field("mc.controller.trials", "int", (_UNREAD, _UNREAD, 100000), lo=1, flag="--trials",
+           help="trial count for both simulations"),
+    _Field("mc.density.blocks", "int", (_UNREAD, _UNREAD, 10000), lo=1),
+    _Field("mc.density.trials", "int", (_UNREAD, _UNREAD, 10000), lo=1, flag="--trials"),
+    _Field("out", "path", (_REQUIRED, _REQUIRED, None), flag="--out", help="output file path"),
+    _Field("svg", "path", (None, None, _UNREAD), flag="--svg",
+           help="also render the curves to this SVG file"),
+)
+
+# Per command: path -> (field, default) for every field the command reads.
+_SCHEMAS = {command: {f.path: (f, f.defaults[i]) for f in _FIELDS if f.defaults[i] is not _UNREAD}
+            for i, command in enumerate(_COMMANDS)}
+
+# The two forms of one budget: a source that sets either replaces both.
+_BUDGET_FORMS = ("power_db", "power_linear")
 
 
 def preset_fading() -> FadingDistribution:
@@ -83,15 +128,11 @@ def preset_fading() -> FadingDistribution:
     return discretize_rayleigh(0.1, 4.1, 10, 1.0)
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route that through the
     # config-error path instead (2 is reserved).
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidParameterError(message)
 
 
 @functools.cache
@@ -100,147 +141,128 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="blockfade",
                      description="Finite-blocklength rate bounds for block-fading channels")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, desc in zip(_COMMANDS, ("sweep the bounds over the codeword length",
+                                         "sweep the bounds over the power budget",
+                                         "run the Monte Carlo verification suite")):
+        p = sub.add_parser(command, help=desc, description=desc)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--channel",
-                       help=f'"{PRESET_NAME}", inline JSON, or a path to a fading profile')
-        p.add_argument("--power-db", type=float, dest="power_db",
-                       help="average power budget in dB (10^(dB/10) linear)")
-        p.add_argument("--nc", type=int, dest="n_c", help="channel uses per fading block")
-        p.add_argument("--out", help="output file path")
-
-    for name, desc in (("rate-vs-blocklength", "sweep the bounds over the codeword length"),
-                       ("rate-vs-power", "sweep the bounds over the power budget")):
-        p = sub.add_parser(name, help=desc, description=desc)
-        add_common(p)
-        p.add_argument("--epsilon", type=float, help="target error probability, in (0, 1/2)")
-        p.add_argument("--beta", type=float, help="lower-bound correction exponent, in (0, 1)")
-        p.add_argument("--points", type=int, help="number of sweep points")
-        p.add_argument("--svg", help="also render the curves to this SVG file")
-
-    p = sub.add_parser("verify", help="run the Monte Carlo verification suite",
-                       description="run the Monte Carlo verification suite")
-    add_common(p)
-    p.add_argument("--seed", type=int, help="base seed for the simulations' counter-based substreams")
-    p.add_argument("--trials", type=int, help="trial count for both simulations")
-    p.add_argument("--alpha", type=float, help="back-off exponent, in (0, 1)")
-
+        declared = set()
+        for field, _ in _SCHEMAS[command].values():
+            if field.flag and field.flag not in declared:  # --trials sets two fields
+                declared.add(field.flag)
+                p.add_argument(field.flag, dest=field.flag, metavar=field.kind.upper(),
+                               type=_KINDS[field.kind][0][0],
+                               help=f"{field.help}: {_rule(field)}")
     return parser
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if key in merged and isinstance(merged[key], dict) and isinstance(value, dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
-
-
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise InvalidParameterError(f"invalid config field {key!r} in {where}")
-
-
-def _load_config_file(path: str) -> dict:
+def _read_config(path: str, command: str) -> dict:
+    """The file's fields keyed by dotted path; reject any the command does not read."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise InvalidParameterError("config file must contain a JSON object")
-    _check_keys(data, _ALLOWED_KEYS, "config")
-    for key, allowed in (("blocklength_sweep", _ALLOWED_BLOCK_SWEEP),
-                         ("power_sweep", _ALLOWED_POWER_SWEEP),
-                         ("mc", _ALLOWED_MC)):
-        if key in data:
-            if not isinstance(data[key], dict):
-                raise InvalidParameterError(f"invalid config field {key!r}: must be an object")
-            _check_keys(data[key], allowed, key)
-    if "mc" in data:
-        for sim in ("controller", "density"):
-            if sim in data["mc"]:
-                if not isinstance(data["mc"][sim], dict):
-                    raise InvalidParameterError(f"invalid config field {sim!r}: must be an object")
-                _check_keys(data["mc"][sim], _ALLOWED_MC_SIM, f"mc.{sim}")
-    return data
+    schema = _SCHEMAS[command]
+    sections = {name[:i] for name in schema for i, char in enumerate(name) if char == "."}
+    flat, todo = {}, [("", data)]
+    while todo:
+        prefix, obj = todo.pop()
+        for key, value in obj.items():
+            name = prefix + key
+            if "." in key or (name not in schema and name not in sections):
+                raise InvalidParameterError(
+                    f"invalid config field {name!r}: {command} does not read it")
+            if name not in sections:
+                flat[name] = value
+            elif isinstance(value, dict):
+                todo.append((name + ".", value))
+            else:
+                raise InvalidParameterError(f"invalid config field {name!r}: must be an object")
+    return flat
 
 
-def _resolve_config(args, defaults: dict) -> dict:
-    user = _load_config_file(args.config) if args.config else {}
+def _db_to_linear(db: float) -> float:
+    return 10.0 ** (db / 10.0)
 
-    # A user-supplied budget form replaces the default one entirely.
-    if "power_db" in user or "power_linear" in user or getattr(args, "power_db", None) is not None:
-        defaults = {k: v for k, v in defaults.items() if k not in ("power_db", "power_linear")}
-    cfg = _deep_merge(defaults, user)
 
-    if getattr(args, "channel", None) is not None:
-        cfg["channel"] = args.channel
-    if getattr(args, "power_db", None) is not None:
-        cfg.pop("power_linear", None)
-        cfg["power_db"] = args.power_db
-    for flag in ("n_c", "epsilon", "beta", "out", "svg"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[flag] = value
-    if getattr(args, "points", None) is not None:
-        for axis in ("blocklength_sweep", "power_sweep"):
-            if axis in cfg:
-                cfg[axis]["points"] = args.points
-    mc = cfg.get("mc")
-    if mc is not None:
-        if getattr(args, "seed", None) is not None:
-            mc["seed"] = args.seed
-        if getattr(args, "alpha", None) is not None:
-            mc["alpha"] = args.alpha
-        if getattr(args, "trials", None) is not None:
-            mc["controller"]["trials"] = args.trials
-            mc["density"]["trials"] = args.trials
+def _rule(field: _Field) -> str:
+    """What the field's row asks of a value, in words."""
+    rule = _KINDS[field.kind][1]
+    if field.lo is None:
+        return rule
+    if field.kind == "int":
+        return f"{rule} >= {field.lo}"
+    if field.hi is None:
+        return f"{rule} > {field.lo:g}"
+    return f"{rule} in ({field.lo:g}, {field.hi:g})"
 
-    if "power_db" in cfg and "power_linear" in cfg:
+
+def _check(field: _Field, value):
+    """The field's value as the commands use it; raise if it breaks the field's row."""
+    if value is _REQUIRED:
+        raise InvalidParameterError(f"invalid config field {field.path!r}: required "
+                                    f"(set it in the file or with {field.flag})")
+    kind = field.kind
+    ok = isinstance(value, _KINDS[kind][0]) and isinstance(value, bool) == (kind == "bool")
+    if ok and kind == "int":
+        ok = field.lo is None or value >= field.lo
+    elif ok and kind in ("number", "db"):
+        try:
+            value = float(value)
+            ok = (math.isfinite(value) and (field.lo is None or value > field.lo)
+                  and (field.hi is None or value < field.hi)
+                  and (kind != "db" or _db_to_linear(value) > 0.0))
+        except OverflowError:  # an integer past the float range, or 10^(dB/10) past it
+            ok = False
+    elif ok and kind == "path":
+        ok = value != ""
+    if not ok:
+        raise InvalidParameterError(f"invalid config field {field.path!r}: "
+                                    f"must be {_rule(field)}, got {value!r}")
+    return value
+
+
+def _resolve(args) -> dict:
+    """The checked config of ``args.command``, keyed by field path.
+
+    Merges the defaults, the ``--config`` file and the flags; rejects any
+    field the command does not read; type- and range-checks every field;
+    then adds the channel ("spec") and, where the command reads one, the
+    linear budget ("budget"). Runs no solver and no simulation.
+    """
+    schema = _SCHEMAS[args.command]
+    flags = vars(args)
+    cfg = {name: default for name, (_, default) in schema.items() if default is not None}
+    for source in (_read_config(args.config, args.command) if args.config else {},
+                   {name: flags[f.flag] for name, (f, _) in schema.items()
+                    if flags.get(f.flag) is not None}):
+        if any(form in source for form in _BUDGET_FORMS):
+            cfg = {name: value for name, value in cfg.items() if name not in _BUDGET_FORMS}
+        cfg.update(source)
+    cfg = {name: _check(schema[name][0], value) for name, value in cfg.items()}
+    if all(form in cfg for form in _BUDGET_FORMS):
         raise InvalidParameterError(
             "invalid config: exactly one of power_db and power_linear may be set")
-    if "blocklength_sweep" in cfg and "power_sweep" in cfg:
-        raise InvalidParameterError(
-            "invalid config: exactly one sweep axis may be set "
-            "(found blocklength_sweep and power_sweep)")
+
+    cfg["spec"] = ChannelSpec(noise_var=cfg["noise_var"], n_c=cfg["n_c"],
+                              fading=_resolve_channel(cfg["channel"]))
+    if "power_db" in cfg:
+        cfg["budget"] = _db_to_linear(cfg["power_db"])
+    elif "power_linear" in cfg:
+        cfg["budget"] = cfg["power_linear"]
     return cfg
 
 
 def _resolve_channel(value) -> FadingDistribution:
     if isinstance(value, dict):
         return FadingDistribution.from_json_dict(value)
-    if isinstance(value, str):
-        if value == PRESET_NAME:
-            return preset_fading()
-        text = value.strip()
-        if text.startswith("{"):
-            return FadingDistribution.from_json_dict(json.loads(text))
-        with open(value, "r", encoding="utf-8") as fh:
-            return FadingDistribution.from_json_dict(json.load(fh))
-    raise InvalidParameterError(
-        f'invalid config field "channel": expected "{PRESET_NAME}", an object or a path, '
-        f"got {value!r}")
-
-
-def _resolve_budget(cfg: dict) -> float:
-    if "power_db" in cfg:
-        db = float(cfg["power_db"])
-        return 10.0 ** (db / 10.0)
-    if "power_linear" in cfg:
-        return float(cfg["power_linear"])
-    raise InvalidParameterError(
-        'invalid config: one of "power_db" or "power_linear" is required')
-
-
-def _require_int(cfg: dict, where: str, key: str, minimum: int) -> int:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(f"invalid config field {key!r} in {where}: must be an integer")
-    if value < minimum:
-        raise InvalidParameterError(f"invalid config field {key!r} in {where}: must be >= {minimum}")
-    return value
+    if value == PRESET_NAME:
+        return preset_fading()
+    text = value.strip()
+    if text.startswith("{"):
+        return FadingDistribution.from_json_dict(json.loads(text))
+    with open(value, "r", encoding="utf-8") as fh:
+        return FadingDistribution.from_json_dict(json.load(fh))
 
 
 def _fmt(value) -> str:
@@ -257,10 +279,13 @@ def _write_csv(path: str, rows: list[dict]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _row(bp, power_linear: float, n_c: int, cap: float) -> dict:
+def _row(cfg: dict, stats, blocks: int, power_linear: float) -> dict:
+    spec = cfg["spec"]
+    bp = bound_point(stats, blocks * spec.n_c, spec.n_c, spec.fading.num_states,
+                     cfg["epsilon"], cfg["beta"])
     return {
-        "n": bp.n, "B": bp.blocks, "n_c": n_c,
-        "power_linear": power_linear, "epsilon": bp.epsilon, "capacity": cap,
+        "n": bp.n, "B": bp.blocks, "n_c": spec.n_c,
+        "power_linear": power_linear, "epsilon": bp.epsilon, "capacity": stats.capacity,
         "rate_lb_st": bp.rate_lb_st, "rate_lb_lt": bp.rate_lb_lt,
         "rate_ub_st": bp.rate_ub_st, "rate_ub_lt": bp.rate_ub_lt,
         "rate_nocsit": bp.rate_nocsit,
@@ -269,14 +294,12 @@ def _row(bp, power_linear: float, n_c: int, cap: float) -> dict:
     }
 
 
-def _blocklength_grid(section: dict) -> list[int]:
-    b_min = _require_int(section, "blocklength_sweep", "b_min", 1)
-    b_max = _require_int(section, "blocklength_sweep", "b_max", 1)
-    points = _require_int(section, "blocklength_sweep", "points", 1)
+def _blocklength_grid(cfg: dict) -> list[int]:
+    b_min, b_max = cfg["blocklength_sweep.b_min"], cfg["blocklength_sweep.b_max"]
+    points, log_spaced = cfg["blocklength_sweep.points"], cfg["blocklength_sweep.log_spaced"]
     if b_max < b_min:
         raise InvalidParameterError(
-            'invalid config field "b_max" in blocklength_sweep: must be >= b_min')
-    log_spaced = bool(section.get("log_spaced", True))
+            "invalid config field 'blocklength_sweep.b_max': must be >= b_min")
     if points == 1:
         return [b_min]
     grid = []
@@ -291,13 +314,12 @@ def _blocklength_grid(section: dict) -> list[int]:
     return grid
 
 
-def _power_grid_db(section: dict) -> list[float]:
-    points = _require_int(section, "power_sweep", "points", 1)
-    p_min = float(section["p_min_db"])
-    p_max = float(section["p_max_db"])
+def _power_grid_db(cfg: dict) -> list[float]:
+    points = cfg["power_sweep.points"]
+    p_min, p_max = cfg["power_sweep.p_min_db"], cfg["power_sweep.p_max_db"]
     if p_max < p_min:
         raise InvalidParameterError(
-            'invalid config field "p_max_db" in power_sweep: must be >= p_min_db')
+            "invalid config field 'power_sweep.p_max_db': must be >= p_min_db")
     if points == 1:
         return [p_min]
     return [p_min + (p_max - p_min) * i / (points - 1) for i in range(points)]
@@ -318,10 +340,7 @@ def _clamped_rate_series(rows: list[dict], xs: list[float]):
 
 def _emit_outputs(cfg: dict, rows: list[dict], xs: list[float], x_label: str,
                   log_x: bool) -> None:
-    out = cfg.get("out")
-    if not out:
-        raise InvalidParameterError('invalid config: an output path ("out" or --out) is required')
-    _write_csv(out, rows)
+    _write_csv(cfg["out"], rows)
     svg_path = cfg.get("svg")
     if svg_path:
         chart = render_line_chart(_clamped_rate_series(rows, xs),
@@ -331,72 +350,33 @@ def _emit_outputs(cfg: dict, rows: list[dict], xs: list[float], x_label: str,
             fh.write(chart)
 
 
-def cmd_rate_vs_blocklength(args) -> int:
-    cfg = _resolve_config(args, _sweep_defaults("blocklength"))
-    fading = _resolve_channel(cfg["channel"])
-    n_c = _require_int(cfg, "config", "n_c", 1)
-    spec = ChannelSpec(noise_var=float(cfg["noise_var"]), n_c=n_c, fading=fading)
-    budget = _resolve_budget(cfg)
-    epsilon = float(cfg["epsilon"])
-    beta = float(cfg["beta"])
-    section = cfg["blocklength_sweep"]
-    grid = _blocklength_grid(section)
-
-    stats = dispersion_stats(spec, budget)
-    rows = []
-    for blocks in grid:
-        bp = bound_point(stats, blocks * n_c, n_c, fading.num_states, epsilon, beta)
-        rows.append(_row(bp, budget, n_c, stats.capacity))
+def cmd_rate_vs_blocklength(cfg: dict) -> int:
+    grid = _blocklength_grid(cfg)
+    stats = dispersion_stats(cfg["spec"], cfg["budget"])
+    rows = [_row(cfg, stats, blocks, cfg["budget"]) for blocks in grid]
     xs = [float(row["n"]) for row in rows]
-    _emit_outputs(cfg, rows, xs, "codeword length n", bool(section.get("log_spaced", True)))
+    _emit_outputs(cfg, rows, xs, "codeword length n", cfg["blocklength_sweep.log_spaced"])
     return 0
 
 
-def cmd_rate_vs_power(args) -> int:
-    cfg = _resolve_config(args, _sweep_defaults("power"))
-    fading = _resolve_channel(cfg["channel"])
-    n_c = _require_int(cfg, "config", "n_c", 1)
-    spec = ChannelSpec(noise_var=float(cfg["noise_var"]), n_c=n_c, fading=fading)
-    epsilon = float(cfg["epsilon"])
-    beta = float(cfg["beta"])
-    section = cfg["power_sweep"]
-    blocks = _require_int(section, "power_sweep", "blocks", 1)
-    grid_db = _power_grid_db(section)
-
-    budgets = [10.0 ** (db / 10.0) for db in grid_db]
-    rows = []
-    for budget, stats in zip(budgets, sweep_dispersion_stats(spec, budgets)):
-        bp = bound_point(stats, blocks * n_c, n_c, fading.num_states, epsilon, beta)
-        rows.append(_row(bp, budget, n_c, stats.capacity))
+def cmd_rate_vs_power(cfg: dict) -> int:
+    grid_db = _power_grid_db(cfg)
+    budgets = [_db_to_linear(db) for db in grid_db]
+    rows = [_row(cfg, stats, cfg["power_sweep.blocks"], budget)
+            for budget, stats in zip(budgets, sweep_dispersion_stats(cfg["spec"], budgets))]
     _emit_outputs(cfg, rows, grid_db, "average power (dB)", False)
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _resolve_config(args, _verify_defaults())
-    fading = _resolve_channel(cfg["channel"])
-    n_c = _require_int(cfg, "config", "n_c", 1)
-    spec = ChannelSpec(noise_var=float(cfg["noise_var"]), n_c=n_c, fading=fading)
-    budget = _resolve_budget(cfg)
-    mc = cfg["mc"]
-    seed = mc.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise InvalidParameterError('invalid config field "seed" in mc: must be an integer')
-    alpha = float(mc["alpha"])
+def cmd_verify(cfg: dict) -> int:
+    spec, budget = cfg["spec"], cfg["budget"]
+    seed, alpha = cfg["mc.seed"], cfg["mc.alpha"]
 
     # Build and check both configs before either simulation runs.
-    controller_cfg = SimConfig(
-        spec=spec, budget=budget,
-        blocks=_require_int(mc["controller"], "mc.controller", "blocks", 1),
-        alpha=alpha,
-        trials=_require_int(mc["controller"], "mc.controller", "trials", 1),
-        seed=seed)
-    density_cfg = SimConfig(
-        spec=spec, budget=budget,
-        blocks=_require_int(mc["density"], "mc.density", "blocks", 1),
-        alpha=alpha,
-        trials=_require_int(mc["density"], "mc.density", "trials", 1),
-        seed=seed)
+    controller_cfg = SimConfig(spec=spec, budget=budget, blocks=cfg["mc.controller.blocks"],
+                               alpha=alpha, trials=cfg["mc.controller.trials"], seed=seed)
+    density_cfg = SimConfig(spec=spec, budget=budget, blocks=cfg["mc.density.blocks"],
+                            alpha=alpha, trials=cfg["mc.density.trials"], seed=seed)
     check_density_config(density_cfg)
 
     violation = simulate_st_controller(controller_cfg)
@@ -406,7 +386,7 @@ def cmd_verify(args) -> int:
     controller_pass = p_hat <= controller_threshold
 
     density = simulate_information_density(density_cfg)
-    n = density_cfg.blocks * n_c
+    n = density_cfg.blocks * spec.n_c
     mean_tol = 3.0 * math.sqrt(density.analytic_var / (density_cfg.trials * n))
     mean_pass = abs(density.empirical_mean_per_use - density.analytic_mean) <= mean_tol
     var_pass = abs(density.empirical_var_per_use - density.analytic_var) \
@@ -415,9 +395,9 @@ def cmd_verify(args) -> int:
 
     all_pass = controller_pass and mean_pass and var_pass and ks_pass
     report = {
-        "channel": fading.to_json_dict(),
+        "channel": spec.fading.to_json_dict(),
         "noise_var": spec.noise_var,
-        "n_c": n_c,
+        "n_c": spec.n_c,
         "budget_linear": budget,
         "seed": seed,
         "alpha": alpha,
@@ -460,22 +440,14 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 3
 
 
+_RUN = dict(zip(_COMMANDS, (cmd_rate_vs_blocklength, cmd_rate_vs_power, cmd_verify)))
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "rate-vs-blocklength":
-            return cmd_rate_vs_blocklength(args)
-        if args.command == "rate-vs-power":
-            return cmd_rate_vs_power(args)
-        return cmd_verify(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidParameterError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, ValueError, TypeError) as exc:
+        args = _build_parser().parse_args(argv)
+        return _RUN[args.command](_resolve(args))
+    except (OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,8 +61,8 @@ class SimConfig:
             raise InvalidParameterError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise InvalidParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, int):
-            raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
+            raise InvalidParameterError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ def min_blocks_for_backoff(budget: float, alpha: float, water_level: float) -> i
 
 
 def _philox_key(seed: int, stream: int) -> int:
-    # 128-bit Philox key = (stream, seed).
-    return ((stream & _MASK64) << 64) | (seed & _MASK64)
+    # 128-bit Philox key = (stream, seed); SimConfig keeps the seed below 2^64.
+    return (stream << 64) | seed
 
 
 def _trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:

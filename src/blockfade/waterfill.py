@@ -21,9 +21,7 @@ from .fading import ChannelSpec
 __all__ = [
     "PowerAllocation",
     "link_terms",
-    "link_c",
     "link_l",
-    "link_v",
     "water_levels",
     "solve_waterfill",
     "capacity",
@@ -46,29 +44,13 @@ def link_terms(x, noise_var: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return c, l, v
 
 
-def link_c(x: float, noise_var: float) -> float:
-    """Half the log of one plus the SNR: 0.5*log(1 + x/noise_var), in nats."""
-    _check_link_args(x, noise_var)
-    return float(link_terms(x, noise_var)[0])
-
-
 def link_l(x: float, noise_var: float) -> float:
     """Received-power fraction x/(noise_var + x)."""
-    _check_link_args(x, noise_var)
-    return float(link_terms(x, noise_var)[1])
-
-
-def link_v(x: float, noise_var: float) -> float:
-    """Per-use dispersion 0.5*(1 - (1 - link_l)^2)."""
-    _check_link_args(x, noise_var)
-    return float(link_terms(x, noise_var)[2])
-
-
-def _check_link_args(x: float, noise_var: float) -> None:
     if x < 0.0 or not math.isfinite(x):
         raise DomainError(f"link functions need x >= 0, got {x!r}")
     if not (noise_var > 0.0):
         raise DomainError(f"noise variance must be positive, got {noise_var!r}")
+    return float(link_terms(x, noise_var)[1])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ import blockfade.cli as cli
 from blockfade.cli import _clamped_rate_series, main, preset_fading
 
 TWO_STATE_JSON = '{"gains": [1.0, 2.0], "probs": [0.5, 0.5]}'
+README = Path(__file__).resolve().parents[1] / "README.md"
+COMMANDS = ("rate-vs-blocklength", "rate-vs-power", "verify")
 
 
 def read_csv(path):
@@ -330,3 +334,91 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["controller"]["trials"] == 150
         assert report["density"]["trials"] == 150
+
+
+class TestSchema:
+    @pytest.mark.parametrize("command,payload,field", [
+        ("rate-vs-blocklength", {"epsilon": "0.05"}, "epsilon"),
+        ("rate-vs-blocklength", {"power_db": "3"}, "power_db"),
+        ("rate-vs-power", {"power_sweep": {"p_min_db": True}}, "p_min_db"),
+        ("rate-vs-blocklength", {"blocklength_sweep": {"log_spaced": "false"}}, "log_spaced"),
+    ])
+    def test_value_of_the_wrong_json_type_rejected(self, tmp_path, capsys, command, payload,
+                                                   field):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(payload))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,payload,flags,field", [
+        ("rate-vs-blocklength", {}, ["--power-db", "4000"], "power_db"),
+        ("rate-vs-power", {"power_sweep": {"p_max_db": 4000}}, [], "p_max_db"),
+        ("verify", {}, ["--power-db", "4000"], "power_db"),
+    ])
+    def test_db_value_past_the_float_range_rejected(self, tmp_path, capsys, command, payload,
+                                                    flags, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")] + flags
+        assert main(argv) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,payload,flags,field", [
+        ("rate-vs-blocklength", None, [], "out"),
+        ("rate-vs-power", None, [], "out"),
+        ("rate-vs-blocklength", {"powre_db": 5.0}, ["--out", "o.csv"], "powre_db"),
+        ("rate-vs-power", {"power_db": 3.0}, ["--out", "o.csv"], "power_db"),
+        ("verify", {"blocklength_sweep": {"points": 2}}, [], "blocklength_sweep"),
+        ("rate-vs-power", {"epsilon": "0.05"}, ["--out", "o.csv"], "epsilon"),
+        ("verify", {"mc": {"seed": 1.5}}, [], "seed"),
+    ])
+    def test_config_fault_found_before_any_computation(self, tmp_path, capsys, monkeypatch,
+                                                       command, payload, flags, field):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computation started before the config was checked")
+
+        for name in ("dispersion_stats", "sweep_dispersion_stats", "simulate_st_controller",
+                     "simulate_information_density"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        argv = [command] + flags
+        if payload is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(payload))
+            argv += ["--config", str(cfg)]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert field in capsys.readouterr().err
+
+    def test_seed_outside_64_bits_rejected(self, capsys):
+        for seed in ("-1", str(2 ** 64)):
+            assert main(["verify", "--seed", seed, "--trials", "300"]) == 1
+            assert "seed" in capsys.readouterr().err
+
+
+def readme_command_section(command):
+    """The JSON example and the flag list README gives for one command."""
+    match = re.search(rf"#### `{re.escape(command)}`\n\n```json\n(.*?)```\n\nFlags: (.*?)\n",
+                      README.read_text(encoding="utf-8"), re.S)
+    assert match, f"README has no example and flag list for {command}"
+    return json.loads(match.group(1)), re.findall(r"`(--[a-z-]+)`", match.group(2))
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_example_resolves_to_the_defaults(self, tmp_path, command):
+        example, _ = readme_command_section(command)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(example))
+        resolved = cli._resolve(cli._build_parser().parse_args([command, "--config", str(cfg)]))
+        for name, (_, default) in cli._SCHEMAS[command].items():
+            if default is not None and default is not cli._REQUIRED:
+                assert resolved[name] == default, name
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flag_list_matches_the_parser(self, capsys, command):
+        _, documented = readme_command_section(command)
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args([command, "--help"])
+        shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert sorted(documented) == sorted(shown)

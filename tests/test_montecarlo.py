@@ -13,8 +13,6 @@ from blockfade import (
     density_block_moments,
     discretize_rayleigh,
     hoeffding_violation_bound,
-    link_c,
-    link_v,
     make_distribution,
     min_blocks_for_backoff,
     simulate_information_density,
@@ -26,6 +24,8 @@ from oracles import (
     binomial_acceptance_region,
     controller_powers,
     exact_violation_probability,
+    oracle_link_c,
+    oracle_link_v,
     per_block_violations,
     waterfill_powers,
 )
@@ -77,6 +77,8 @@ class TestScalarBounds:
         lambda: delta_b(10, 0.1, 0.0),
         lambda: hoeffding_violation_bound(0, 0.1, 1.0),
         lambda: hoeffding_violation_bound(10, -0.1, 1.0),
+        lambda: two_state_cfg(blocks=10, trials=10, seed=-1),
+        lambda: two_state_cfg(blocks=10, trials=10, seed=2 ** 64),
     ])
     def test_scalar_preconditions(self, call):
         with pytest.raises(InvalidParameterError):
@@ -248,8 +250,8 @@ class TestDensityMoments:
             means, variances = density_block_moments(spec, alloc)
             for g, p, m, v in zip(gains, alloc.powers, means, variances):
                 g2 = g * g * p
-                assert m == pytest.approx(n_c * link_c(g2, noise_var), abs=1e-12)
-                assert v == pytest.approx(n_c * link_v(g2, noise_var), abs=1e-12)
+                assert m == pytest.approx(n_c * oracle_link_c(g2, noise_var), abs=1e-12)
+                assert v == pytest.approx(n_c * oracle_link_v(g2, noise_var), abs=1e-12)
 
 
 class TestDensitySimulation:
@@ -281,8 +283,8 @@ class TestDensitySimulation:
         cfg = SimConfig(spec=spec, budget=2.0, blocks=500, alpha=0.1, trials=1000, seed=21)
         stats = simulate_information_density(cfg)
         g2 = 2.0
-        assert stats.analytic_mean == pytest.approx(link_c(g2, 1.0), abs=1e-9)
-        assert stats.analytic_var == pytest.approx(link_v(g2, 1.0), abs=1e-9)
+        assert stats.analytic_mean == pytest.approx(oracle_link_c(g2, 1.0), abs=1e-9)
+        assert stats.analytic_var == pytest.approx(oracle_link_v(g2, 1.0), abs=1e-9)
         assert stats.ks_distance <= 0.06
 
     def test_block_length_two(self):

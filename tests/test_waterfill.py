@@ -9,10 +9,8 @@ from blockfade import (
     DomainError,
     InvalidParameterError,
     capacity,
-    link_c,
     link_l,
     link_terms,
-    link_v,
     make_distribution,
     solve_waterfill,
     water_levels,
@@ -42,9 +40,8 @@ def random_channels(draw):
 
 class TestLinkFunctions:
     def test_zero_input(self):
-        assert link_c(0.0, 1.0) == 0.0
+        assert link_terms(0.0, 1.0) == (0.0, 0.0, 0.0)
         assert link_l(0.0, 1.0) == 0.0
-        assert link_v(0.0, 1.0) == 0.0
 
     def test_ratio_value(self):
         assert link_l(5.5, 1.0) == pytest.approx(5.5 / 6.5, rel=1e-15)
@@ -52,20 +49,21 @@ class TestLinkFunctions:
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
     def test_exponential_identity(self, x):
         # 1 - L(x) == exp(-2 C(x))
-        assert 1.0 - link_l(x, 1.0) == pytest.approx(math.exp(-2.0 * link_c(x, 1.0)), rel=1e-14)
+        c, _, _ = link_terms(x, 1.0)
+        assert 1.0 - link_l(x, 1.0) == pytest.approx(math.exp(-2.0 * c), rel=1e-14)
 
     def test_scaled_noise(self):
-        assert link_c(3.0, 2.0) == pytest.approx(0.5 * math.log(2.5), rel=1e-14)
-        assert link_v(3.0, 2.0) == pytest.approx(0.5 * (1.0 - (2.0 / 5.0) ** 2), rel=1e-14)
+        c, _, v = link_terms(3.0, 2.0)
+        assert c == pytest.approx(0.5 * math.log(2.5), rel=1e-14)
+        assert v == pytest.approx(0.5 * (1.0 - (2.0 / 5.0) ** 2), rel=1e-14)
 
     def test_negative_input_rejected(self):
-        for fn in (link_c, link_l, link_v):
-            with pytest.raises(DomainError):
-                fn(-1e-9, 1.0)
+        with pytest.raises(DomainError):
+            link_l(-1e-9, 1.0)
 
     def test_bad_noise_rejected(self):
         with pytest.raises(DomainError):
-            link_c(1.0, 0.0)
+            link_l(1.0, 0.0)
 
     def test_array_kernel_matches_oracle(self):
         x = np.array([[0.0, 0.1, 1.0], [5.5, 10.0, 1e4]])
@@ -81,7 +79,7 @@ class TestLinkFunctions:
         # v = l - l^2/2: 1 - (1 - l)^2 would cancel to 0 for l below 1e-16
         _, l, v = link_terms(np.array([1e-20, 1e-12]), 1.0)
         assert v.tolist() == pytest.approx([1e-20, 1e-12 - 1.5e-24], rel=1e-14)
-        assert link_v(1e-20, 1.0) == pytest.approx(1e-20, rel=1e-14)
+        assert float(link_terms(1e-20, 1.0)[2]) == pytest.approx(1e-20, rel=1e-14)
 
 class TestSolveWaterfill:
     def test_single_state_level_is_budget_plus_floor(self):
