@@ -12,6 +12,7 @@ Monte Carlo simulation.
 from .bounds import (
     BoundPoint,
     DispersionStats,
+    bound_columns,
     bound_point,
     dispersion_stats,
     dispersion_v_bf,
@@ -65,6 +66,7 @@ __all__ = [
     "PowerAllocation",
     "SimConfig",
     "ViolationReport",
+    "bound_columns",
     "bound_point",
     "capacity",
     "delta_b",

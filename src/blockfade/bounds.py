@@ -5,7 +5,7 @@ sampling is involved. All rate quantities are in nats.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "nocsit_stats",
     "dispersion_stats",
     "sweep_dispersion_stats",
+    "bound_columns",
     "bound_point",
 ]
 
@@ -159,6 +160,56 @@ class BoundPoint:
     rate_nocsit: float
 
 
+def bound_columns(stats, n, n_c: int, num_states: int, epsilon: float,
+                  beta: float = 0.01) -> dict[str, np.ndarray]:
+    """bound_point for many rows at once, one array per BoundPoint field.
+
+    stats is a sequence of DispersionStats and n a 1-D sequence of
+    integers; either may have length 1 and is then used for every row.
+    Row i equals bound_point(stats[i], n[i], ...) bit for bit.
+    """
+    n = list(n)
+    if not isinstance(n_c, int) or n_c < 1 or not n:
+        raise InvalidParameterError(
+            f"need at least one n and an integer n_c >= 1, got {len(n)} n and n_c={n_c!r}")
+    for v in n:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < n_c or v % n_c:
+            raise InvalidParameterError(f"codeword length {v!r} is not a positive integer "
+                                        f"multiple of the block length {n_c}")
+    if not stats or (len(stats) != len(n) and 1 not in (len(stats), len(n))):
+        raise InvalidParameterError(
+            f"stats and n need equal lengths or length 1, got {len(stats)} and {len(n)}")
+    if num_states < 1:
+        raise InvalidParameterError(f"num_states must be >= 1, got {num_states!r}")
+    if not (0.0 < epsilon < 0.5):
+        raise DomainError(f"error probability must lie strictly in (0, 1/2), got {epsilon!r}")
+    if not (0.0 < beta < 1.0):
+        raise InvalidParameterError(f"beta must lie strictly in (0, 1), got {beta!r}")
+
+    rows = max(len(stats), len(n))
+    cap, v_bf, v_bf_prime, level, nocsit_cap, nocsit_v = np.array(
+        [(s.capacity, s.v_bf, s.v_bf_prime, s.water_level, s.nocsit_capacity, s.nocsit_v)
+         for s in stats]).T
+    quantile = std_normal_inv_cdf(epsilon)
+    ints = np.broadcast_to(np.array(n), rows)
+    nf = np.array(n, dtype=float)
+    # math.log and float ** are taken per n: NumPy's SIMD log and power can
+    # differ from them in the last bit, and the outputs are pinned to them.
+    log_n = np.array([math.log(v) for v in n])
+    backoff = np.array([float(v) ** ((1.0 - beta) / 2.0) for v in n])
+
+    lb_lt = nf * cap + np.sqrt(nf * v_bf) * quantile + 0.5 * log_n - backoff
+    lb_st = lb_lt - np.sqrt(nf / 2.0)
+    ub_st = nf * cap + np.sqrt(nf * v_bf_prime) * quantile + 0.5 * num_states * log_n
+    ub_lt = ub_st + np.sqrt(nf) / (2.0 * level)
+    nocsit_log_m = nf * nocsit_cap + np.sqrt(nf * nocsit_v) * quantile + 0.5 * log_n - backoff
+
+    log_m = (lb_st, lb_lt, ub_st, ub_lt)
+    columns = (ints.copy(), ints // n_c, np.full(rows, epsilon), np.full(rows, beta),
+               *log_m, *(x / nf for x in log_m), nocsit_log_m / nf)
+    return dict(zip((f.name for f in fields(BoundPoint)), columns))
+
+
 def bound_point(stats: DispersionStats, n: int, n_c: int, num_states: int,
                 epsilon: float, beta: float = 0.01) -> BoundPoint:
     """Evaluate the normal-approximation bounds at codeword length n.
@@ -168,44 +219,5 @@ def bound_point(stats: DispersionStats, n: int, n_c: int, num_states: int,
     and smaller are excluded; log-codebook sizes may be negative at
     small n and are reported as computed.
     """
-    if not isinstance(n, int) or not isinstance(n_c, int) or n_c < 1:
-        raise InvalidParameterError(f"n and n_c must be integers with n_c >= 1, got {n!r}, {n_c!r}")
-    if n < n_c or n % n_c != 0:
-        raise InvalidParameterError(
-            f"codeword length {n} is not a positive multiple of the block length {n_c}")
-    if num_states < 1:
-        raise InvalidParameterError(f"num_states must be >= 1, got {num_states!r}")
-    if not (0.0 < epsilon < 0.5):
-        raise DomainError(f"error probability must lie strictly in (0, 1/2), got {epsilon!r}")
-    if not (0.0 < beta < 1.0):
-        raise InvalidParameterError(f"beta must lie strictly in (0, 1), got {beta!r}")
-
-    blocks = n // n_c
-    quantile = std_normal_inv_cdf(epsilon)
-    log_n = math.log(n)
-    backoff = float(n) ** ((1.0 - beta) / 2.0)
-
-    lb_lt = (n * stats.capacity + math.sqrt(n * stats.v_bf) * quantile
-             + 0.5 * log_n - backoff)
-    lb_st = lb_lt - math.sqrt(n / 2.0)
-    ub_st = (n * stats.capacity + math.sqrt(n * stats.v_bf_prime) * quantile
-             + 0.5 * num_states * log_n)
-    ub_lt = ub_st + math.sqrt(n) / (2.0 * stats.water_level)
-    nocsit_log_m = (n * stats.nocsit_capacity + math.sqrt(n * stats.nocsit_v) * quantile
-                    + 0.5 * log_n - backoff)
-
-    return BoundPoint(
-        n=n,
-        blocks=blocks,
-        epsilon=epsilon,
-        beta=beta,
-        log_m_lb_st=lb_st,
-        log_m_lb_lt=lb_lt,
-        log_m_ub_st=ub_st,
-        log_m_ub_lt=ub_lt,
-        rate_lb_st=lb_st / n,
-        rate_lb_lt=lb_lt / n,
-        rate_ub_st=ub_st / n,
-        rate_ub_lt=ub_lt / n,
-        rate_nocsit=nocsit_log_m / n,
-    )
+    columns = bound_columns([stats], [n], n_c, num_states, epsilon, beta)
+    return BoundPoint(*(col.tolist()[0] for col in columns.values()))

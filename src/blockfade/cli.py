@@ -21,7 +21,9 @@ import math
 import sys
 from typing import NamedTuple
 
-from .bounds import bound_point, dispersion_stats, sweep_dispersion_stats
+import numpy as np
+
+from .bounds import bound_columns, dispersion_stats, sweep_dispersion_stats
 from .errors import InvalidParameterError
 from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh
 from .montecarlo import (SimConfig, check_density_config, simulate_information_density,
@@ -159,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config(path: str, command: str) -> dict:
     """The file's fields keyed by dotted path; reject any the command does not read."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _parse_json(fh.read(), f"config file {path!r}")
     if not isinstance(data, dict):
         raise InvalidParameterError("config file must contain a JSON object")
     schema = _SCHEMAS[command]
@@ -258,40 +260,24 @@ def _resolve_channel(value) -> FadingDistribution:
         return FadingDistribution.from_json_dict(value)
     if value == PRESET_NAME:
         return preset_fading()
-    text = value.strip()
-    if text.startswith("{"):
-        return FadingDistribution.from_json_dict(json.loads(text))
-    with open(value, "r", encoding="utf-8") as fh:
-        return FadingDistribution.from_json_dict(json.load(fh))
+    text, source = value.strip(), "channel"
+    if not text.startswith("{"):
+        with open(value, "r", encoding="utf-8") as fh:
+            text, source = fh.read(), f"channel file {value!r}"
+    return FadingDistribution.from_json_dict(_parse_json(text, source))
+
+
+def _parse_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # json's decoder recurses once per nesting level
+        raise InvalidParameterError(f"{source} is nested too deeply to parse") from None
 
 
 def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     return f"{value:.17g}"
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    lines = [",".join(_CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in _CSV_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _row(cfg: dict, stats, blocks: int, power_linear: float) -> dict:
-    spec = cfg["spec"]
-    bp = bound_point(stats, blocks * spec.n_c, spec.n_c, spec.fading.num_states,
-                     cfg["epsilon"], cfg["beta"])
-    return {
-        "n": bp.n, "B": bp.blocks, "n_c": spec.n_c,
-        "power_linear": power_linear, "epsilon": bp.epsilon, "capacity": stats.capacity,
-        "rate_lb_st": bp.rate_lb_st, "rate_lb_lt": bp.rate_lb_lt,
-        "rate_ub_st": bp.rate_ub_st, "rate_ub_lt": bp.rate_ub_lt,
-        "rate_nocsit": bp.rate_nocsit,
-        "log_m_lb_st": bp.log_m_lb_st, "log_m_lb_lt": bp.log_m_lb_lt,
-        "log_m_ub_st": bp.log_m_ub_st, "log_m_ub_lt": bp.log_m_ub_lt,
-    }
 
 
 def _blocklength_grid(cfg: dict) -> list[int]:
@@ -325,46 +311,51 @@ def _power_grid_db(cfg: dict) -> list[float]:
     return [p_min + (p_max - p_min) * i / (points - 1) for i in range(points)]
 
 
-def _clamped_rate_series(rows: list[dict], xs: list[float]):
-    labels = (("capacity", "capacity"),
-              ("rate_lb_st", "lower bound, per-codeword power cap"),
-              ("rate_lb_lt", "lower bound, average power cap"),
-              ("rate_ub_st", "upper bound, per-codeword power cap"),
-              ("rate_ub_lt", "upper bound, average power cap"),
-              ("rate_nocsit", "no transmitter side info"))
-    series = []
-    for key, label in labels:
-        series.append((label, xs, [max(0.0, row[key]) for row in rows]))
-    return series
+_SERIES = (("capacity", "capacity"),
+           ("rate_lb_st", "lower bound, per-codeword power cap"),
+           ("rate_lb_lt", "lower bound, average power cap"),
+           ("rate_ub_st", "upper bound, per-codeword power cap"),
+           ("rate_ub_lt", "upper bound, average power cap"),
+           ("rate_nocsit", "no transmitter side info"))
 
 
-def _emit_outputs(cfg: dict, rows: list[dict], xs: list[float], x_label: str,
-                  log_x: bool) -> None:
-    _write_csv(cfg["out"], rows)
-    svg_path = cfg.get("svg")
-    if svg_path:
-        chart = render_line_chart(_clamped_rate_series(rows, xs),
-                                  x_label=x_label, y_label="rate (nats per channel use)",
-                                  log_x=log_x)
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
+def _clamped_rate_series(columns: dict, xs: list[float]):
+    return [(label, xs, np.maximum(columns[key], 0.0).tolist()) for key, label in _SERIES]
+
+
+def _write_sweep(cfg: dict, stats: list, budgets: list[float], n: list[int], xs: list[float],
+                 x_label: str, log_x: bool) -> None:
+    """Write the bounds of every row to the CSV and the optional SVG; see bound_columns."""
+    columns = bound_columns(stats, n, cfg["n_c"], cfg["spec"].fading.num_states,
+                            cfg["epsilon"], cfg["beta"])
+    rows = len(columns["n"])
+    columns.update(B=columns["blocks"], n_c=np.full(rows, cfg["n_c"]),
+                   power_linear=np.broadcast_to(budgets, rows),
+                   capacity=np.broadcast_to([s.capacity for s in stats], rows))
+    table = zip(*(columns[name].tolist() for name in _CSV_COLUMNS))
+    lines = [",".join(_CSV_COLUMNS)] + [",".join(map(_fmt, row)) for row in table]
+    with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+    if cfg.get("svg"):
+        chart = render_line_chart(_clamped_rate_series(columns, xs), x_label=x_label,
+                                  y_label="rate (nats per channel use)", log_x=log_x)
+        with open(cfg["svg"], "w", encoding="utf-8", newline="") as fh:
             fh.write(chart)
 
 
 def cmd_rate_vs_blocklength(cfg: dict) -> int:
-    grid = _blocklength_grid(cfg)
-    stats = dispersion_stats(cfg["spec"], cfg["budget"])
-    rows = [_row(cfg, stats, blocks, cfg["budget"]) for blocks in grid]
-    xs = [float(row["n"]) for row in rows]
-    _emit_outputs(cfg, rows, xs, "codeword length n", cfg["blocklength_sweep.log_spaced"])
+    n = [blocks * cfg["n_c"] for blocks in _blocklength_grid(cfg)]
+    _write_sweep(cfg, [dispersion_stats(cfg["spec"], cfg["budget"])], [cfg["budget"]], n,
+                 [float(v) for v in n], "codeword length n",
+                 cfg["blocklength_sweep.log_spaced"])
     return 0
 
 
 def cmd_rate_vs_power(cfg: dict) -> int:
     grid_db = _power_grid_db(cfg)
     budgets = [_db_to_linear(db) for db in grid_db]
-    rows = [_row(cfg, stats, cfg["power_sweep.blocks"], budget)
-            for budget, stats in zip(budgets, sweep_dispersion_stats(cfg["spec"], budgets))]
-    _emit_outputs(cfg, rows, grid_db, "average power (dB)", False)
+    _write_sweep(cfg, sweep_dispersion_stats(cfg["spec"], budgets), budgets,
+                 [cfg["power_sweep.blocks"] * cfg["n_c"]], grid_db, "average power (dB)", False)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Finite fading-state distributions and the channel description.
 
 A fading distribution is a finite set of strictly increasing positive
-amplitude gains with strictly positive probabilities summing to one.
+finite amplitude gains with strictly positive probabilities summing to one.
 Values are immutable after construction and safe to share across
 threads.
 """
@@ -29,7 +29,7 @@ _RENORM_TOL = 1e-9
 class FadingDistribution:
     """Amplitude gains and their probabilities, strictly validated.
 
-    gains: strictly increasing positive channel amplitude gains.
+    gains: strictly increasing positive finite channel amplitude gains.
     probs: matching strictly positive probabilities, sum 1 within 1e-12.
     """
 
@@ -44,9 +44,9 @@ class FadingDistribution:
             raise InvalidParameterError("a fading distribution needs at least one state")
         prev = 0.0
         for g in self.gains:
-            if not (g > prev):
-                raise InvalidParameterError(
-                    f"gains must be positive and strictly increasing, offending value {g!r}")
+            if not (g > prev) or not math.isfinite(g):
+                raise InvalidParameterError("gains must be positive, finite and strictly "
+                                            f"increasing, offending value {g!r}")
             prev = g
         for q in self.probs:
             if not (q > 0.0):
@@ -94,14 +94,24 @@ class ChannelSpec:
             raise InvalidParameterError(f"n_c must be an integer >= 1, got {self.n_c!r}")
 
 
+def _floats(what: str, values: Iterable[float]) -> tuple[float, ...]:
+    out = []
+    for value in values:
+        try:
+            out.append(float(value))
+        except OverflowError:  # an integer past the float range
+            raise InvalidParameterError(f"{what} {value!r} is too large for a float") from None
+    return tuple(out)
+
+
 def make_distribution(gains: Iterable[float], probs: Iterable[float]) -> FadingDistribution:
     """Validate and build a fading distribution from raw sequences.
 
     Probabilities whose sum deviates from 1 by at most 1e-9 are
     renormalized; larger deviations are rejected.
     """
-    gains = tuple(float(g) for g in gains)
-    probs = tuple(float(q) for q in probs)
+    gains = _floats("gain", gains)
+    probs = _floats("probability", probs)
     if len(gains) != len(probs):
         raise InvalidParameterError(
             f"gains and probs must have equal length, got {len(gains)} and {len(probs)}")

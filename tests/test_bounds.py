@@ -9,6 +9,7 @@ from blockfade import (
     DispersionStats,
     DomainError,
     InvalidParameterError,
+    bound_columns,
     bound_point,
     capacity,
     discretize_rayleigh,
@@ -287,3 +288,78 @@ class TestConvergence:
             k_const = max(scaled(n) for n in coarse)
             assert math.isfinite(k_const) and k_const > 0.0
             assert all(scaled(n) <= 1.05 * k_const for n in fine)
+
+
+def scalar_bound_point(stats, n, num_states, epsilon, beta):
+    """The bounds at one n in scalar math, in the library's order of operations."""
+    q = std_normal_inv_cdf(epsilon)
+    log_n = math.log(n)
+    backoff = float(n) ** ((1.0 - beta) / 2.0)
+    lb_lt = n * stats.capacity + math.sqrt(n * stats.v_bf) * q + 0.5 * log_n - backoff
+    lb_st = lb_lt - math.sqrt(n / 2.0)
+    ub_st = n * stats.capacity + math.sqrt(n * stats.v_bf_prime) * q + 0.5 * num_states * log_n
+    ub_lt = ub_st + math.sqrt(n) / (2.0 * stats.water_level)
+    nocsit = (n * stats.nocsit_capacity + math.sqrt(n * stats.nocsit_v) * q
+              + 0.5 * log_n - backoff)
+    return {"log_m_lb_st": lb_st, "log_m_lb_lt": lb_lt, "log_m_ub_st": ub_st,
+            "log_m_ub_lt": ub_lt, "rate_lb_st": lb_st / n, "rate_lb_lt": lb_lt / n,
+            "rate_ub_st": ub_st / n, "rate_ub_lt": ub_lt / n, "rate_nocsit": nocsit / n}
+
+
+class TestBoundColumns:
+    def setup_method(self):
+        self.stats = dispersion_stats(two_state_spec(), 1.0)
+
+    @given(random_channels(), st.integers(1, 5),
+           st.lists(st.integers(1, 10 ** 7), min_size=1, max_size=12),
+           st.sampled_from([1e-3, 1e-2, 0.1, 0.3]), st.floats(0.001, 0.999))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_rows_equal_bound_point_bit_for_bit(self, params, n_c, blocks, epsilon, beta):
+        gains, probs, noise_var, budget = params
+        spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
+        many_stats = sweep_dispersion_stats(spec, [budget * 0.5 ** i for i in range(len(blocks))])
+        n = [b * n_c for b in blocks]
+        k = spec.fading.num_states
+        # many n with one stats, and one n with many stats
+        for stats, lengths in (([many_stats[0]], n), (many_stats, [n[0]])):
+            columns = bound_columns(stats, lengths, n_c, k, epsilon, beta)
+            assert all(len(col) == len(blocks) for col in columns.values())
+            for i in range(len(blocks)):
+                s_i, n_i = stats[min(i, len(stats) - 1)], lengths[min(i, len(lengths) - 1)]
+                bp = bound_point(s_i, n_i, n_c, k, epsilon, beta)
+                assert {name: col[i] for name, col in columns.items()} == vars(bp)
+                for name, value in scalar_bound_point(s_i, n_i, k, epsilon, beta).items():
+                    assert getattr(bp, name) == value, name
+                assert type(bp.n) is int and type(bp.blocks) is int and bp.blocks * n_c == n_i
+
+    def test_dense_sweep_matches_scalar_math_bit_for_bit(self):
+        # NumPy's own log and power differ from math.log and float ** in the
+        # last bit for a few percent of n; over this many n that reaches the
+        # outputs, so the kernel must take those two terms from math
+        n = list(range(1, 20_001))
+        columns = bound_columns([self.stats], n, 1, 2, 0.01)
+        expected = [scalar_bound_point(self.stats, v, 2, 0.01, 0.01) for v in n]
+        for name in expected[0]:
+            assert columns[name].tolist() == [row[name] for row in expected], name
+
+    def test_numpy_integers_accepted(self):
+        columns = bound_columns([self.stats], np.array([300, 600]), 3, 2, 0.01)
+        assert columns["blocks"].tolist() == [100, 200]
+        assert columns["rate_ub_lt"][1] == bound_point(self.stats, 600, 3, 2, 0.01).rate_ub_lt
+
+    @pytest.mark.parametrize("stats_count,n,n_c", [
+        (1, [], 1),                   # empty n
+        (1, [100, 200.0], 1),         # a float n
+        (1, [100, True], 1),          # a bool n
+        (1, [30, 31, 33], 3),         # a non-multiple of n_c in the middle
+        (2, [100, 200, 300], 1),      # two lengths above 1 that differ
+        (0, [100], 1),                # no stats
+        (1, [100], 0),                # n_c below 1
+    ])
+    def test_invalid_inputs(self, stats_count, n, n_c):
+        with pytest.raises(InvalidParameterError):
+            bound_columns([self.stats] * stats_count, n, n_c, 2, 0.01)
+
+    def test_non_multiple_is_named(self):
+        with pytest.raises(InvalidParameterError, match="31"):
+            bound_columns([self.stats], [30, 31, 33], 3, 2, 0.01)

@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blockfade import ChannelSpec, bound_point, discretize_rayleigh, dispersion_stats, make_distribution
@@ -10,6 +11,7 @@ import blockfade.cli as cli
 from blockfade.cli import _clamped_rate_series, main, preset_fading
 
 TWO_STATE_JSON = '{"gains": [1.0, 2.0], "probs": [0.5, 0.5]}'
+INFINITE_GAIN = '{"gains": [1, 1e400], "probs": [0.5, 0.5]}'  # 1e400 parses to inf
 README = Path(__file__).resolve().parents[1] / "README.md"
 COMMANDS = ("rate-vs-blocklength", "rate-vs-power", "verify")
 
@@ -236,9 +238,10 @@ class TestConfigHandling:
         assert len(rows) == 2
 
     def test_clamping_helper_floors_rates_at_zero(self):
-        rows = [{"capacity": 0.5, "rate_lb_st": -0.25, "rate_lb_lt": -0.1,
-                 "rate_ub_st": 0.2, "rate_ub_lt": 0.3, "rate_nocsit": -0.05}]
-        series = _clamped_rate_series(rows, [1.0])
+        columns = {"capacity": np.array([0.5, 0.5]), "rate_lb_st": np.array([-0.25, 0.1]),
+                   "rate_lb_lt": np.array([-0.1, 0.2]), "rate_ub_st": np.array([0.2, 0.3]),
+                   "rate_ub_lt": np.array([0.3, 0.4]), "rate_nocsit": np.array([-0.05, 0.0])}
+        series = _clamped_rate_series(columns, [1.0, 2.0])
         assert all(y >= 0.0 for _, _, ys in series for y in ys)
 
 
@@ -372,6 +375,9 @@ class TestSchema:
         ("verify", {"blocklength_sweep": {"points": 2}}, [], "blocklength_sweep"),
         ("rate-vs-power", {"epsilon": "0.05"}, ["--out", "o.csv"], "epsilon"),
         ("verify", {"mc": {"seed": 1.5}}, [], "seed"),
+        ("rate-vs-blocklength", None, ["--out", "o.csv", "--channel", INFINITE_GAIN], "finite"),
+        ("rate-vs-power", None, ["--out", "o.csv", "--channel", INFINITE_GAIN], "finite"),
+        ("verify", None, ["--trials", "2000", "--channel", INFINITE_GAIN], "finite"),
     ])
     def test_config_fault_found_before_any_computation(self, tmp_path, capsys, monkeypatch,
                                                        command, payload, flags, field):
@@ -389,6 +395,23 @@ class TestSchema:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         assert field in capsys.readouterr().err
+
+    def test_integer_gain_past_the_float_range_is_one_error_line(self, tmp_path, capsys):
+        big = 10 ** 400
+        profile = tmp_path / "big.json"
+        profile.write_text(json.dumps({"gains": [big, 2 * big], "probs": [0.5, 0.5]}))
+        assert main(["rate-vs-blocklength", "--channel", str(profile),
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(big) in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--channel"])
+    def test_deeply_nested_json_is_config_error(self, tmp_path, capsys, flag):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["rate-vs-power", flag, str(deep), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested too deeply" in err
 
     def test_seed_outside_64_bits_rejected(self, capsys):
         for seed in ("-1", str(2 ** 64)):
@@ -414,6 +437,12 @@ class TestReadme:
         for name, (_, default) in cli._SCHEMAS[command].items():
             if default is not None and default is not cli._REQUIRED:
                 assert resolved[name] == default, name
+
+    def test_csv_column_list_matches_the_writer(self):
+        match = re.search(r"### CSV output\n.*?```\n(.*?)```", README.read_text(encoding="utf-8"),
+                          re.S)
+        assert match, "README has no CSV column block"
+        assert tuple(re.split(r",\s*", match.group(1).strip())) == cli._CSV_COLUMNS
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_flag_list_matches_the_parser(self, capsys, command):

@@ -102,10 +102,21 @@ class TestMakeDistribution:
         ([1.0, 2.0], [1.5, -0.5]),       # negative probability
         ([1.0, 2.0], [1.0]),             # length mismatch
         ([], []),                        # empty
+        ([1.0, math.inf], [0.5, 0.5]),   # infinite gain
+        ([1.0, math.nan], [0.5, 0.5]),   # NaN gain
     ])
     def test_invalid_inputs(self, gains, probs):
         with pytest.raises(InvalidParameterError):
             make_distribution(gains, probs)
+
+    @pytest.mark.parametrize("gains,probs", [
+        ([1, 10 ** 400], [0.5, 0.5]),
+        ([1.0, 2.0], [10 ** 400, 0.5]),
+    ], ids=["gain", "probability"])
+    def test_integer_past_the_float_range_named(self, gains, probs):
+        with pytest.raises(InvalidParameterError) as info:
+            make_distribution(gains, probs)
+        assert str(10 ** 400) in str(info.value)
 
 
 class TestJsonInterface:
