@@ -17,7 +17,6 @@ from .bounds import (
     dispersion_stats,
     dispersion_v_bf,
     dispersion_v_bf_prime,
-    nocsit_stats,
     sweep_dispersion_stats,
 )
 from .errors import (
@@ -49,7 +48,6 @@ from .waterfill import (
     link_l,
     link_terms,
     solve_waterfill,
-    water_levels,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +78,6 @@ __all__ = [
     "link_terms",
     "make_distribution",
     "min_blocks_for_backoff",
-    "nocsit_stats",
     "simulate_information_density",
     "simulate_st_controller",
     "solve_waterfill",
@@ -88,5 +85,4 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_inv_cdf",
     "std_normal_pdf",
-    "water_levels",
 ]

@@ -12,14 +12,13 @@ import numpy as np
 from .errors import DomainError, InvalidParameterError
 from .fading import ChannelSpec
 from .specfun import std_normal_inv_cdf
-from .waterfill import PowerAllocation, link_terms, water_fill
+from .waterfill import PowerAllocation, _mean_and_var, link_moments, water_fill
 
 __all__ = [
     "DispersionStats",
     "BoundPoint",
     "dispersion_v_bf",
     "dispersion_v_bf_prime",
-    "nocsit_stats",
     "dispersion_stats",
     "sweep_dispersion_stats",
     "bound_columns",
@@ -27,29 +26,16 @@ __all__ = [
 ]
 
 
-def _mean_and_var(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Two-pass centered form along the state (last) axis; exact finite sums.
-    # np.sum reduces each row alone, so a row's result does not depend on
-    # how many rows are stacked (a BLAS matrix-vector product can).
-    mean = np.sum(values * probs, axis=-1)
-    centered = values - mean[..., None]
-    return mean, np.sum(centered * centered * probs, axis=-1)
-
-
-def _link_moments(spec: ChannelSpec, g2: np.ndarray):
+def _v_bf_rows(spec: ChannelSpec, g2: np.ndarray):
     # Per row of received powers g2 (rows x states): the link terms C and L,
     # the capacity E[C], E[V] and V_bf = E[V] + n_c*Var C + Var L / 2.
-    probs = np.asarray(spec.fading.probs, dtype=float)
-    c_vals, l_vals, v_vals = link_terms(g2, spec.noise_var)
-    cap, var_c = _mean_and_var(c_vals, probs)
-    _, var_l = _mean_and_var(l_vals, probs)
-    mean_v = np.sum(v_vals * probs, axis=-1)
+    c_vals, l_vals, cap, var_c, var_l, mean_v = link_moments(spec, g2)
     return c_vals, l_vals, cap, mean_v, mean_v + spec.n_c * var_c + 0.5 * var_l
 
 
 def _v_bf_prime_rows(spec: ChannelSpec, c_vals: np.ndarray, l_vals: np.ndarray,
                      mean_v: np.ndarray, budgets: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    # E[V] + Var(n_c*C + budget/(2*level) - L/2) per row, from _link_moments.
+    # E[V] + Var(n_c*C + budget/(2*level) - L/2) per row, from link_moments.
     probs = np.asarray(spec.fading.probs, dtype=float)
     composite = (spec.n_c * c_vals
                  + (budgets / (2.0 * levels))[:, None]
@@ -65,7 +51,7 @@ def dispersion_v_bf(spec: ChannelSpec, alloc: PowerAllocation) -> float:
     rate plus half the variance of the received-power fraction.
     """
     g2 = alloc.gain_power(spec.fading.gains)[None, :]
-    return float(_link_moments(spec, g2)[4][0])
+    return float(_v_bf_rows(spec, g2)[4][0])
 
 
 def dispersion_v_bf_prime(spec: ChannelSpec, alloc: PowerAllocation) -> float:
@@ -76,32 +62,19 @@ def dispersion_v_bf_prime(spec: ChannelSpec, alloc: PowerAllocation) -> float:
     not move the variance but is kept as part of the defining expression.
     """
     g2 = alloc.gain_power(spec.fading.gains)[None, :]
-    c_vals, l_vals, _, mean_v, _ = _link_moments(spec, g2)
+    c_vals, l_vals, _, _, _, mean_v = link_moments(spec, g2)
     return float(_v_bf_prime_rows(spec, c_vals, l_vals, mean_v, np.array([alloc.budget]),
                                   np.array([alloc.water_level]))[0])
 
 
-def _nocsit_rows(spec: ChannelSpec, budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gains = np.asarray(spec.fading.gains, dtype=float)
-    _, _, cap, _, v = _link_moments(spec, gains * gains * budgets[:, None])
-    return cap, v
-
-
-def nocsit_stats(spec: ChannelSpec, budget: float) -> tuple[float, float]:
-    """Capacity and dispersion when the transmitter sends constant power.
-
-    Same expressions as the water-filling case with the effective
-    received power replaced by gain^2 * budget in every state.
-    """
-    if not (budget > 0.0) or not math.isfinite(budget):
-        raise InvalidParameterError(f"power budget must be positive and finite, got {budget!r}")
-    cap, v = _nocsit_rows(spec, np.array([float(budget)]))
-    return float(cap[0]), float(v[0])
-
-
 @dataclass(frozen=True)
 class DispersionStats:
-    """Capacity, dispersions and water level for one channel and budget."""
+    """Capacity, dispersions and water level for one channel and budget.
+
+    nocsit_capacity and nocsit_v are the constant-power baseline: the
+    same expressions as capacity and v_bf with the received power
+    gain^2 * budget in every state.
+    """
 
     capacity: float
     v_bf: float
@@ -134,9 +107,9 @@ def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> list[DispersionStats]:
     budgets = np.asarray(budgets, dtype=float)
     levels, powers = water_fill(spec, budgets)
     gains = np.asarray(spec.fading.gains, dtype=float)
-    c_vals, l_vals, cap, mean_v, v_bf = _link_moments(spec, gains * gains * powers)
+    c_vals, l_vals, cap, mean_v, v_bf = _v_bf_rows(spec, gains * gains * powers)
     v_bf_prime = _v_bf_prime_rows(spec, c_vals, l_vals, mean_v, budgets, levels)
-    nocsit_cap, nocsit_v = _nocsit_rows(spec, budgets)
+    _, _, nocsit_cap, _, nocsit_v = _v_bf_rows(spec, gains * gains * budgets[:, None])
     columns = (cap, v_bf, v_bf_prime, levels, nocsit_cap, nocsit_v)  # field order
     return [DispersionStats(*row) for row in zip(*(col.tolist() for col in columns))]
 

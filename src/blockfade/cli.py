@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,10 @@ _KS_THRESHOLD = 0.02
 _VAR_REL_TOLERANCE = 0.02
 
 _COMMANDS = ("rate-vs-blocklength", "rate-vs-power", "verify")
+# The largest integer a float holds exactly: the bounds and the simulations
+# turn counts and lengths into floats, so an "int" field stops here unless
+# its row sets another hi.
+_INT_MAX = 2 ** 53
 _REQUIRED = object()  # no default: the file or a flag must set the field
 _UNREAD = object()    # the command does not read the field and rejects it
 
@@ -52,10 +57,10 @@ class _Field(NamedTuple):
     path: dotted path into the JSON config. kind: a key of ``_KINDS``.
     defaults: one entry per command, in ``_COMMANDS`` order: the default,
     None (optional, no default), ``_REQUIRED`` or ``_UNREAD``.
-    An "int" must be >= lo; a "number" or "db" must be finite and lie
-    strictly between lo and hi. flag: the command-line flag that
-    overrides the field, if any; help: what the flag sets (its help text
-    adds the kind and bounds).
+    An "int" must lie in [lo, hi], hi defaulting to ``_INT_MAX``; a
+    "number" or "db" must be finite and lie strictly between lo and hi.
+    flag: the command-line flag that overrides the field, if any; help:
+    what the flag sets (its help text adds the kind and bounds).
     """
 
     path: str
@@ -102,8 +107,7 @@ _FIELDS = (
     _Field("power_sweep.points", "int", (_UNREAD, 41, _UNREAD), lo=1, flag="--points",
            help="number of sweep points"),
     _Field("power_sweep.blocks", "int", (_UNREAD, 4000, _UNREAD), lo=1),
-    # SimConfig bounds the seed to [0, 2^64).
-    _Field("mc.seed", "int", (_UNREAD, _UNREAD, 42), flag="--seed",
+    _Field("mc.seed", "int", (_UNREAD, _UNREAD, 42), lo=0, hi=2 ** 64 - 1, flag="--seed",
            help="base seed for the simulations' counter-based substreams"),
     _Field("mc.alpha", "number", (_UNREAD, _UNREAD, 0.1), lo=0.0, hi=1.0, flag="--alpha",
            help="back-off exponent"),
@@ -190,10 +194,10 @@ def _db_to_linear(db: float) -> float:
 def _rule(field: _Field) -> str:
     """What the field's row asks of a value, in words."""
     rule = _KINDS[field.kind][1]
+    if field.kind == "int":
+        return f"{rule} in [{field.lo}, {field.hi or _INT_MAX}]"
     if field.lo is None:
         return rule
-    if field.kind == "int":
-        return f"{rule} >= {field.lo}"
     if field.hi is None:
         return f"{rule} > {field.lo:g}"
     return f"{rule} in ({field.lo:g}, {field.hi:g})"
@@ -207,7 +211,7 @@ def _check(field: _Field, value):
     kind = field.kind
     ok = isinstance(value, _KINDS[kind][0]) and isinstance(value, bool) == (kind == "bool")
     if ok and kind == "int":
-        ok = field.lo is None or value >= field.lo
+        ok = field.lo <= value <= (field.hi or _INT_MAX)
     elif ok and kind in ("number", "db"):
         try:
             value = float(value)
@@ -392,33 +396,14 @@ def cmd_verify(cfg: dict) -> int:
         "budget_linear": budget,
         "seed": seed,
         "alpha": alpha,
-        "controller": {
-            "blocks": controller_cfg.blocks,
-            "trials": violation.trials,
-            "empirical_prob": violation.empirical_prob,
-            "hoeffding_bound": violation.hoeffding_bound,
-            "delta_b": violation.delta_b,
-            "lambda_b": violation.lambda_b,
-            "binomial_slack": slack,
-            "threshold": controller_threshold,
-            "pass": controller_pass,
-        },
-        "density": {
-            "blocks": density_cfg.blocks,
-            "trials": density_cfg.trials,
-            "empirical_mean_per_use": density.empirical_mean_per_use,
-            "analytic_mean": density.analytic_mean,
-            "mean_tolerance": mean_tol,
-            "mean_pass": mean_pass,
-            "empirical_var_per_use": density.empirical_var_per_use,
-            "analytic_var": density.analytic_var,
-            "var_rel_tolerance": _VAR_REL_TOLERANCE,
-            "var_pass": var_pass,
-            "ks_distance": density.ks_distance,
-            "ks_threshold": _KS_THRESHOLD,
-            "ks_pass": ks_pass,
-            "pass": mean_pass and var_pass and ks_pass,
-        },
+        "controller": {**asdict(violation), "blocks": controller_cfg.blocks,
+                       "binomial_slack": slack, "threshold": controller_threshold,
+                       "pass": controller_pass},
+        "density": {**asdict(density), "blocks": density_cfg.blocks,
+                    "trials": density_cfg.trials, "mean_tolerance": mean_tol,
+                    "mean_pass": mean_pass, "var_rel_tolerance": _VAR_REL_TOLERANCE,
+                    "var_pass": var_pass, "ks_threshold": _KS_THRESHOLD, "ks_pass": ks_pass,
+                    "pass": mean_pass and var_pass and ks_pass},
         "pass": all_pass,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"

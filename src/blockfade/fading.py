@@ -112,9 +112,6 @@ def make_distribution(gains: Iterable[float], probs: Iterable[float]) -> FadingD
     """
     gains = _floats("gain", gains)
     probs = _floats("probability", probs)
-    if len(gains) != len(probs):
-        raise InvalidParameterError(
-            f"gains and probs must have equal length, got {len(gains)} and {len(probs)}")
     total = math.fsum(probs)
     if abs(total - 1.0) > _RENORM_TOL:
         raise InvalidParameterError(

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .fading import ChannelSpec
 from .specfun import std_normal_cdf
-from .waterfill import PowerAllocation, capacity, link_terms, solve_waterfill
+from .waterfill import PowerAllocation, link_moments, link_terms, solve_waterfill
 
 __all__ = [
     "SimConfig",
@@ -264,12 +264,10 @@ def simulate_information_density(cfg: SimConfig) -> DensityStats:
     base, offset, lin, quad = _density_coefficients(spec, alloc)
     fixed = base + offset
 
-    probs = np.asarray(spec.fading.probs, dtype=float)
-    c_vals, _, v_vals = link_terms(alloc.gain_power(spec.fading.gains), s2)
-    mean_c = float(probs @ c_vals)
-    var_c = float(probs @ ((c_vals - mean_c) ** 2))
-    analytic_mean = capacity(spec, alloc)
-    analytic_var = float(probs @ v_vals) + n_c * var_c
+    g2 = alloc.gain_power(spec.fading.gains)[None, :]
+    _, _, mean_c, var_c, _, mean_v = link_moments(spec, g2)
+    analytic_mean = float(mean_c[0])
+    analytic_var = float(mean_v[0] + n_c * var_c[0])
 
     cum = _state_sampler(spec)
     noise_std = math.sqrt(s2)

@@ -55,8 +55,7 @@ def _fmt_tick(value: float) -> str:
 
 
 def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-                      *, x_label: str, y_label: str, log_x: bool = False,
-                      title: str | None = None) -> str:
+                      *, x_label: str, y_label: str, log_x: bool = False) -> str:
     """Render labelled (x, y) series to an SVG document string.
 
     series: iterable of (label, xs, ys) with equal-length coordinate
@@ -100,9 +99,6 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
                f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">')
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-    if title:
-        out.append(f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-                   f'font-size="15">{_escape(title)}</text>')
 
     x_ticks = _log_ticks(x_lo, x_hi) if log_x else _nice_ticks(x_lo, x_hi)
     y_ticks = _nice_ticks(y_lo, y_hi)

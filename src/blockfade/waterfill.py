@@ -1,4 +1,4 @@
-"""Water-filling power allocation and the per-state link functions.
+"""Water-filling power allocation, the per-state link functions and their moments.
 
 The allocation assigns power (level - noise_var/gain^2)+ to each fading
 state; the common level is chosen so that the average spent power equals
@@ -22,7 +22,6 @@ __all__ = [
     "PowerAllocation",
     "link_terms",
     "link_l",
-    "water_levels",
     "solve_waterfill",
     "capacity",
 ]
@@ -42,6 +41,29 @@ def link_terms(x, noise_var: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     l = x / (noise_var + x)
     v = 0.5 * l * (2.0 - l)
     return c, l, v
+
+
+def _mean_and_var(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Two-pass centered form along the state (last) axis; exact finite sums.
+    # np.sum reduces each row alone, so a row's result does not depend on
+    # how many rows are stacked (a BLAS matrix-vector product can).
+    mean = np.sum(values * probs, axis=-1)
+    centered = values - mean[..., None]
+    return mean, np.sum(centered * centered * probs, axis=-1)
+
+
+def link_moments(spec: ChannelSpec, g2: np.ndarray):
+    """Link terms and their moments over the fading law, per row of received powers.
+
+    g2 holds one row of per-state received powers per allocation.
+    Returns c and l from link_terms and, per row, E[C], Var C, Var L and
+    E[V]. Every capacity and dispersion constant is composed from these.
+    """
+    probs = np.asarray(spec.fading.probs, dtype=float)
+    c_vals, l_vals, v_vals = link_terms(g2, spec.noise_var)
+    mean_c, var_c = _mean_and_var(c_vals, probs)
+    _, var_l = _mean_and_var(l_vals, probs)
+    return c_vals, l_vals, mean_c, var_c, var_l, np.sum(v_vals * probs, axis=-1)
 
 
 def link_l(x: float, noise_var: float) -> float:
@@ -77,11 +99,6 @@ def _floors(spec: ChannelSpec) -> np.ndarray:
     # per-state inverse channel quality, decreasing in state order
     gains = np.asarray(spec.fading.gains, dtype=float)
     return spec.noise_var / (gains * gains)
-
-
-def water_levels(spec: ChannelSpec, budgets) -> np.ndarray:
-    """Closed-form water level for each budget in a 1-D array, in one pass."""
-    return water_fill(spec, budgets)[0]
 
 
 def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
@@ -134,6 +151,4 @@ def solve_waterfill(spec: ChannelSpec, budget: float) -> PowerAllocation:
 
 def capacity(spec: ChannelSpec, alloc: PowerAllocation) -> float:
     """Average rate in nats per channel use under the given allocation."""
-    probs = np.asarray(spec.fading.probs, dtype=float)
-    c_vals, _, _ = link_terms(alloc.gain_power(spec.fading.gains), spec.noise_var)
-    return float(np.sum(c_vals * probs))
+    return float(link_moments(spec, alloc.gain_power(spec.fading.gains)[None, :])[2][0])

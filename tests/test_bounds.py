@@ -9,6 +9,7 @@ from blockfade import (
     DispersionStats,
     DomainError,
     InvalidParameterError,
+    PowerAllocation,
     bound_columns,
     bound_point,
     capacity,
@@ -17,7 +18,6 @@ from blockfade import (
     dispersion_v_bf,
     dispersion_v_bf_prime,
     make_distribution,
-    nocsit_stats,
     solve_waterfill,
     std_normal_inv_cdf,
     sweep_dispersion_stats,
@@ -113,13 +113,15 @@ class TestDispersions:
 class TestNocsit:
     def test_single_state_matches_csit(self):
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
-        cap, disp = nocsit_stats(spec, 2.0)
+        stats = dispersion_stats(spec, 2.0)
+        cap, disp = stats.nocsit_capacity, stats.nocsit_v
         alloc = solve_waterfill(spec, 2.0)
         assert cap == pytest.approx(capacity(spec, alloc), abs=1e-9)
         assert disp == pytest.approx(dispersion_v_bf(spec, alloc), abs=1e-9)
 
     def test_two_state_capacity_value(self):
-        cap, disp = nocsit_stats(two_state_spec(), 1.0)
+        stats = dispersion_stats(two_state_spec(), 1.0)
+        cap, disp = stats.nocsit_capacity, stats.nocsit_v
         assert cap == pytest.approx(0.25 * math.log(2.0) + 0.25 * math.log(5.0), rel=1e-14)
         assert disp > 0.0
 
@@ -130,7 +132,7 @@ class TestNocsit:
 
     def test_invalid_budget(self):
         with pytest.raises(InvalidParameterError):
-            nocsit_stats(two_state_spec(), -1.0)
+            dispersion_stats(two_state_spec(), -1.0)
 
 
 class TestDispersionStats:
@@ -156,7 +158,10 @@ class TestDispersionStats:
             assert row.capacity == capacity(spec, alloc)
             assert row.v_bf == dispersion_v_bf(spec, alloc)
             assert row.v_bf_prime == dispersion_v_bf_prime(spec, alloc)
-            assert (row.nocsit_capacity, row.nocsit_v) == nocsit_stats(spec, b)
+            # the constant-power pair is capacity and V_bf at power b in every state
+            const = PowerAllocation(water_level=b, powers=(b,) * len(gains), budget=b)
+            assert (row.nocsit_capacity, row.nocsit_v) == (capacity(spec, const),
+                                                          dispersion_v_bf(spec, const))
 
     def test_sweep_matches_oracle_on_preset(self):
         spec = preset_spec()

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockfade import ChannelSpec, bound_point, discretize_rayleigh, dispersion_stats, make_distribution
+from blockfade import (ChannelSpec, InvalidParameterError, bound_point, discretize_rayleigh,
+                       dispersion_stats, make_distribution)
 import blockfade.cli as cli
 from blockfade.cli import _clamped_rate_series, main, preset_fading
 
@@ -339,6 +340,17 @@ class TestVerify:
         assert report["density"]["trials"] == 150
 
 
+@pytest.fixture
+def no_computation(monkeypatch):
+    """Fail the test if the CLI starts a solve or a simulation."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computation started before the config was checked")
+
+    for name in ("dispersion_stats", "sweep_dispersion_stats", "simulate_st_controller",
+                 "simulate_information_density"):
+        monkeypatch.setattr(cli, name, must_not_run)
+
+
 class TestSchema:
     @pytest.mark.parametrize("command,payload,field", [
         ("rate-vs-blocklength", {"epsilon": "0.05"}, "epsilon"),
@@ -380,13 +392,8 @@ class TestSchema:
         ("verify", None, ["--trials", "2000", "--channel", INFINITE_GAIN], "finite"),
     ])
     def test_config_fault_found_before_any_computation(self, tmp_path, capsys, monkeypatch,
-                                                       command, payload, flags, field):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("computation started before the config was checked")
-
-        for name in ("dispersion_stats", "sweep_dispersion_stats", "simulate_st_controller",
-                     "simulate_information_density"):
-            monkeypatch.setattr(cli, name, must_not_run)
+                                                       no_computation, command, payload, flags,
+                                                       field):
         argv = [command] + flags
         if payload is not None:
             cfg = tmp_path / "cfg.json"
@@ -395,6 +402,31 @@ class TestSchema:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,payload,field", [
+        ("rate-vs-power", {"power_sweep": {"blocks": 10 ** 400}}, "power_sweep.blocks"),
+        ("rate-vs-blocklength", {"blocklength_sweep": {"b_max": 10 ** 400}},
+         "blocklength_sweep.b_max"),
+        ("rate-vs-blocklength", {"n_c": 10 ** 400}, "n_c"),
+        ("verify", {"mc": {"controller": {"blocks": 10 ** 400}}}, "mc.controller.blocks"),
+        ("verify", {"mc": {"density": {"blocks": 10 ** 400}}}, "mc.density.blocks"),
+    ])
+    def test_integer_past_the_float_range_is_one_error_line(self, tmp_path, capsys,
+                                                            no_computation, command, payload,
+                                                            field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(field) in err
+
+    def test_integer_bound_is_inclusive(self):
+        fields = {f.path: f for f in cli._FIELDS}
+        assert cli._check(fields["power_sweep.blocks"], 2 ** 53) == 2 ** 53
+        assert cli._check(fields["mc.seed"], 2 ** 64 - 1) == 2 ** 64 - 1
+        for path, value in (("power_sweep.blocks", 2 ** 53 + 1), ("mc.seed", 2 ** 64)):
+            with pytest.raises(InvalidParameterError, match=re.escape(path)):
+                cli._check(fields[path], value)
 
     def test_integer_gain_past_the_float_range_is_one_error_line(self, tmp_path, capsys):
         big = 10 ** 400
@@ -443,6 +475,15 @@ class TestReadme:
                           re.S)
         assert match, "README has no CSV column block"
         assert tuple(re.split(r",\s*", match.group(1).strip())) == cli._CSV_COLUMNS
+
+    def test_python_examples_run(self, capsys):
+        # every block in order, in one namespace, so a name the docs use must exist
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) >= 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_flag_list_matches_the_parser(self, capsys, command):

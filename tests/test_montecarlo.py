@@ -3,7 +3,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from blockfade import (
     ChannelSpec,
@@ -12,6 +12,7 @@ from blockfade import (
     delta_b,
     density_block_moments,
     discretize_rayleigh,
+    dispersion_stats,
     hoeffding_violation_bound,
     make_distribution,
     min_blocks_for_backoff,
@@ -24,6 +25,7 @@ from oracles import (
     binomial_acceptance_region,
     controller_powers,
     exact_violation_probability,
+    fsum_mean_var,
     oracle_link_c,
     oracle_link_v,
     per_block_violations,
@@ -262,6 +264,22 @@ class TestDensitySimulation:
     def test_requires_enough_trials(self):
         with pytest.raises(InvalidParameterError):
             simulate_information_density(two_state_cfg(blocks=100, trials=99))
+
+    @given(random_channels(), st.integers(1, 3))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_analytic_targets_share_the_bounds_moments(self, params, n_c):
+        gains, probs, noise_var, budget = params
+        spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
+        cfg = SimConfig(spec=spec, budget=budget, blocks=3, alpha=0.1, trials=100, seed=5)
+        stats = simulate_information_density(cfg)
+        # one code path for E[C]: the bounds' capacity, bit for bit
+        assert stats.analytic_mean == dispersion_stats(spec, budget).capacity
+        probs = spec.fading.probs
+        powers = waterfill_powers(gains, probs, noise_var, budget)
+        g2 = [g * g * p for g, p in zip(gains, powers)]
+        mean_v, _ = fsum_mean_var([oracle_link_v(x, noise_var) for x in g2], probs)
+        _, var_c = fsum_mean_var([oracle_link_c(x, noise_var) for x in g2], probs)
+        assert stats.analytic_var == pytest.approx(mean_v + n_c * var_c, rel=1e-12)
 
     def test_analytic_targets(self):
         cfg = two_state_cfg(blocks=200, trials=100)

@@ -13,8 +13,8 @@ from blockfade import (
     link_terms,
     make_distribution,
     solve_waterfill,
-    water_levels,
 )
+from blockfade.waterfill import water_fill
 from oracles import closed_form_water_level, oracle_link_c, oracle_link_l, oracle_link_v
 
 
@@ -171,7 +171,7 @@ class TestWaterLevels:
         at_break, floors = breakpoint_budgets(gains, probs, noise_var)
         near_break = [b * (1.0 + s) for b in at_break for s in (-1e-6, 1e-6)]
         budgets = [budget, 1e-3 * budget, 1e3 * budget] + near_break + at_break
-        levels = water_levels(spec, budgets)
+        levels = water_fill(spec, budgets)[0]
         assert levels.shape == (len(budgets),)
 
         for b, level in zip(budgets, levels):
@@ -202,7 +202,7 @@ class TestWaterLevels:
         assert alloc.powers[1] == pytest.approx(2e-18, rel=1e-15)
         spent = 0.5 * alloc.powers[0] + 0.5 * alloc.powers[1]
         assert abs(spent - 1e-18) <= 1e-15 * 1e-18
-        assert water_levels(spec, [1e-18, 1.0]).tolist() == [alloc.water_level, 1.625]
+        assert water_fill(spec, [1e-18, 1.0])[0].tolist() == [alloc.water_level, 1.625]
 
     @given(random_channels(), st.floats(-6.0, 12.0), st.floats(-18.0, 12.0))
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -217,21 +217,21 @@ class TestWaterLevels:
         spent = math.fsum(q * p for q, p in zip(spec.fading.probs, alloc.powers))
         assert abs(spent - budget) <= 1e-12 * budget
         assert alloc.powers[-1] > 0.0
-        assert water_levels(spec, [budget])[0] == alloc.water_level
+        assert water_fill(spec, [budget])[0][0] == alloc.water_level
 
     def test_two_state_breakpoint(self):
         # floors 1 and 1/4: the weak state turns on at budget 0.5*(1 - 1/4)
         spec = channel([1.0, 2.0], [0.5, 0.5])
-        levels = water_levels(spec, [0.1, 0.375, 1.0])
+        levels = water_fill(spec, [0.1, 0.375, 1.0])[0]
         assert levels.tolist() == pytest.approx([0.45, 1.0, 1.625], abs=1e-15)
 
     def test_empty_budget_array(self):
-        assert water_levels(channel([1.0, 2.0], [0.5, 0.5]), []).shape == (0,)
+        assert water_fill(channel([1.0, 2.0], [0.5, 0.5]), [])[0].shape == (0,)
 
     @pytest.mark.parametrize("budgets", [[1.0, 0.0], [math.nan], [1.0, math.inf], [[1.0]]])
     def test_invalid_budgets(self, budgets):
         with pytest.raises(InvalidParameterError):
-            water_levels(channel([1.0, 2.0], [0.5, 0.5]), budgets)
+            water_fill(channel([1.0, 2.0], [0.5, 0.5]), budgets)
 
 
 class TestCapacity:
