@@ -35,7 +35,6 @@ from .montecarlo import (
     SimConfig,
     ViolationReport,
     delta_b,
-    density_block_moments,
     hoeffding_violation_bound,
     min_blocks_for_backoff,
     simulate_information_density,
@@ -68,7 +67,6 @@ __all__ = [
     "bound_point",
     "capacity",
     "delta_b",
-    "density_block_moments",
     "discretize_rayleigh",
     "dispersion_stats",
     "dispersion_v_bf",

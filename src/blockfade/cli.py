@@ -113,7 +113,8 @@ _FIELDS = (
            help="back-off exponent"),
     _Field("mc.controller.blocks", "int", (_UNREAD, _UNREAD, 1000), lo=1),
     _Field("mc.controller.trials", "int", (_UNREAD, _UNREAD, 100000), lo=1, flag="--trials",
-           help="trial count for both simulations"),
+           help="trial count for both simulations "
+                "(at least 100, the density simulation's floor)"),
     _Field("mc.density.blocks", "int", (_UNREAD, _UNREAD, 10000), lo=1),
     _Field("mc.density.trials", "int", (_UNREAD, _UNREAD, 10000), lo=1, flag="--trials"),
     _Field("out", "path", (_REQUIRED, _REQUIRED, None), flag="--out", help="output file path"),

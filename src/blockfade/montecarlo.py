@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .fading import ChannelSpec
 from .specfun import std_normal_cdf
-from .waterfill import PowerAllocation, link_moments, link_terms, solve_waterfill
+from .waterfill import link_moments, link_terms, solve_waterfill
 
 __all__ = [
     "SimConfig",
@@ -28,7 +28,6 @@ __all__ = [
     "delta_b",
     "hoeffding_violation_bound",
     "min_blocks_for_backoff",
-    "density_block_moments",
     "simulate_st_controller",
     "simulate_information_density",
 ]
@@ -37,6 +36,8 @@ _MASK64 = (1 << 64) - 1
 _CONTROLLER_STREAM = 1
 _DENSITY_STREAM = 11
 _MIN_DENSITY_TRIALS = 100
+# Past 2^53 a float no longer holds every block count.
+_MAX_BLOCKS = 2 ** 53
 # Trials per controller substream; changing it changes every result.
 _CONTROLLER_CHUNK = 4096
 
@@ -121,31 +122,36 @@ def hoeffding_violation_bound(blocks: int, delta: float, water_level: float) -> 
 
 
 def min_blocks_for_backoff(budget: float, alpha: float, water_level: float) -> int:
-    """Smallest block count whose back-off delta_b stays below the budget."""
-    # delta_b < budget  <=>  blocks^(1-alpha) > 2*water_level^2/budget^2
-    threshold = (2.0 * water_level * water_level / (budget * budget)) ** (1.0 / (1.0 - alpha))
-    blocks = max(1, int(math.floor(threshold)) + 1)
-    while delta_b(blocks, alpha, water_level) >= budget:
+    """Smallest block count whose back-off delta_b stays below the budget.
+
+    Raises InvalidParameterError when that count exceeds 2^53, the CLI's
+    cap on block counts: past it a float no longer holds every integer.
+    """
+    if not (budget > 0.0 and water_level > 0.0 and 0.0 < alpha < 1.0):
+        raise InvalidParameterError(
+            f"need budget > 0, water_level > 0, 0 < alpha < 1; got {budget!r}, "
+            f"{water_level!r}, {alpha!r}")
+    # delta_b < budget  <=>  blocks^(1-alpha) > 2*water_level^2/budget^2. The
+    # threshold is formed in log space, where it cannot overflow, and only
+    # seeds the search: delta_b's own rounding decides the answer.
+    log_threshold = (math.log(2.0) + 2.0 * (math.log(water_level) - math.log(budget))) \
+        / (1.0 - alpha)
+    blocks = min(int(math.exp(min(log_threshold, 37.0))) + 1, _MAX_BLOCKS + 1)  # e^37 > 2^53
+    while blocks > 1 and delta_b(blocks - 1, alpha, water_level) < budget:
+        blocks -= 1
+    while blocks <= _MAX_BLOCKS and delta_b(blocks, alpha, water_level) >= budget:
         blocks += 1
+    if blocks > _MAX_BLOCKS:
+        raise InvalidParameterError(
+            f"the back-off stays at or above the budget {budget:.6g} at alpha={alpha:g} "
+            f"for every block count up to 2^53, the largest supported")
     return blocks
 
 
-def _philox_key(seed: int, stream: int) -> int:
-    # 128-bit Philox key = (stream, seed); SimConfig keeps the seed below 2^64.
-    return (stream << 64) | seed
-
-
-def _trial_rng(seed: int, stream: int, trial: int) -> np.random.Generator:
-    # The trial index in the top counter word gives every trial 2^192
-    # draws of separation.
-    key = _philox_key(seed, stream)
-    return np.random.Generator(np.random.Philox(key=key, counter=trial << 192))
-
-
-def _state_sampler(spec: ChannelSpec):
-    cum = np.cumsum(np.asarray(spec.fading.probs, dtype=float))
-    cum[-1] = 1.0  # guard the top edge against rounding
-    return cum
+def _substream(seed: int, stream: int, index: int) -> np.random.Generator:
+    # 128-bit Philox key (stream, seed); SimConfig keeps the seed below 2^64.
+    # The index in the top counter word gives every substream 2^192 draws.
+    return np.random.Generator(np.random.Philox(key=(stream << 64) | seed, counter=index << 192))
 
 
 def _controller_spends(cfg: SimConfig, powers: np.ndarray):
@@ -156,9 +162,8 @@ def _controller_spends(cfg: SimConfig, powers: np.ndarray):
     on its own, so a trial's spend does not depend on the chunk's fill.
     """
     probs = np.asarray(cfg.spec.fading.probs, dtype=float)
-    key = _philox_key(cfg.seed, _CONTROLLER_STREAM)
     for chunk, start in enumerate(range(0, cfg.trials, _CONTROLLER_CHUNK)):
-        rng = np.random.Generator(np.random.Philox(key=key, counter=chunk << 192))
+        rng = _substream(cfg.seed, _CONTROLLER_STREAM, chunk)
         size = min(_CONTROLLER_CHUNK, cfg.trials - start)
         counts = rng.multinomial(cfg.blocks, probs, size=size)
         yield np.sum(counts * powers, axis=-1)
@@ -198,33 +203,17 @@ def simulate_st_controller(cfg: SimConfig) -> ViolationReport:
     )
 
 
-def density_block_moments(spec: ChannelSpec, alloc: PowerAllocation) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state mean and variance of one block's log-likelihood increment.
+def _density_coefficients(spec: ChannelSpec, x: np.ndarray):
+    """Per-state coefficients of one block's log-likelihood increment.
 
-    At the water-filling powers the mean collapses to n_c*C(g^2) (the
-    power terms cancel) and the variance to n_c*V(g^2).
+    In state i (received power x_i) with block noise z (n_c uses) the
+    increment is fixed_i + lin_i*sum(z) - quad_i*sum(z^2), where
+    fixed = n_c*c + n_c*l/2, lin = sqrt(x)/(noise_var + x) and
+    quad = l/(2*noise_var), with c and l from link_terms.
     """
-    base, offset, lin, quad = _density_coefficients(spec, alloc)
-    n_c, s2 = spec.n_c, spec.noise_var
-    means = base + offset - quad * (n_c * s2)
-    variances = lin * lin * (n_c * s2) + quad * quad * (2.0 * n_c * s2 * s2)
-    return means, variances
-
-
-def _density_coefficients(spec: ChannelSpec, alloc: PowerAllocation):
-    # One block's increment given state i and noise z (length n_c):
-    #   W = base_i + offset_i + lin_i * sum(z) - quad_i * sum(z^2)
-    gains = np.asarray(spec.fading.gains, dtype=float)
-    powers = np.asarray(alloc.powers, dtype=float)
     s2 = spec.noise_var
-    n_c = spec.n_c
-    g2 = gains * gains * powers
-    denom = 2.0 * s2 * (s2 + g2)
-    base = n_c * link_terms(g2, s2)[0]
-    offset = n_c * s2 * gains * gains * powers / denom
-    lin = 2.0 * gains * np.sqrt(powers) * s2 / denom
-    quad = g2 / denom
-    return base, offset, lin, quad
+    c, l, _ = link_terms(x, s2)
+    return spec.n_c * c + spec.n_c * l / 2.0, np.sqrt(x) / (s2 + x), l / (2.0 * s2)
 
 
 def _ks_distance(sorted_sample: np.ndarray) -> float:
@@ -259,22 +248,20 @@ def simulate_information_density(cfg: SimConfig) -> DensityStats:
     """
     check_density_config(cfg)
     spec = cfg.spec
-    n_c, s2 = spec.n_c, spec.noise_var
-    alloc = solve_waterfill(spec, cfg.budget)
-    base, offset, lin, quad = _density_coefficients(spec, alloc)
-    fixed = base + offset
-
-    g2 = alloc.gain_power(spec.fading.gains)[None, :]
-    _, _, mean_c, var_c, _, mean_v = link_moments(spec, g2)
+    n_c = spec.n_c
+    x = solve_waterfill(spec, cfg.budget).gain_power(spec.fading.gains)
+    fixed, lin, quad = _density_coefficients(spec, x)
+    _, _, mean_c, var_c, _, mean_v = link_moments(spec, x[None, :])
     analytic_mean = float(mean_c[0])
     analytic_var = float(mean_v[0] + n_c * var_c[0])
 
-    cum = _state_sampler(spec)
-    noise_std = math.sqrt(s2)
+    cum = np.cumsum(np.asarray(spec.fading.probs, dtype=float))
+    cum[-1] = 1.0  # guard the top edge against rounding
+    noise_std = math.sqrt(spec.noise_var)
     n = cfg.blocks * n_c
     totals = np.empty(cfg.trials)
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, _DENSITY_STREAM, trial)
+        rng = _substream(cfg.seed, _DENSITY_STREAM, trial)
         states = np.searchsorted(cum, rng.random(cfg.blocks), side="right")
         noise = rng.normal(0.0, noise_std, size=(cfg.blocks, n_c))
         lin_part = noise.sum(axis=1)

@@ -315,6 +315,25 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 1
         assert "100 trials" in capsys.readouterr().err
 
+    def test_trials_help_states_the_density_floor(self, capsys):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--trials INT trial count for both simulations (at least 100," in text
+        assert main(["verify", "--trials", "99"]) == 1
+        assert "100 trials" in capsys.readouterr().err
+        assert main(["verify", "--trials", "100"]) in (0, 3)  # a verdict, not a config error
+
+    @pytest.mark.parametrize("alpha,message", [
+        ("0.9", "use at least 16879799 blocks at alpha=0.9\n"),
+        ("0.999", "for every block count up to 2^53, the largest supported\n"),
+    ])
+    def test_unreachable_backoff_is_one_error_line(self, capsys, alpha, message):
+        # at 0.999 the minimum block count, (2*1.625^2)^1000, overflows a float
+        assert main(["verify", "--alpha", alpha, "--trials", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(message)
+
     def test_default_verify_passes(self, tmp_path):
         # the documented default: two-state channel, seed 42, full trial
         # counts; takes a few seconds

@@ -10,7 +10,6 @@ from blockfade import (
     InvalidParameterError,
     SimConfig,
     delta_b,
-    density_block_moments,
     discretize_rayleigh,
     dispersion_stats,
     hoeffding_violation_bound,
@@ -20,7 +19,7 @@ from blockfade import (
     simulate_st_controller,
     solve_waterfill,
 )
-from blockfade.montecarlo import _controller_spends, _ks_distance
+from blockfade.montecarlo import _controller_spends, _density_coefficients, _ks_distance
 from oracles import (
     binomial_acceptance_region,
     controller_powers,
@@ -92,6 +91,15 @@ class TestScalarBounds:
         assert min_blocks_for_backoff(1.0, 0.5, 1.625) == 28
         assert delta_b(28, 0.5, 1.625) < 1.0
         assert delta_b(27, 0.5, 1.625) >= 1.0
+        # alpha 0.9: blocks > (2*1.625^2)^10 = 16879798.7
+        assert min_blocks_for_backoff(1.0, 0.9, 1.625) == 16879799
+        assert delta_b(16879799, 0.9, 1.625) < 1.0 <= delta_b(16879798, 0.9, 1.625)
+
+    @pytest.mark.parametrize("alpha", [0.96, 0.999, 1.0 - 1e-12])
+    def test_min_blocks_past_2_to_53_is_an_error(self, alpha):
+        # the threshold (2*1.625^2)^(1/(1-alpha)) overflows a float at 0.999
+        with pytest.raises(InvalidParameterError, match=r"2\^53"):
+            min_blocks_for_backoff(1.0, alpha, 1.625)
 
 
 class TestController:
@@ -244,14 +252,18 @@ class TestDensityMoments:
     @given(random_channels())
     @settings(max_examples=50, derandomize=True, deadline=None)
     def test_block_moment_identities(self, params):
-        # mean reduces to n_c*C(g^2), variance to n_c*V(g^2)
+        # W = fixed + lin*sum(z) - quad*sum(z^2) with z ~ N(0, s2) over n_c
+        # uses has mean fixed - quad*n_c*s2 and variance
+        # lin^2*n_c*s2 + 2*quad^2*n_c*s2^2; at the water-filling powers these
+        # reduce to n_c*C(g^2) and n_c*V(g^2)
         gains, probs, noise_var, budget = params
         for n_c in (1, 3):
             spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
-            alloc = solve_waterfill(spec, budget)
-            means, variances = density_block_moments(spec, alloc)
-            for g, p, m, v in zip(gains, alloc.powers, means, variances):
-                g2 = g * g * p
+            x = solve_waterfill(spec, budget).gain_power(gains)
+            fixed, lin, quad = _density_coefficients(spec, x)
+            means = fixed - quad * (n_c * noise_var)
+            variances = lin * lin * (n_c * noise_var) + 2.0 * quad * quad * (n_c * noise_var ** 2)
+            for g2, m, v in zip(x, means, variances):
                 assert m == pytest.approx(n_c * oracle_link_c(g2, noise_var), abs=1e-12)
                 assert v == pytest.approx(n_c * oracle_link_v(g2, noise_var), abs=1e-12)
 
