@@ -15,21 +15,10 @@ from .bounds import (
     bound_columns,
     bound_point,
     dispersion_stats,
-    dispersion_v_bf,
-    dispersion_v_bf_prime,
     sweep_dispersion_stats,
 )
-from .errors import (
-    BlockfadeError,
-    DomainError,
-    InvalidParameterError,
-)
-from .fading import (
-    ChannelSpec,
-    FadingDistribution,
-    discretize_rayleigh,
-    make_distribution,
-)
+from .errors import BlockfadeError, DomainError, InvalidParameterError
+from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh, make_distribution
 from .montecarlo import (
     DensityStats,
     SimConfig,
@@ -41,13 +30,7 @@ from .montecarlo import (
     simulate_st_controller,
 )
 from .specfun import std_normal_cdf, std_normal_inv_cdf, std_normal_pdf
-from .waterfill import (
-    PowerAllocation,
-    capacity,
-    link_l,
-    link_terms,
-    solve_waterfill,
-)
+from .waterfill import PowerAllocation, link_terms, solve_waterfill
 
 __version__ = "0.1.0"
 
@@ -65,14 +48,10 @@ __all__ = [
     "ViolationReport",
     "bound_columns",
     "bound_point",
-    "capacity",
     "delta_b",
     "discretize_rayleigh",
     "dispersion_stats",
-    "dispersion_v_bf",
-    "dispersion_v_bf_prime",
     "hoeffding_violation_bound",
-    "link_l",
     "link_terms",
     "make_distribution",
     "min_blocks_for_backoff",

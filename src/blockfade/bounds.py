@@ -12,13 +12,11 @@ import numpy as np
 from .errors import DomainError, InvalidParameterError
 from .fading import ChannelSpec
 from .specfun import std_normal_inv_cdf
-from .waterfill import PowerAllocation, _mean_and_var, link_moments, water_fill
+from .waterfill import _mean_and_var, link_moments, water_fill
 
 __all__ = [
     "DispersionStats",
     "BoundPoint",
-    "dispersion_v_bf",
-    "dispersion_v_bf_prime",
     "dispersion_stats",
     "sweep_dispersion_stats",
     "bound_columns",
@@ -26,45 +24,31 @@ __all__ = [
 ]
 
 
-def _v_bf_rows(spec: ChannelSpec, g2: np.ndarray):
-    # Per row of received powers g2 (rows x states): the link terms C and L,
-    # the capacity E[C], E[V] and V_bf = E[V] + n_c*Var C + Var L / 2.
-    c_vals, l_vals, cap, var_c, var_l, mean_v = link_moments(spec, g2)
-    return c_vals, l_vals, cap, mean_v, mean_v + spec.n_c * var_c + 0.5 * var_l
+def _checked_columns(stats) -> np.ndarray:
+    """The DispersionStats fields of a mapping as one (fields, rows) array, checked.
 
-
-def _v_bf_prime_rows(spec: ChannelSpec, c_vals: np.ndarray, l_vals: np.ndarray,
-                     mean_v: np.ndarray, budgets: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    # E[V] + Var(n_c*C + budget/(2*level) - L/2) per row, from link_moments.
-    probs = np.asarray(spec.fading.probs, dtype=float)
-    composite = (spec.n_c * c_vals
-                 + (budgets / (2.0 * levels))[:, None]
-                 - 0.5 * l_vals)
-    _, var_comp = _mean_and_var(composite, probs)
-    return mean_v + var_comp
-
-
-def dispersion_v_bf(spec: ChannelSpec, alloc: PowerAllocation) -> float:
-    """Dispersion of the water-filling link over the fading blocks.
-
-    Mean per-use dispersion plus n_c times the variance of the per-use
-    rate plus half the variance of the received-power fraction.
+    Each field holds a number or a 1-D array, all of one length. Every
+    field must be finite; all but nocsit_capacity must be positive, and
+    nocsit_capacity must not exceed capacity + 1e-12.
     """
-    g2 = alloc.gain_power(spec.fading.gains)[None, :]
-    return float(_v_bf_rows(spec, g2)[4][0])
-
-
-def dispersion_v_bf_prime(spec: ChannelSpec, alloc: PowerAllocation) -> float:
-    """Dispersion constant for the converse-side bounds.
-
-    Mean per-use dispersion plus the variance of
-    n_c*C(G) + budget/(2*level) - L(G)/2; the constant middle term does
-    not move the variance but is kept as part of the defining expression.
-    """
-    g2 = alloc.gain_power(spec.fading.gains)[None, :]
-    c_vals, l_vals, _, _, _, mean_v = link_moments(spec, g2)
-    return float(_v_bf_prime_rows(spec, c_vals, l_vals, mean_v, np.array([alloc.budget]),
-                                  np.array([alloc.water_level]))[0])
+    try:
+        columns = [np.atleast_1d(np.asarray(stats[name], dtype=float)) for name in _STAT_FIELDS]
+    except KeyError as exc:
+        raise InvalidParameterError(f"dispersion stats lack the field {exc}") from None
+    for name, column in zip(_STAT_FIELDS, columns):
+        if column.shape != (len(columns[0]),):
+            raise InvalidParameterError(f"{name} must be a number or a 1-D array as long as "
+                                        f"capacity ({len(columns[0])}), got shape {column.shape}")
+    table = np.array(columns)
+    ok = np.isfinite(table) & (table > 0.0)
+    # rows in field order: 0 is capacity, 4 is nocsit_capacity
+    ok[4] = np.isfinite(table[4]) & (table[4] <= table[0] + 1e-12)
+    if not ok.all():
+        field, row = np.argwhere(~ok)[0]
+        rule = "finite and at most capacity + 1e-12" if field == 4 else "positive and finite"
+        raise InvalidParameterError(f"{_STAT_FIELDS[field]} must be {rule}, got "
+                                    f"{float(table[field, row])!r}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -84,34 +68,44 @@ class DispersionStats:
     nocsit_v: float
 
     def __post_init__(self):
-        for name in ("capacity", "v_bf", "v_bf_prime", "water_level", "nocsit_v"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
-        if self.nocsit_capacity > self.capacity + 1e-12:
-            raise InvalidParameterError(
-                "constant-power capacity cannot exceed the water-filling capacity "
-                f"({self.nocsit_capacity!r} > {self.capacity!r})")
+        _checked_columns(vars(self))
 
 
-def dispersion_stats(spec: ChannelSpec, budget: float) -> DispersionStats:
-    """Solve the allocation and collect every bound ingredient at once."""
-    return sweep_dispersion_stats(spec, [budget])[0]
+_STAT_FIELDS = tuple(f.name for f in fields(DispersionStats))
 
 
-def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> list[DispersionStats]:
-    """dispersion_stats for every budget of a 1-D sequence, in one array pass.
+def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
+    """Every bound ingredient for each budget of a 1-D sequence, in one array pass.
 
-    Row i equals dispersion_stats(spec, budgets[i]) bit for bit.
+    Returns one float array per DispersionStats field; entry i equals
+    that field of dispersion_stats(spec, budgets[i]) bit for bit.
+    v_bf = E[V] + n_c*Var C + Var L / 2, and v_bf_prime = E[V] +
+    Var(n_c*C + budget/(2*level) - L/2), whose constant middle term does
+    not move the variance but is kept as part of the defining expression.
     """
     budgets = np.asarray(budgets, dtype=float)
     levels, powers = water_fill(spec, budgets)
     gains = np.asarray(spec.fading.gains, dtype=float)
-    c_vals, l_vals, cap, mean_v, v_bf = _v_bf_rows(spec, gains * gains * powers)
-    v_bf_prime = _v_bf_prime_rows(spec, c_vals, l_vals, mean_v, budgets, levels)
-    _, _, nocsit_cap, _, nocsit_v = _v_bf_rows(spec, gains * gains * budgets[:, None])
-    columns = (cap, v_bf, v_bf_prime, levels, nocsit_cap, nocsit_v)  # field order
-    return [DispersionStats(*row) for row in zip(*(col.tolist() for col in columns))]
+    rows = len(budgets)
+    # The water-filling rows, then the constant-power rows (the budget in
+    # every state), in one kernel call: np.sum reduces each row on its own.
+    const = np.broadcast_to(budgets[:, None], powers.shape)
+    c_vals, l_vals, cap, var_c, var_l, mean_v = link_moments(
+        spec, gains * gains * np.concatenate((powers, const)))
+    v_bf = mean_v + spec.n_c * var_c + 0.5 * var_l
+    composite = (spec.n_c * c_vals[:rows] + (budgets / (2.0 * levels))[:, None]
+                 - 0.5 * l_vals[:rows])
+    _, var_comp = _mean_and_var(composite, np.asarray(spec.fading.probs, dtype=float))
+    columns = dict(zip(_STAT_FIELDS, (cap[:rows], v_bf[:rows], mean_v[:rows] + var_comp,
+                                      levels, cap[rows:], v_bf[rows:])))
+    _checked_columns(columns)
+    return columns
+
+
+def dispersion_stats(spec: ChannelSpec, budget: float) -> DispersionStats:
+    """Every bound ingredient at one budget: the one-row sweep_dispersion_stats."""
+    columns = sweep_dispersion_stats(spec, [budget])
+    return DispersionStats(**{name: float(col[0]) for name, col in columns.items()})
 
 
 @dataclass(frozen=True)
@@ -137,9 +131,11 @@ def bound_columns(stats, n, n_c: int, num_states: int, epsilon: float,
                   beta: float = 0.01) -> dict[str, np.ndarray]:
     """bound_point for many rows at once, one array per BoundPoint field.
 
-    stats is a sequence of DispersionStats and n a 1-D sequence of
-    integers; either may have length 1 and is then used for every row.
-    Row i equals bound_point(stats[i], n[i], ...) bit for bit.
+    stats maps each DispersionStats field to a number or a 1-D array (the
+    columns of sweep_dispersion_stats, or vars() of one DispersionStats)
+    and is checked as DispersionStats checks its fields; n is a 1-D
+    sequence of integers. Either may have length 1 and is then used for
+    every row. Row i equals bound_point of stats row i at n[i] bit for bit.
     """
     n = list(n)
     if not isinstance(n_c, int) or n_c < 1 or not n:
@@ -149,9 +145,10 @@ def bound_columns(stats, n, n_c: int, num_states: int, epsilon: float,
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < n_c or v % n_c:
             raise InvalidParameterError(f"codeword length {v!r} is not a positive integer "
                                         f"multiple of the block length {n_c}")
-    if not stats or (len(stats) != len(n) and 1 not in (len(stats), len(n))):
+    cap, v_bf, v_bf_prime, level, nocsit_cap, nocsit_v = _checked_columns(stats)
+    if not len(cap) or (len(cap) != len(n) and 1 not in (len(cap), len(n))):
         raise InvalidParameterError(
-            f"stats and n need equal lengths or length 1, got {len(stats)} and {len(n)}")
+            f"stats and n need equal lengths or length 1, got {len(cap)} and {len(n)}")
     if num_states < 1:
         raise InvalidParameterError(f"num_states must be >= 1, got {num_states!r}")
     if not (0.0 < epsilon < 0.5):
@@ -159,10 +156,7 @@ def bound_columns(stats, n, n_c: int, num_states: int, epsilon: float,
     if not (0.0 < beta < 1.0):
         raise InvalidParameterError(f"beta must lie strictly in (0, 1), got {beta!r}")
 
-    rows = max(len(stats), len(n))
-    cap, v_bf, v_bf_prime, level, nocsit_cap, nocsit_v = np.array(
-        [(s.capacity, s.v_bf, s.v_bf_prime, s.water_level, s.nocsit_capacity, s.nocsit_v)
-         for s in stats]).T
+    rows = max(len(cap), len(n))
     quantile = std_normal_inv_cdf(epsilon)
     ints = np.broadcast_to(np.array(n), rows)
     nf = np.array(n, dtype=float)
@@ -192,5 +186,5 @@ def bound_point(stats: DispersionStats, n: int, n_c: int, num_states: int,
     and smaller are excluded; log-codebook sizes may be negative at
     small n and are reported as computed.
     """
-    columns = bound_columns([stats], [n], n_c, num_states, epsilon, beta)
+    columns = bound_columns(vars(stats), [n], n_c, num_states, epsilon, beta)
     return BoundPoint(*(col.tolist()[0] for col in columns.values()))

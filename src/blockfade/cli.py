@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import bound_columns, dispersion_stats, sweep_dispersion_stats
+from .bounds import bound_columns, sweep_dispersion_stats
 from .errors import InvalidParameterError
 from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh
 from .montecarlo import (SimConfig, check_density_config, simulate_information_density,
@@ -328,15 +328,16 @@ def _clamped_rate_series(columns: dict, xs: list[float]):
     return [(label, xs, np.maximum(columns[key], 0.0).tolist()) for key, label in _SERIES]
 
 
-def _write_sweep(cfg: dict, stats: list, budgets: list[float], n: list[int], xs: list[float],
+def _write_sweep(cfg: dict, budgets: list[float], n: list[int], xs: list[float],
                  x_label: str, log_x: bool) -> None:
     """Write the bounds of every row to the CSV and the optional SVG; see bound_columns."""
+    stats = sweep_dispersion_stats(cfg["spec"], budgets)
     columns = bound_columns(stats, n, cfg["n_c"], cfg["spec"].fading.num_states,
                             cfg["epsilon"], cfg["beta"])
     rows = len(columns["n"])
     columns.update(B=columns["blocks"], n_c=np.full(rows, cfg["n_c"]),
                    power_linear=np.broadcast_to(budgets, rows),
-                   capacity=np.broadcast_to([s.capacity for s in stats], rows))
+                   capacity=np.broadcast_to(stats["capacity"], rows))
     table = zip(*(columns[name].tolist() for name in _CSV_COLUMNS))
     lines = [",".join(_CSV_COLUMNS)] + [",".join(map(_fmt, row)) for row in table]
     with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
@@ -350,8 +351,7 @@ def _write_sweep(cfg: dict, stats: list, budgets: list[float], n: list[int], xs:
 
 def cmd_rate_vs_blocklength(cfg: dict) -> int:
     n = [blocks * cfg["n_c"] for blocks in _blocklength_grid(cfg)]
-    _write_sweep(cfg, [dispersion_stats(cfg["spec"], cfg["budget"])], [cfg["budget"]], n,
-                 [float(v) for v in n], "codeword length n",
+    _write_sweep(cfg, [cfg["budget"]], n, [float(v) for v in n], "codeword length n",
                  cfg["blocklength_sweep.log_spaced"])
     return 0
 
@@ -359,8 +359,8 @@ def cmd_rate_vs_blocklength(cfg: dict) -> int:
 def cmd_rate_vs_power(cfg: dict) -> int:
     grid_db = _power_grid_db(cfg)
     budgets = [_db_to_linear(db) for db in grid_db]
-    _write_sweep(cfg, sweep_dispersion_stats(cfg["spec"], budgets), budgets,
-                 [cfg["power_sweep.blocks"] * cfg["n_c"]], grid_db, "average power (dB)", False)
+    _write_sweep(cfg, budgets, [cfg["power_sweep.blocks"] * cfg["n_c"]], grid_db,
+                 "average power (dB)", False)
     return 0
 
 

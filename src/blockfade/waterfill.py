@@ -10,20 +10,17 @@ the level, and the largest consistent suffix is picked with cumulative
 sums. Many budgets are solved in one array pass.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 from .fading import ChannelSpec
 
 __all__ = [
     "PowerAllocation",
     "link_terms",
-    "link_l",
     "solve_waterfill",
-    "capacity",
 ]
 
 
@@ -64,15 +61,6 @@ def link_moments(spec: ChannelSpec, g2: np.ndarray):
     mean_c, var_c = _mean_and_var(c_vals, probs)
     _, var_l = _mean_and_var(l_vals, probs)
     return c_vals, l_vals, mean_c, var_c, var_l, np.sum(v_vals * probs, axis=-1)
-
-
-def link_l(x: float, noise_var: float) -> float:
-    """Received-power fraction x/(noise_var + x)."""
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"link functions need x >= 0, got {x!r}")
-    if not (noise_var > 0.0):
-        raise DomainError(f"noise variance must be positive, got {noise_var!r}")
-    return float(link_terms(x, noise_var)[1])
 
 
 @dataclass(frozen=True)
@@ -148,7 +136,3 @@ def solve_waterfill(spec: ChannelSpec, budget: float) -> PowerAllocation:
     return PowerAllocation(water_level=float(levels[0]),
                            powers=tuple(powers[0].tolist()), budget=budget)
 
-
-def capacity(spec: ChannelSpec, alloc: PowerAllocation) -> float:
-    """Average rate in nats per channel use under the given allocation."""
-    return float(link_moments(spec, alloc.gain_power(spec.fading.gains)[None, :])[2][0])

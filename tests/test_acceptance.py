@@ -15,12 +15,9 @@ from blockfade import (
     ChannelSpec,
     SimConfig,
     bound_point,
-    capacity,
     discretize_rayleigh,
     dispersion_stats,
-    dispersion_v_bf,
-    dispersion_v_bf_prime,
-    link_l,
+    link_terms,
     make_distribution,
     simulate_information_density,
     simulate_st_controller,
@@ -69,7 +66,7 @@ def test_criterion_1_capacity_anchor():
     gains, probs = readme_preset_grid()
     start = time.perf_counter()
     spec = preset_spec()
-    lib_capacity = capacity(spec, solve_waterfill(spec, PRESET_BUDGET))
+    lib_capacity = dispersion_stats(spec, PRESET_BUDGET).capacity
     elapsed = time.perf_counter() - start
 
     oracle_capacity = oracle_channel_quantities(gains, probs, 1.0, 1, PRESET_BUDGET)["capacity"]
@@ -111,7 +108,7 @@ def test_criterion_2_waterfilling_exactness():
             if p > 0.0:
                 worst_kkt = max(worst_kkt, abs(p + floor - level) / max(1.0, level))
             g2 = g * g * p
-            worst_identity = max(worst_identity, abs(link_l(g2, noise_var) - p / level))
+            worst_identity = max(worst_identity, abs(link_terms(g2, noise_var)[1] - p / level))
             shortfall = level * g * g - (noise_var + g2)
             worst_inequality = max(worst_inequality, shortfall / max(1.0, level * g * g))
     elapsed = time.perf_counter() - start
@@ -130,12 +127,12 @@ def test_criterion_2_waterfilling_exactness():
 
 def test_criterion_3_two_state_oracle_equivalence():
     spec = two_state_spec()
-    alloc = solve_waterfill(spec, 1.0)
+    stats = dispersion_stats(spec, 1.0)
     lib = {
-        "level": alloc.water_level,
-        "capacity": capacity(spec, alloc),
-        "v_bf": dispersion_v_bf(spec, alloc),
-        "v_bf_prime": dispersion_v_bf_prime(spec, alloc),
+        "level": stats.water_level,
+        "capacity": stats.capacity,
+        "v_bf": stats.v_bf,
+        "v_bf_prime": stats.v_bf_prime,
     }
     oracle = oracle_channel_quantities([1.0, 2.0], [0.5, 0.5], 1.0, 1, 1.0)
     anchors = {"level": 1.625, "capacity": 0.58933, "v_bf": 0.5461, "v_bf_prime": 0.4529}

@@ -2,26 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blockfade import (
     ChannelSpec,
     DispersionStats,
     DomainError,
     InvalidParameterError,
-    PowerAllocation,
     bound_columns,
     bound_point,
-    capacity,
     discretize_rayleigh,
     dispersion_stats,
-    dispersion_v_bf,
-    dispersion_v_bf_prime,
     make_distribution,
     solve_waterfill,
     std_normal_inv_cdf,
     sweep_dispersion_stats,
 )
+from blockfade.waterfill import link_moments
 from oracles import (
     TWO_STATE,
     oracle_channel_quantities,
@@ -46,11 +43,12 @@ class TestDispersions:
     def test_two_state_against_independent_oracle(self):
         spec = two_state_spec()
         oracle = oracle_channel_quantities(TWO_STATE["gains"], TWO_STATE["probs"], 1.0, 1, 1.0)
-        alloc = solve_waterfill(spec, 1.0)
-        assert alloc.water_level == pytest.approx(oracle["level"], abs=1e-11)
-        assert capacity(spec, alloc) == pytest.approx(oracle["capacity"], abs=1e-11)
-        assert dispersion_v_bf(spec, alloc) == pytest.approx(oracle["v_bf"], abs=1e-11)
-        assert dispersion_v_bf_prime(spec, alloc) == pytest.approx(oracle["v_bf_prime"], abs=1e-11)
+        stats = dispersion_stats(spec, 1.0)
+        assert solve_waterfill(spec, 1.0).water_level == pytest.approx(oracle["level"], abs=1e-11)
+        assert stats.water_level == pytest.approx(oracle["level"], abs=1e-11)
+        assert stats.capacity == pytest.approx(oracle["capacity"], abs=1e-11)
+        assert stats.v_bf == pytest.approx(oracle["v_bf"], abs=1e-11)
+        assert stats.v_bf_prime == pytest.approx(oracle["v_bf_prime"], abs=1e-11)
         # four-significant-digit benchmark values
         assert oracle["level"] == pytest.approx(1.625, abs=5e-5)
         assert oracle["capacity"] == pytest.approx(0.58933, abs=5e-6)
@@ -59,27 +57,26 @@ class TestDispersions:
 
     def test_single_state_degenerates_to_link_dispersion(self):
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
-        alloc = solve_waterfill(spec, 2.0)
-        g2 = alloc.gain_power(spec.fading.gains)[0]
+        g2 = solve_waterfill(spec, 2.0).gain_power(spec.fading.gains)[0]
         v = 0.5 * (1.0 - (1.0 / (1.0 + g2)) ** 2)
-        assert dispersion_v_bf(spec, alloc) == pytest.approx(v, rel=1e-14)
-        assert dispersion_v_bf_prime(spec, alloc) == pytest.approx(v, rel=1e-14)
+        stats = dispersion_stats(spec, 2.0)
+        assert stats.v_bf == pytest.approx(v, rel=1e-14)
+        assert stats.v_bf_prime == pytest.approx(v, rel=1e-14)
 
     def test_block_length_adds_rate_variance(self):
         spec1 = two_state_spec(n_c=1)
         spec2 = two_state_spec(n_c=2)
-        alloc = solve_waterfill(spec1, 1.0)
         oracle = oracle_channel_quantities(TWO_STATE["gains"], TWO_STATE["probs"], 1.0, 1, 1.0)
-        v1 = dispersion_v_bf(spec1, alloc)
-        v2 = dispersion_v_bf(spec2, alloc)
+        # the allocation does not depend on n_c, so both share one water level
+        v1 = dispersion_stats(spec1, 1.0).v_bf
+        v2 = dispersion_stats(spec2, 1.0).v_bf
         assert v2 - v1 == pytest.approx(oracle["var_c"], abs=1e-11)
         assert v2 == pytest.approx(0.6663, abs=5e-5)
         assert oracle["var_c"] == pytest.approx(0.120112, abs=2e-6)
 
     def test_two_state_prime_below_plain(self):
-        spec = two_state_spec()
-        alloc = solve_waterfill(spec, 1.0)
-        assert dispersion_v_bf_prime(spec, alloc) < dispersion_v_bf(spec, alloc)
+        stats = dispersion_stats(two_state_spec(), 1.0)
+        assert stats.v_bf_prime < stats.v_bf
 
     @given(random_channels())
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -89,8 +86,8 @@ class TestDispersions:
         alloc = solve_waterfill(spec, budget)
         oracle = oracle_dispersions_for_alloc(gains, list(spec.fading.probs), noise_var, 1,
                                               alloc.powers, alloc.water_level, budget)
-        v_bf = dispersion_v_bf(spec, alloc)
-        v_bfp = dispersion_v_bf_prime(spec, alloc)
+        stats = dispersion_stats(spec, budget)
+        v_bf, v_bfp = stats.v_bf, stats.v_bf_prime
         assert abs(v_bf - oracle["v_bf"]) <= 1e-14 * max(1.0, abs(v_bf))
         assert abs(v_bfp - oracle["v_bf_prime"]) <= 1e-14 * max(1.0, abs(v_bfp))
 
@@ -100,13 +97,13 @@ class TestDispersions:
         # at n_c = 1 the covariance of rate and power fraction is non-negative
         gains, probs, noise_var, budget = params
         spec = ChannelSpec(noise_var=noise_var, n_c=1, fading=make_distribution(gains, probs))
-        alloc = solve_waterfill(spec, budget)
-        assert dispersion_v_bf_prime(spec, alloc) <= dispersion_v_bf(spec, alloc) + 1e-12
+        stats = dispersion_stats(spec, budget)
+        assert stats.v_bf_prime <= stats.v_bf + 1e-12
 
     def test_v_bf_increases_with_budget(self):
         for spec in (two_state_spec(), preset_spec()):
             budgets = np.geomspace(0.05, 50.0, 20)
-            values = [dispersion_v_bf(spec, solve_waterfill(spec, float(b))) for b in budgets]
+            values = [dispersion_stats(spec, float(b)).v_bf for b in budgets]
             assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -115,9 +112,8 @@ class TestNocsit:
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
         stats = dispersion_stats(spec, 2.0)
         cap, disp = stats.nocsit_capacity, stats.nocsit_v
-        alloc = solve_waterfill(spec, 2.0)
-        assert cap == pytest.approx(capacity(spec, alloc), abs=1e-9)
-        assert disp == pytest.approx(dispersion_v_bf(spec, alloc), abs=1e-9)
+        assert cap == pytest.approx(stats.capacity, abs=1e-9)
+        assert disp == pytest.approx(stats.v_bf, abs=1e-9)
 
     def test_two_state_capacity_value(self):
         stats = dispersion_stats(two_state_spec(), 1.0)
@@ -144,33 +140,41 @@ class TestDispersionStats:
 
     @given(random_channels(), st.integers(1, 60))
     @settings(max_examples=60, derandomize=True, deadline=None)
+    # sweeps of thousands of budgets: the kernel call stacks twice as many rows
+    @example(([1.0, 2.0], [0.5, 0.5], 1.0, 1.0), 3000)
+    @example(([0.1 + 0.37 * i for i in range(12)], [1.0 / 12] * 12, 0.7, 4.0), 1200)
     def test_sweep_rows_equal_single_budget_calls(self, params, points):
         gains, probs, noise_var, budget = params
         spec = ChannelSpec(noise_var=noise_var, n_c=3, fading=make_distribution(gains, probs))
         budgets = list(np.geomspace(budget / 30.0, budget * 30.0, points))
-        rows = sweep_dispersion_stats(spec, budgets)
-        assert len(rows) == points
-        for b, row in zip(budgets, rows):
+        columns = sweep_dispersion_stats(spec, budgets)
+        assert set(columns) == set(vars(dispersion_stats(spec, 1.0)))
+        assert all(col.shape == (points,) for col in columns.values())
+        g = np.asarray(spec.fading.gains)
+        for i, b in enumerate(budgets):
+            row = {name: col[i] for name, col in columns.items()}
             # one code path: the single-budget call is the one-row sweep
-            assert row == dispersion_stats(spec, b)
+            assert row == vars(dispersion_stats(spec, b))
             alloc = solve_waterfill(spec, b)
-            assert row.water_level == alloc.water_level
-            assert row.capacity == capacity(spec, alloc)
-            assert row.v_bf == dispersion_v_bf(spec, alloc)
-            assert row.v_bf_prime == dispersion_v_bf_prime(spec, alloc)
-            # the constant-power pair is capacity and V_bf at power b in every state
-            const = PowerAllocation(water_level=b, powers=(b,) * len(gains), budget=b)
-            assert (row.nocsit_capacity, row.nocsit_v) == (capacity(spec, const),
-                                                          dispersion_v_bf(spec, const))
+            assert row["water_level"] == alloc.water_level
+            _, _, cap, var_c, var_l, mean_v = link_moments(spec, alloc.gain_power(g))
+            assert row["capacity"] == cap
+            assert row["v_bf"] == mean_v + spec.n_c * var_c + 0.5 * var_l
+            # the constant-power pair is capacity and V_bf at power b in every state,
+            # from the kernel's own call on that one row
+            _, _, cap, var_c, var_l, mean_v = link_moments(spec, g * g * b)
+            assert row["nocsit_capacity"] == cap
+            assert row["nocsit_v"] == mean_v + spec.n_c * var_c + 0.5 * var_l
 
     def test_sweep_matches_oracle_on_preset(self):
         spec = preset_spec()
         budgets = [10.0 ** (db / 10.0) for db in range(0, 21, 5)]
-        for b, row in zip(budgets, sweep_dispersion_stats(spec, budgets)):
+        columns = sweep_dispersion_stats(spec, budgets)
+        for i, b in enumerate(budgets):
             oracle = oracle_channel_quantities(spec.fading.gains, spec.fading.probs, 1.0, 1, b)
             for field in ("capacity", "v_bf", "v_bf_prime", "nocsit_capacity", "nocsit_v"):
-                assert getattr(row, field) == pytest.approx(oracle[field], rel=1e-12), field
-            assert row.water_level == pytest.approx(oracle["level"], rel=1e-12)
+                assert columns[field][i] == pytest.approx(oracle[field], rel=1e-12), field
+            assert columns["water_level"][i] == pytest.approx(oracle["level"], rel=1e-12)
 
     def test_sweep_rejects_bad_budget(self):
         with pytest.raises(InvalidParameterError):
@@ -323,14 +327,17 @@ class TestBoundColumns:
         gains, probs, noise_var, budget = params
         spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
         many_stats = sweep_dispersion_stats(spec, [budget * 0.5 ** i for i in range(len(blocks))])
+        one_stats = {name: col[:1] for name, col in many_stats.items()}
         n = [b * n_c for b in blocks]
         k = spec.fading.num_states
         # many n with one stats, and one n with many stats
-        for stats, lengths in (([many_stats[0]], n), (many_stats, [n[0]])):
+        for stats, lengths in ((one_stats, n), (many_stats, [n[0]])):
             columns = bound_columns(stats, lengths, n_c, k, epsilon, beta)
             assert all(len(col) == len(blocks) for col in columns.values())
             for i in range(len(blocks)):
-                s_i, n_i = stats[min(i, len(stats) - 1)], lengths[min(i, len(lengths) - 1)]
+                row = min(i, len(stats["capacity"]) - 1)
+                s_i = DispersionStats(**{name: float(col[row]) for name, col in stats.items()})
+                n_i = lengths[min(i, len(lengths) - 1)]
                 bp = bound_point(s_i, n_i, n_c, k, epsilon, beta)
                 assert {name: col[i] for name, col in columns.items()} == vars(bp)
                 for name, value in scalar_bound_point(s_i, n_i, k, epsilon, beta).items():
@@ -342,17 +349,17 @@ class TestBoundColumns:
         # last bit for a few percent of n; over this many n that reaches the
         # outputs, so the kernel must take those two terms from math
         n = list(range(1, 20_001))
-        columns = bound_columns([self.stats], n, 1, 2, 0.01)
+        columns = bound_columns(vars(self.stats), n, 1, 2, 0.01)
         expected = [scalar_bound_point(self.stats, v, 2, 0.01, 0.01) for v in n]
         for name in expected[0]:
             assert columns[name].tolist() == [row[name] for row in expected], name
 
     def test_numpy_integers_accepted(self):
-        columns = bound_columns([self.stats], np.array([300, 600]), 3, 2, 0.01)
+        columns = bound_columns(vars(self.stats), np.array([300, 600]), 3, 2, 0.01)
         assert columns["blocks"].tolist() == [100, 200]
         assert columns["rate_ub_lt"][1] == bound_point(self.stats, 600, 3, 2, 0.01).rate_ub_lt
 
-    @pytest.mark.parametrize("stats_count,n,n_c", [
+    @pytest.mark.parametrize("stats,n,n_c", [
         (1, [], 1),                   # empty n
         (1, [100, 200.0], 1),         # a float n
         (1, [100, True], 1),          # a bool n
@@ -360,11 +367,28 @@ class TestBoundColumns:
         (2, [100, 200, 300], 1),      # two lengths above 1 that differ
         (0, [100], 1),                # no stats
         (1, [100], 0),                # n_c below 1
+        # a plain mapping gets the checks DispersionStats makes, each naming the field
+        ({"v_bf": -0.5}, [100], 1),
+        ({"v_bf": math.nan}, [100], 1),
+        ({"water_level": math.inf}, [100], 1),
+        ({"nocsit_capacity": 1.0}, [100], 1),           # above capacity
+        ({"v_bf_prime": None}, [100], 1),               # missing
+        ({"nocsit_v": [0.5, 0.5]}, [100], 1),           # columns of unequal lengths
+        ({"capacity": [[0.5]]}, [100], 1),              # not 1-D
     ])
-    def test_invalid_inputs(self, stats_count, n, n_c):
-        with pytest.raises(InvalidParameterError):
-            bound_columns([self.stats] * stats_count, n, n_c, 2, 0.01)
+    def test_invalid_inputs(self, stats, n, n_c):
+        # an int is the row count of a valid mapping; a dict replaces one
+        # field of the valid one-row mapping, and None deletes the field
+        if isinstance(stats, int):
+            stats, field = {name: [v] * stats for name, v in vars(self.stats).items()}, None
+        else:
+            (field, value), = stats.items()
+            stats = {**vars(self.stats), field: value}
+            if value is None:
+                del stats[field]
+        with pytest.raises(InvalidParameterError, match=field):
+            bound_columns(stats, n, n_c, 2, 0.01)
 
     def test_non_multiple_is_named(self):
         with pytest.raises(InvalidParameterError, match="31"):
-            bound_columns([self.stats], [30, 31, 33], 3, 2, 0.01)
+            bound_columns(vars(self.stats), [30, 31, 33], 3, 2, 0.01)
