@@ -9,14 +9,7 @@ average power constraints, and cross-checks the analytic machinery by
 Monte Carlo simulation.
 """
 
-from .bounds import (
-    BoundPoint,
-    DispersionStats,
-    bound_columns,
-    bound_point,
-    dispersion_stats,
-    sweep_dispersion_stats,
-)
+from .bounds import bound_columns, sweep_dispersion_stats
 from .errors import BlockfadeError, DomainError, InvalidParameterError
 from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh, make_distribution
 from .montecarlo import (
@@ -30,36 +23,31 @@ from .montecarlo import (
     simulate_st_controller,
 )
 from .specfun import std_normal_cdf, std_normal_inv_cdf, std_normal_pdf
-from .waterfill import PowerAllocation, link_terms, solve_waterfill
+from .waterfill import link_terms, water_fill
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockfadeError",
-    "BoundPoint",
     "ChannelSpec",
     "DensityStats",
-    "DispersionStats",
     "DomainError",
     "FadingDistribution",
     "InvalidParameterError",
-    "PowerAllocation",
     "SimConfig",
     "ViolationReport",
     "bound_columns",
-    "bound_point",
     "delta_b",
     "discretize_rayleigh",
-    "dispersion_stats",
     "hoeffding_violation_bound",
     "link_terms",
     "make_distribution",
     "min_blocks_for_backoff",
     "simulate_information_density",
     "simulate_st_controller",
-    "solve_waterfill",
     "sweep_dispersion_stats",
     "std_normal_cdf",
     "std_normal_inv_cdf",
     "std_normal_pdf",
+    "water_fill",
 ]

@@ -5,7 +5,6 @@ sampling is involved. All rate quantities are in nats.
 """
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -14,22 +13,24 @@ from .fading import ChannelSpec
 from .specfun import std_normal_inv_cdf
 from .waterfill import _mean_and_var, link_moments, water_fill
 
-__all__ = [
-    "DispersionStats",
-    "BoundPoint",
-    "dispersion_stats",
-    "sweep_dispersion_stats",
-    "bound_columns",
-    "bound_point",
-]
+__all__ = ["sweep_dispersion_stats", "bound_columns"]
+
+# The columns of sweep_dispersion_stats, which bound_columns reads.
+_STAT_FIELDS = ("capacity", "v_bf", "v_bf_prime", "water_level", "nocsit_capacity", "nocsit_v")
+# The columns of bound_columns.
+_BOUND_FIELDS = ("n", "blocks", "epsilon", "beta",
+                 "log_m_lb_st", "log_m_lb_lt", "log_m_ub_st", "log_m_ub_lt",
+                 "rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt", "rate_nocsit")
 
 
 def _checked_columns(stats) -> np.ndarray:
-    """The DispersionStats fields of a mapping as one (fields, rows) array, checked.
+    """The stat fields of a mapping as one (fields, rows) array, checked.
 
     Each field holds a number or a 1-D array, all of one length. Every
     field must be finite; all but nocsit_capacity must be positive, and
-    nocsit_capacity must not exceed capacity + 1e-12.
+    nocsit_capacity must not exceed capacity + 1e-12. The rules apply to
+    each row on its own: column i of the table, and whether it passes,
+    equal the one-row call on row i bit for bit.
     """
     try:
         columns = [np.atleast_1d(np.asarray(stats[name], dtype=float)) for name in _STAT_FIELDS]
@@ -51,37 +52,18 @@ def _checked_columns(stats) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class DispersionStats:
-    """Capacity, dispersions and water level for one channel and budget.
-
-    nocsit_capacity and nocsit_v are the constant-power baseline: the
-    same expressions as capacity and v_bf with the received power
-    gain^2 * budget in every state.
-    """
-
-    capacity: float
-    v_bf: float
-    v_bf_prime: float
-    water_level: float
-    nocsit_capacity: float
-    nocsit_v: float
-
-    def __post_init__(self):
-        _checked_columns(vars(self))
-
-
-_STAT_FIELDS = tuple(f.name for f in fields(DispersionStats))
-
-
 def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
     """Every bound ingredient for each budget of a 1-D sequence, in one array pass.
 
-    Returns one float array per DispersionStats field; entry i equals
-    that field of dispersion_stats(spec, budgets[i]) bit for bit.
-    v_bf = E[V] + n_c*Var C + Var L / 2, and v_bf_prime = E[V] +
+    Returns one float array per field: capacity, v_bf, v_bf_prime and
+    water_level at the water-filling allocation, and nocsit_capacity and
+    nocsit_v, the constant-power baseline (the same expressions as
+    capacity and v_bf with the received power gain^2 * budget in every
+    state). v_bf = E[V] + n_c*Var C + Var L / 2, and v_bf_prime = E[V] +
     Var(n_c*C + budget/(2*level) - L/2), whose constant middle term does
     not move the variance but is kept as part of the defining expression.
+    Row i equals the one-row call sweep_dispersion_stats(spec,
+    [budgets[i]]) bit for bit, whatever the other budgets.
     """
     budgets = np.asarray(budgets, dtype=float)
     levels, powers = water_fill(spec, budgets)
@@ -102,40 +84,21 @@ def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
     return columns
 
 
-def dispersion_stats(spec: ChannelSpec, budget: float) -> DispersionStats:
-    """Every bound ingredient at one budget: the one-row sweep_dispersion_stats."""
-    columns = sweep_dispersion_stats(spec, [budget])
-    return DispersionStats(**{name: float(col[0]) for name, col in columns.items()})
-
-
-@dataclass(frozen=True)
-class BoundPoint:
-    """The four rate bounds plus the constant-power baseline at one (n, eps)."""
-
-    n: int
-    blocks: int
-    epsilon: float
-    beta: float
-    log_m_lb_st: float
-    log_m_lb_lt: float
-    log_m_ub_st: float
-    log_m_ub_lt: float
-    rate_lb_st: float
-    rate_lb_lt: float
-    rate_ub_st: float
-    rate_ub_lt: float
-    rate_nocsit: float
-
-
 def bound_columns(stats, n, n_c: int, num_states: int, epsilon: float,
                   beta: float = 0.01) -> dict[str, np.ndarray]:
-    """bound_point for many rows at once, one array per BoundPoint field.
+    """The normal-approximation bounds and the constant-power baseline, per row.
 
-    stats maps each DispersionStats field to a number or a 1-D array (the
-    columns of sweep_dispersion_stats, or vars() of one DispersionStats)
-    and is checked as DispersionStats checks its fields; n is a 1-D
-    sequence of integers. Either may have length 1 and is then used for
-    every row. Row i equals bound_point of stats row i at n[i] bit for bit.
+    stats maps each field of sweep_dispersion_stats to a number or a 1-D
+    array (the sweep's columns, or one row of them) and is checked as the
+    sweep checks its own; n is a 1-D sequence of codeword lengths, each
+    blocks*n_c for an integer number of blocks >= 1. Either may have
+    length 1 and is then used for every row. epsilon must lie strictly
+    in (0, 1/2). Returns one array per field: n and blocks (integers),
+    epsilon, beta, the four log-codebook sizes log_m_{lb,ub}_{st,lt} and
+    the rates (each log_m over n), plus rate_nocsit. The residual terms
+    of order n^beta and smaller are excluded; log-codebook sizes may be
+    negative at small n and are reported as computed. Row i equals the
+    one-row call on stats row i and n[i] bit for bit.
     """
     n = list(n)
     if not isinstance(n_c, int) or n_c < 1 or not n:
@@ -174,17 +137,4 @@ def bound_columns(stats, n, n_c: int, num_states: int, epsilon: float,
     log_m = (lb_st, lb_lt, ub_st, ub_lt)
     columns = (ints.copy(), ints // n_c, np.full(rows, epsilon), np.full(rows, beta),
                *log_m, *(x / nf for x in log_m), nocsit_log_m / nf)
-    return dict(zip((f.name for f in fields(BoundPoint)), columns))
-
-
-def bound_point(stats: DispersionStats, n: int, n_c: int, num_states: int,
-                epsilon: float, beta: float = 0.01) -> BoundPoint:
-    """Evaluate the normal-approximation bounds at codeword length n.
-
-    n must be blocks*n_c for an integer number of blocks >= 1; epsilon
-    must lie strictly in (0, 1/2). The residual terms of order n^beta
-    and smaller are excluded; log-codebook sizes may be negative at
-    small n and are reported as computed.
-    """
-    columns = bound_columns(vars(stats), [n], n_c, num_states, epsilon, beta)
-    return BoundPoint(*(col.tolist()[0] for col in columns.values()))
+    return dict(zip(_BOUND_FIELDS, columns))

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .fading import ChannelSpec
 from .specfun import std_normal_cdf
-from .waterfill import link_moments, link_terms, solve_waterfill
+from .waterfill import link_moments, link_terms, water_fill
 
 __all__ = [
     "SimConfig",
@@ -179,26 +179,24 @@ def simulate_st_controller(cfg: SimConfig) -> ViolationReport:
     on the sequence only through its state counts k ~ Multinomial(blocks,
     probs): the trial violates iff k . powers > blocks * budget.
     """
-    spec = cfg.spec
-    full = solve_waterfill(spec, cfg.budget)
-    backoff = delta_b(cfg.blocks, cfg.alpha, full.water_level)
+    full_level = float(water_fill(cfg.spec, [cfg.budget])[0][0])
+    backoff = delta_b(cfg.blocks, cfg.alpha, full_level)
     if cfg.budget <= backoff:
-        needed = min_blocks_for_backoff(cfg.budget, cfg.alpha, full.water_level)
+        needed = min_blocks_for_backoff(cfg.budget, cfg.alpha, full_level)
         raise InvalidParameterError(
             f"back-off {backoff:.6g} meets or exceeds the budget {cfg.budget:.6g}; "
             f"use at least {needed} blocks at alpha={cfg.alpha:g}")
 
-    backed = solve_waterfill(spec, cfg.budget - backoff)
-    powers = np.asarray(backed.powers, dtype=float)
+    levels, powers = water_fill(cfg.spec, [cfg.budget - backoff])
     cap_total = cfg.blocks * cfg.budget
     violations = sum(int(np.count_nonzero(spends > cap_total))
-                     for spends in _controller_spends(cfg, powers))
+                     for spends in _controller_spends(cfg, powers[0]))
 
     return ViolationReport(
         empirical_prob=violations / cfg.trials,
-        hoeffding_bound=hoeffding_violation_bound(cfg.blocks, backoff, full.water_level),
+        hoeffding_bound=hoeffding_violation_bound(cfg.blocks, backoff, full_level),
         delta_b=backoff,
-        lambda_b=backed.water_level,
+        lambda_b=float(levels[0]),
         trials=cfg.trials,
     )
 
@@ -249,7 +247,8 @@ def simulate_information_density(cfg: SimConfig) -> DensityStats:
     check_density_config(cfg)
     spec = cfg.spec
     n_c = spec.n_c
-    x = solve_waterfill(spec, cfg.budget).gain_power(spec.fading.gains)
+    gains = np.asarray(spec.fading.gains, dtype=float)
+    x = gains * gains * water_fill(spec, [cfg.budget])[1][0]
     fixed, lin, quad = _density_coefficients(spec, x)
     _, _, mean_c, var_c, _, mean_v = link_moments(spec, x[None, :])
     analytic_mean = float(mean_c[0])

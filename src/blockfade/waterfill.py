@@ -10,18 +10,12 @@ the level, and the largest consistent suffix is picked with cumulative
 sums. Many budgets are solved in one array pass.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameterError
 from .fading import ChannelSpec
 
-__all__ = [
-    "PowerAllocation",
-    "link_terms",
-    "solve_waterfill",
-]
+__all__ = ["link_terms", "water_fill"]
 
 
 def link_terms(x, noise_var: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -63,26 +57,6 @@ def link_moments(spec: ChannelSpec, g2: np.ndarray):
     return c_vals, l_vals, mean_c, var_c, var_l, np.sum(v_vals * probs, axis=-1)
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Water level, the per-state transmit powers it induces, and the budget.
-
-    powers[i] equals max(0, water_level - noise_var/gain_i^2), up to
-    rounding, for the channel the allocation was solved against; the
-    probability-weighted power sum equals the budget within
-    1e-9*max(1, budget).
-    """
-
-    water_level: float
-    powers: tuple[float, ...]
-    budget: float
-
-    def gain_power(self, gains) -> np.ndarray:
-        """Effective received powers gain_i^2 * powers[i] per state."""
-        g = np.asarray(gains, dtype=float)
-        return g * g * np.asarray(self.powers, dtype=float)
-
-
 def _floors(spec: ChannelSpec) -> np.ndarray:
     # per-state inverse channel quality, decreasing in state order
     gains = np.asarray(spec.fading.gains, dtype=float)
@@ -91,6 +65,9 @@ def _floors(spec: ChannelSpec) -> np.ndarray:
 
 def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     """Water levels and per-state powers (budgets x states) for a 1-D array.
+
+    Budgets must be positive and finite. Row i equals the one-row call
+    water_fill(spec, [budgets[i]]) bit for bit.
 
     With the states reversed (floors f increasing, probabilities q),
     raising the water to f_k over the first k states costs
@@ -122,17 +99,4 @@ def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     levels = floors[top] + depth
     powers = np.maximum(0.0, (floors[top][:, None] - floors) + depth[:, None])
     return levels, powers[:, ::-1]
-
-
-def solve_waterfill(spec: ChannelSpec, budget: float) -> PowerAllocation:
-    """Water level and per-state powers whose average meets the budget.
-
-    The one-budget case of water_fill: the level comes from a closed
-    form (no iteration), and the spent power meets the budget within
-    1e-9*max(1, budget).
-    """
-    budget = float(budget)
-    levels, powers = water_fill(spec, [budget])
-    return PowerAllocation(water_level=float(levels[0]),
-                           powers=tuple(powers[0].tolist()), budget=budget)
 

@@ -14,16 +14,16 @@ import pytest
 from blockfade import (
     ChannelSpec,
     SimConfig,
-    bound_point,
+    bound_columns,
     discretize_rayleigh,
-    dispersion_stats,
     link_terms,
     make_distribution,
     simulate_information_density,
     simulate_st_controller,
-    solve_waterfill,
     std_normal_cdf,
     std_normal_inv_cdf,
+    sweep_dispersion_stats,
+    water_fill,
 )
 from blockfade.cli import main, preset_fading
 from oracles import bisect_quantile, oracle_channel_quantities
@@ -66,7 +66,7 @@ def test_criterion_1_capacity_anchor():
     gains, probs = readme_preset_grid()
     start = time.perf_counter()
     spec = preset_spec()
-    lib_capacity = dispersion_stats(spec, PRESET_BUDGET).capacity
+    lib_capacity = float(sweep_dispersion_stats(spec, [PRESET_BUDGET])["capacity"][0])
     elapsed = time.perf_counter() - start
 
     oracle_capacity = oracle_channel_quantities(gains, probs, 1.0, 1, PRESET_BUDGET)["capacity"]
@@ -98,12 +98,12 @@ def test_criterion_2_waterfilling_exactness():
         budget = float(rng.uniform(0.05, 30.0))
         spec = ChannelSpec(noise_var=noise_var, n_c=1,
                            fading=make_distribution(gains.tolist(), probs.tolist()))
-        alloc = solve_waterfill(spec, budget)
-        level = alloc.water_level
+        levels, rows = water_fill(spec, [budget])
+        level, powers = float(levels[0]), rows[0].tolist()
 
-        spent = math.fsum(q * p for q, p in zip(spec.fading.probs, alloc.powers))
+        spent = math.fsum(q * p for q, p in zip(spec.fading.probs, powers))
         worst_budget = max(worst_budget, abs(spent - budget) / max(1.0, budget))
-        for g, p in zip(spec.fading.gains, alloc.powers):
+        for g, p in zip(spec.fading.gains, powers):
             floor = noise_var / (g * g)
             if p > 0.0:
                 worst_kkt = max(worst_kkt, abs(p + floor - level) / max(1.0, level))
@@ -127,12 +127,12 @@ def test_criterion_2_waterfilling_exactness():
 
 def test_criterion_3_two_state_oracle_equivalence():
     spec = two_state_spec()
-    stats = dispersion_stats(spec, 1.0)
+    stats = sweep_dispersion_stats(spec, [1.0])
     lib = {
-        "level": stats.water_level,
-        "capacity": stats.capacity,
-        "v_bf": stats.v_bf,
-        "v_bf_prime": stats.v_bf_prime,
+        "level": float(stats["water_level"][0]),
+        "capacity": float(stats["capacity"][0]),
+        "v_bf": float(stats["v_bf"][0]),
+        "v_bf_prime": float(stats["v_bf_prime"][0]),
     }
     oracle = oracle_channel_quantities([1.0, 2.0], [0.5, 0.5], 1.0, 1, 1.0)
     anchors = {"level": 1.625, "capacity": 0.58933, "v_bf": 0.5461, "v_bf_prime": 0.4529}
@@ -176,24 +176,22 @@ def test_criterion_4_bound_ordering_and_convergence():
     offsets = expected_rate_offsets(4000, 0.01, 0.01)
     start = time.perf_counter()
     spec = preset_spec()
-    stats = dispersion_stats(spec, PRESET_BUDGET)
+    stats = sweep_dispersion_stats(spec, [PRESET_BUDGET])
+
+    def rates(lengths):
+        # per n, the rates lb_st, lb_lt, ub_st, ub_lt
+        bp = bound_columns(stats, lengths, 1, 10, 0.01)
+        return list(zip(*(bp[name].tolist() for name in
+                          ("rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt"))))
 
     grid = sorted({int(round(v)) for v in np.geomspace(1_000, 1_000_000, 25)})
-    ordering_ok = True
-    for n in grid:
-        bp = bound_point(stats, n, 1, 10, 0.01)
-        ordering_ok = ordering_ok and (bp.rate_lb_st < bp.rate_lb_lt
-                                       < bp.rate_ub_st < bp.rate_ub_lt)
+    ordering_ok = all(lb_st < lb_lt < ub_st < ub_lt for lb_st, lb_lt, ub_st, ub_lt in rates(grid))
 
-    def rates(n):
-        bp = bound_point(stats, n, 1, 10, 0.01)
-        return bp.rate_lb_st, bp.rate_lb_lt, bp.rate_ub_st, bp.rate_ub_lt
-
-    at_4000 = rates(4000)
+    at_4000, = rates([4000])
     worst = max(abs(r - (CAPACITY_ANCHOR + off)) for r, off in zip(at_4000, offsets))
     window_ok = worst <= 5e-6 + 1e-9
     gap_4000 = at_4000[3] - at_4000[0]
-    at_1000 = rates(1000)
+    at_1000, = rates([1000])
     gap_1000 = at_1000[3] - at_1000[0]
     gap_ok = gap_4000 < gap_1000
     elapsed = time.perf_counter() - start

@@ -6,17 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from blockfade import (
     ChannelSpec,
-    DispersionStats,
     DomainError,
     InvalidParameterError,
     bound_columns,
-    bound_point,
     discretize_rayleigh,
-    dispersion_stats,
     make_distribution,
-    solve_waterfill,
     std_normal_inv_cdf,
     sweep_dispersion_stats,
+    water_fill,
 )
 from blockfade.waterfill import link_moments
 from oracles import (
@@ -39,16 +36,27 @@ def preset_spec():
 PRESET_BUDGET = 10.0 ** 0.5
 
 
+def stats_at(spec, budget):
+    """The one-row sweep at one budget: one float per stat field."""
+    return {name: float(col[0]) for name, col in sweep_dispersion_stats(spec, [budget]).items()}
+
+
+def bounds_at(stats, n, n_c, num_states, epsilon, beta=0.01):
+    """The one-row bound_columns call at one n: one Python number per field."""
+    columns = bound_columns(stats, [n], n_c, num_states, epsilon, beta)
+    return {name: col.tolist()[0] for name, col in columns.items()}
+
+
 class TestDispersions:
     def test_two_state_against_independent_oracle(self):
         spec = two_state_spec()
         oracle = oracle_channel_quantities(TWO_STATE["gains"], TWO_STATE["probs"], 1.0, 1, 1.0)
-        stats = dispersion_stats(spec, 1.0)
-        assert solve_waterfill(spec, 1.0).water_level == pytest.approx(oracle["level"], abs=1e-11)
-        assert stats.water_level == pytest.approx(oracle["level"], abs=1e-11)
-        assert stats.capacity == pytest.approx(oracle["capacity"], abs=1e-11)
-        assert stats.v_bf == pytest.approx(oracle["v_bf"], abs=1e-11)
-        assert stats.v_bf_prime == pytest.approx(oracle["v_bf_prime"], abs=1e-11)
+        stats = stats_at(spec, 1.0)
+        assert water_fill(spec, [1.0])[0][0] == pytest.approx(oracle["level"], abs=1e-11)
+        assert stats["water_level"] == pytest.approx(oracle["level"], abs=1e-11)
+        assert stats["capacity"] == pytest.approx(oracle["capacity"], abs=1e-11)
+        assert stats["v_bf"] == pytest.approx(oracle["v_bf"], abs=1e-11)
+        assert stats["v_bf_prime"] == pytest.approx(oracle["v_bf_prime"], abs=1e-11)
         # four-significant-digit benchmark values
         assert oracle["level"] == pytest.approx(1.625, abs=5e-5)
         assert oracle["capacity"] == pytest.approx(0.58933, abs=5e-6)
@@ -57,37 +65,37 @@ class TestDispersions:
 
     def test_single_state_degenerates_to_link_dispersion(self):
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
-        g2 = solve_waterfill(spec, 2.0).gain_power(spec.fading.gains)[0]
+        g2 = spec.fading.gains[0] ** 2 * water_fill(spec, [2.0])[1][0, 0]
         v = 0.5 * (1.0 - (1.0 / (1.0 + g2)) ** 2)
-        stats = dispersion_stats(spec, 2.0)
-        assert stats.v_bf == pytest.approx(v, rel=1e-14)
-        assert stats.v_bf_prime == pytest.approx(v, rel=1e-14)
+        stats = stats_at(spec, 2.0)
+        assert stats["v_bf"] == pytest.approx(v, rel=1e-14)
+        assert stats["v_bf_prime"] == pytest.approx(v, rel=1e-14)
 
     def test_block_length_adds_rate_variance(self):
         spec1 = two_state_spec(n_c=1)
         spec2 = two_state_spec(n_c=2)
         oracle = oracle_channel_quantities(TWO_STATE["gains"], TWO_STATE["probs"], 1.0, 1, 1.0)
         # the allocation does not depend on n_c, so both share one water level
-        v1 = dispersion_stats(spec1, 1.0).v_bf
-        v2 = dispersion_stats(spec2, 1.0).v_bf
+        v1 = stats_at(spec1, 1.0)["v_bf"]
+        v2 = stats_at(spec2, 1.0)["v_bf"]
         assert v2 - v1 == pytest.approx(oracle["var_c"], abs=1e-11)
         assert v2 == pytest.approx(0.6663, abs=5e-5)
         assert oracle["var_c"] == pytest.approx(0.120112, abs=2e-6)
 
     def test_two_state_prime_below_plain(self):
-        stats = dispersion_stats(two_state_spec(), 1.0)
-        assert stats.v_bf_prime < stats.v_bf
+        stats = stats_at(two_state_spec(), 1.0)
+        assert stats["v_bf_prime"] < stats["v_bf"]
 
     @given(random_channels())
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_accumulation_order_equivalence(self, params):
         gains, probs, noise_var, budget = params
         spec = ChannelSpec(noise_var=noise_var, n_c=1, fading=make_distribution(gains, probs))
-        alloc = solve_waterfill(spec, budget)
+        levels, powers = water_fill(spec, [budget])
         oracle = oracle_dispersions_for_alloc(gains, list(spec.fading.probs), noise_var, 1,
-                                              alloc.powers, alloc.water_level, budget)
-        stats = dispersion_stats(spec, budget)
-        v_bf, v_bfp = stats.v_bf, stats.v_bf_prime
+                                              powers[0].tolist(), float(levels[0]), budget)
+        stats = stats_at(spec, budget)
+        v_bf, v_bfp = stats["v_bf"], stats["v_bf_prime"]
         assert abs(v_bf - oracle["v_bf"]) <= 1e-14 * max(1.0, abs(v_bf))
         assert abs(v_bfp - oracle["v_bf_prime"]) <= 1e-14 * max(1.0, abs(v_bfp))
 
@@ -97,46 +105,46 @@ class TestDispersions:
         # at n_c = 1 the covariance of rate and power fraction is non-negative
         gains, probs, noise_var, budget = params
         spec = ChannelSpec(noise_var=noise_var, n_c=1, fading=make_distribution(gains, probs))
-        stats = dispersion_stats(spec, budget)
-        assert stats.v_bf_prime <= stats.v_bf + 1e-12
+        stats = stats_at(spec, budget)
+        assert stats["v_bf_prime"] <= stats["v_bf"] + 1e-12
 
     def test_v_bf_increases_with_budget(self):
         for spec in (two_state_spec(), preset_spec()):
             budgets = np.geomspace(0.05, 50.0, 20)
-            values = [dispersion_stats(spec, float(b)).v_bf for b in budgets]
+            values = [stats_at(spec, float(b))["v_bf"] for b in budgets]
             assert all(b > a for a, b in zip(values, values[1:]))
 
 
 class TestNocsit:
     def test_single_state_matches_csit(self):
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
-        stats = dispersion_stats(spec, 2.0)
-        cap, disp = stats.nocsit_capacity, stats.nocsit_v
-        assert cap == pytest.approx(stats.capacity, abs=1e-9)
-        assert disp == pytest.approx(stats.v_bf, abs=1e-9)
+        stats = stats_at(spec, 2.0)
+        cap, disp = stats["nocsit_capacity"], stats["nocsit_v"]
+        assert cap == pytest.approx(stats["capacity"], abs=1e-9)
+        assert disp == pytest.approx(stats["v_bf"], abs=1e-9)
 
     def test_two_state_capacity_value(self):
-        stats = dispersion_stats(two_state_spec(), 1.0)
-        cap, disp = stats.nocsit_capacity, stats.nocsit_v
+        stats = stats_at(two_state_spec(), 1.0)
+        cap, disp = stats["nocsit_capacity"], stats["nocsit_v"]
         assert cap == pytest.approx(0.25 * math.log(2.0) + 0.25 * math.log(5.0), rel=1e-14)
         assert disp > 0.0
 
     def test_preset_below_csit_capacity(self):
         spec = preset_spec()
-        stats = dispersion_stats(spec, PRESET_BUDGET)
-        assert stats.nocsit_capacity < stats.capacity
+        stats = stats_at(spec, PRESET_BUDGET)
+        assert stats["nocsit_capacity"] < stats["capacity"]
 
     def test_invalid_budget(self):
         with pytest.raises(InvalidParameterError):
-            dispersion_stats(two_state_spec(), -1.0)
+            sweep_dispersion_stats(two_state_spec(), [-1.0])
 
 
 class TestDispersionStats:
     def test_fields_populated(self):
-        stats = dispersion_stats(two_state_spec(), 1.0)
-        assert stats.capacity == pytest.approx(TWO_STATE["capacity"], abs=1e-9)
-        assert stats.water_level == pytest.approx(1.625, abs=1e-9)
-        assert stats.v_bf > stats.v_bf_prime > 0.0
+        stats = stats_at(two_state_spec(), 1.0)
+        assert stats["capacity"] == pytest.approx(TWO_STATE["capacity"], abs=1e-9)
+        assert stats["water_level"] == pytest.approx(1.625, abs=1e-9)
+        assert stats["v_bf"] > stats["v_bf_prime"] > 0.0
 
     @given(random_channels(), st.integers(1, 60))
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -148,16 +156,17 @@ class TestDispersionStats:
         spec = ChannelSpec(noise_var=noise_var, n_c=3, fading=make_distribution(gains, probs))
         budgets = list(np.geomspace(budget / 30.0, budget * 30.0, points))
         columns = sweep_dispersion_stats(spec, budgets)
-        assert set(columns) == set(vars(dispersion_stats(spec, 1.0)))
+        assert list(columns) == ["capacity", "v_bf", "v_bf_prime", "water_level",
+                                 "nocsit_capacity", "nocsit_v"]
         assert all(col.shape == (points,) for col in columns.values())
         g = np.asarray(spec.fading.gains)
         for i, b in enumerate(budgets):
             row = {name: col[i] for name, col in columns.items()}
-            # one code path: the single-budget call is the one-row sweep
-            assert row == vars(dispersion_stats(spec, b))
-            alloc = solve_waterfill(spec, b)
-            assert row["water_level"] == alloc.water_level
-            _, _, cap, var_c, var_l, mean_v = link_moments(spec, alloc.gain_power(g))
+            # row i of the many-row sweep is the one-row sweep, bit for bit
+            assert row == {name: col[0] for name, col in sweep_dispersion_stats(spec, [b]).items()}
+            levels, powers = water_fill(spec, [b])
+            assert row["water_level"] == levels[0]
+            _, _, cap, var_c, var_l, mean_v = link_moments(spec, g * g * powers[0])
             assert row["capacity"] == cap
             assert row["v_bf"] == mean_v + spec.n_c * var_c + 0.5 * var_l
             # the constant-power pair is capacity and V_bf at power b in every state,
@@ -180,97 +189,88 @@ class TestDispersionStats:
         with pytest.raises(InvalidParameterError):
             sweep_dispersion_stats(two_state_spec(), [1.0, -1.0])
 
-    def test_rejects_nonsense(self):
-        with pytest.raises(InvalidParameterError):
-            DispersionStats(capacity=-1.0, v_bf=0.5, v_bf_prime=0.4,
-                            water_level=1.0, nocsit_capacity=0.1, nocsit_v=0.1)
-        with pytest.raises(InvalidParameterError):
-            DispersionStats(capacity=0.5, v_bf=0.5, v_bf_prime=0.4,
-                            water_level=1.0, nocsit_capacity=0.7, nocsit_v=0.1)
-
 
 class TestBoundPoint:
     def setup_method(self):
-        self.stats = dispersion_stats(two_state_spec(), 1.0)
+        self.stats = stats_at(two_state_spec(), 1.0)
 
     def test_two_state_reference_point(self):
-        bp = bound_point(self.stats, 10_000, 1, 2, 0.01, 0.01)
+        bp = bounds_at(self.stats, 10_000, 1, 2, 0.01, 0.01)
         # recompose every term independently of the library expression
         n = 10_000
         q = std_normal_inv_cdf(0.01)
-        lb_lt = (n * self.stats.capacity + math.sqrt(n * self.stats.v_bf) * q
+        lb_lt = (n * self.stats["capacity"] + math.sqrt(n * self.stats["v_bf"]) * q
                  + 0.5 * math.log(n) - n ** 0.495)
         lb_st = lb_lt - math.sqrt(n / 2.0)
-        ub_st = (n * self.stats.capacity + math.sqrt(n * self.stats.v_bf_prime) * q
+        ub_st = (n * self.stats["capacity"] + math.sqrt(n * self.stats["v_bf_prime"]) * q
                  + 1.0 * math.log(n))
-        ub_lt = ub_st + math.sqrt(n) / (2.0 * self.stats.water_level)
-        assert bp.log_m_lb_lt == pytest.approx(lb_lt, abs=1e-9)
-        assert bp.log_m_lb_st == pytest.approx(lb_st, abs=1e-9)
-        assert bp.log_m_ub_st == pytest.approx(ub_st, abs=1e-9)
-        assert bp.log_m_ub_lt == pytest.approx(ub_lt, abs=1e-9)
+        ub_lt = ub_st + math.sqrt(n) / (2.0 * self.stats["water_level"])
+        assert bp["log_m_lb_lt"] == pytest.approx(lb_lt, abs=1e-9)
+        assert bp["log_m_lb_st"] == pytest.approx(lb_st, abs=1e-9)
+        assert bp["log_m_ub_st"] == pytest.approx(ub_st, abs=1e-9)
+        assert bp["log_m_ub_lt"] == pytest.approx(ub_lt, abs=1e-9)
         # coarse benchmark values
-        assert bp.log_m_lb_lt == pytest.approx(5630.5, abs=0.15)
-        assert bp.log_m_lb_st == pytest.approx(5559.8, abs=0.15)
-        assert bp.log_m_ub_st == pytest.approx(5746.0, abs=0.15)
-        assert bp.log_m_ub_lt == pytest.approx(5776.8, abs=0.15)
+        assert bp["log_m_lb_lt"] == pytest.approx(5630.5, abs=0.15)
+        assert bp["log_m_lb_st"] == pytest.approx(5559.8, abs=0.15)
+        assert bp["log_m_ub_st"] == pytest.approx(5746.0, abs=0.15)
+        assert bp["log_m_ub_lt"] == pytest.approx(5776.8, abs=0.15)
 
     def test_rates_are_log_m_over_n(self):
-        bp = bound_point(self.stats, 5000, 1, 2, 0.01)
-        assert bp.rate_lb_st == bp.log_m_lb_st / 5000
-        assert bp.rate_lb_lt == bp.log_m_lb_lt / 5000
-        assert bp.rate_ub_st == bp.log_m_ub_st / 5000
-        assert bp.rate_ub_lt == bp.log_m_ub_lt / 5000
+        bp = bounds_at(self.stats, 5000, 1, 2, 0.01)
+        assert bp["rate_lb_st"] == bp["log_m_lb_st"] / 5000
+        assert bp["rate_lb_lt"] == bp["log_m_lb_lt"] / 5000
+        assert bp["rate_ub_st"] == bp["log_m_ub_st"] / 5000
+        assert bp["rate_ub_lt"] == bp["log_m_ub_lt"] / 5000
 
     def test_st_below_lt(self):
         for n in (100, 1000, 100_000):
-            bp = bound_point(self.stats, n, 1, 2, 0.01)
-            assert bp.log_m_lb_st <= bp.log_m_lb_lt
-            assert bp.log_m_ub_st <= bp.log_m_ub_lt
+            bp = bounds_at(self.stats, n, 1, 2, 0.01)
+            assert bp["log_m_lb_st"] <= bp["log_m_lb_lt"]
+            assert bp["log_m_ub_st"] <= bp["log_m_ub_lt"]
 
     def test_block_structure_respected(self):
-        bp = bound_point(self.stats, 300, 3, 2, 0.01)
-        assert bp.blocks == 100
+        bp = bounds_at(self.stats, 300, 3, 2, 0.01)
+        assert bp["blocks"] == 100
         with pytest.raises(InvalidParameterError):
-            bound_point(self.stats, 301, 3, 2, 0.01)
+            bound_columns(self.stats, [301], 3, 2, 0.01)
         with pytest.raises(InvalidParameterError):
-            bound_point(self.stats, 0, 1, 2, 0.01)
+            bound_columns(self.stats, [0], 1, 2, 0.01)
 
     @pytest.mark.parametrize("eps", [0.6, 0.5, 0.0, -0.1, 1.0])
     def test_epsilon_domain(self, eps):
         with pytest.raises(DomainError):
-            bound_point(self.stats, 1000, 1, 2, eps)
+            bound_columns(self.stats, [1000], 1, 2, eps)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5, 2.0])
     def test_beta_domain(self, beta):
         with pytest.raises(InvalidParameterError):
-            bound_point(self.stats, 1000, 1, 2, 0.01, beta)
+            bound_columns(self.stats, [1000], 1, 2, 0.01, beta)
 
     def test_negative_log_m_reported_raw(self):
-        bp = bound_point(self.stats, 4, 1, 2, 0.01)
-        assert bp.log_m_lb_st < 0.0
-        assert bp.rate_lb_st < 0.0
+        bp = bounds_at(self.stats, 4, 1, 2, 0.01)
+        assert bp["log_m_lb_st"] < 0.0
+        assert bp["rate_lb_st"] < 0.0
 
     @given(random_channels(), st.integers(100, 200_000))
     @settings(max_examples=40, derandomize=True, deadline=None)
     def test_ordering_chain_on_random_channels(self, params, n):
         gains, probs, noise_var, budget = params
         spec = ChannelSpec(noise_var=noise_var, n_c=1, fading=make_distribution(gains, probs))
-        stats = dispersion_stats(spec, budget)
-        bp = bound_point(stats, n, 1, spec.fading.num_states, 0.01)
-        assert bp.log_m_lb_st <= bp.log_m_lb_lt
-        assert bp.log_m_ub_st <= bp.log_m_ub_lt
-        assert bp.log_m_lb_lt <= bp.log_m_ub_st
+        bp = bounds_at(stats_at(spec, budget), n, 1, spec.fading.num_states, 0.01)
+        assert bp["log_m_lb_st"] <= bp["log_m_lb_lt"]
+        assert bp["log_m_ub_st"] <= bp["log_m_ub_lt"]
+        assert bp["log_m_lb_lt"] <= bp["log_m_ub_st"]
 
 
 class TestConvergence:
     def test_rates_approach_capacity(self):
         spec = preset_spec()
-        stats = dispersion_stats(spec, PRESET_BUDGET)
+        stats = stats_at(spec, PRESET_BUDGET)
 
         def deviations(n):
-            bp = bound_point(stats, n, 1, 10, 0.01)
-            return [abs(r - stats.capacity) for r in
-                    (bp.rate_lb_st, bp.rate_lb_lt, bp.rate_ub_st, bp.rate_ub_lt)]
+            bp = bounds_at(stats, n, 1, 10, 0.01)
+            return [abs(bp[name] - stats["capacity"]) for name in
+                    ("rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt")]
 
         grid = [10 ** k for k in range(3, 8)]
         devs = [deviations(n) for n in grid]
@@ -284,15 +284,14 @@ class TestConvergence:
         # measure K = max |rate - target| * n^((1-beta)/2) on a coarse log
         # grid, then check the K/n^0.495 envelope on a 10x finer grid
         spec = preset_spec()
-        stats = dispersion_stats(spec, PRESET_BUDGET)
+        stats = stats_at(spec, PRESET_BUDGET)
         coarse = [int(round(10 ** k)) for k in np.arange(3.0, 7.01, 0.5)]
         fine = [int(round(10 ** k)) for k in np.arange(3.0, 7.001, 0.05)]
         for attr in ("rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt", "rate_nocsit"):
-            target = stats.capacity if attr != "rate_nocsit" else stats.nocsit_capacity
+            target = stats["capacity"] if attr != "rate_nocsit" else stats["nocsit_capacity"]
 
             def scaled(n):
-                bp = bound_point(stats, n, 1, 10, 0.01)
-                return abs(getattr(bp, attr) - target) * n ** 0.495
+                return abs(bounds_at(stats, n, 1, 10, 0.01)[attr] - target) * n ** 0.495
 
             k_const = max(scaled(n) for n in coarse)
             assert math.isfinite(k_const) and k_const > 0.0
@@ -304,11 +303,12 @@ def scalar_bound_point(stats, n, num_states, epsilon, beta):
     q = std_normal_inv_cdf(epsilon)
     log_n = math.log(n)
     backoff = float(n) ** ((1.0 - beta) / 2.0)
-    lb_lt = n * stats.capacity + math.sqrt(n * stats.v_bf) * q + 0.5 * log_n - backoff
+    lb_lt = n * stats["capacity"] + math.sqrt(n * stats["v_bf"]) * q + 0.5 * log_n - backoff
     lb_st = lb_lt - math.sqrt(n / 2.0)
-    ub_st = n * stats.capacity + math.sqrt(n * stats.v_bf_prime) * q + 0.5 * num_states * log_n
-    ub_lt = ub_st + math.sqrt(n) / (2.0 * stats.water_level)
-    nocsit = (n * stats.nocsit_capacity + math.sqrt(n * stats.nocsit_v) * q
+    ub_st = (n * stats["capacity"] + math.sqrt(n * stats["v_bf_prime"]) * q
+             + 0.5 * num_states * log_n)
+    ub_lt = ub_st + math.sqrt(n) / (2.0 * stats["water_level"])
+    nocsit = (n * stats["nocsit_capacity"] + math.sqrt(n * stats["nocsit_v"]) * q
               + 0.5 * log_n - backoff)
     return {"log_m_lb_st": lb_st, "log_m_lb_lt": lb_lt, "log_m_ub_st": ub_st,
             "log_m_ub_lt": ub_lt, "rate_lb_st": lb_st / n, "rate_lb_lt": lb_lt / n,
@@ -317,13 +317,13 @@ def scalar_bound_point(stats, n, num_states, epsilon, beta):
 
 class TestBoundColumns:
     def setup_method(self):
-        self.stats = dispersion_stats(two_state_spec(), 1.0)
+        self.stats = stats_at(two_state_spec(), 1.0)
 
     @given(random_channels(), st.integers(1, 5),
            st.lists(st.integers(1, 10 ** 7), min_size=1, max_size=12),
            st.sampled_from([1e-3, 1e-2, 0.1, 0.3]), st.floats(0.001, 0.999))
     @settings(max_examples=60, derandomize=True, deadline=None)
-    def test_rows_equal_bound_point_bit_for_bit(self, params, n_c, blocks, epsilon, beta):
+    def test_rows_equal_one_row_calls_bit_for_bit(self, params, n_c, blocks, epsilon, beta):
         gains, probs, noise_var, budget = params
         spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
         many_stats = sweep_dispersion_stats(spec, [budget * 0.5 ** i for i in range(len(blocks))])
@@ -334,30 +334,32 @@ class TestBoundColumns:
         for stats, lengths in ((one_stats, n), (many_stats, [n[0]])):
             columns = bound_columns(stats, lengths, n_c, k, epsilon, beta)
             assert all(len(col) == len(blocks) for col in columns.values())
+            assert columns["n"].dtype.kind == columns["blocks"].dtype.kind == "i"
             for i in range(len(blocks)):
                 row = min(i, len(stats["capacity"]) - 1)
-                s_i = DispersionStats(**{name: float(col[row]) for name, col in stats.items()})
+                s_i = {name: float(col[row]) for name, col in stats.items()}
                 n_i = lengths[min(i, len(lengths) - 1)]
-                bp = bound_point(s_i, n_i, n_c, k, epsilon, beta)
-                assert {name: col[i] for name, col in columns.items()} == vars(bp)
+                one = bound_columns(s_i, [n_i], n_c, k, epsilon, beta)
+                assert {name: col[i] for name, col in columns.items()} == \
+                    {name: col[0] for name, col in one.items()}
                 for name, value in scalar_bound_point(s_i, n_i, k, epsilon, beta).items():
-                    assert getattr(bp, name) == value, name
-                assert type(bp.n) is int and type(bp.blocks) is int and bp.blocks * n_c == n_i
+                    assert columns[name][i] == value, name
+                assert columns["n"][i] == n_i and columns["blocks"][i] * n_c == n_i
 
     def test_dense_sweep_matches_scalar_math_bit_for_bit(self):
         # NumPy's own log and power differ from math.log and float ** in the
         # last bit for a few percent of n; over this many n that reaches the
         # outputs, so the kernel must take those two terms from math
         n = list(range(1, 20_001))
-        columns = bound_columns(vars(self.stats), n, 1, 2, 0.01)
+        columns = bound_columns(self.stats, n, 1, 2, 0.01)
         expected = [scalar_bound_point(self.stats, v, 2, 0.01, 0.01) for v in n]
         for name in expected[0]:
             assert columns[name].tolist() == [row[name] for row in expected], name
 
     def test_numpy_integers_accepted(self):
-        columns = bound_columns(vars(self.stats), np.array([300, 600]), 3, 2, 0.01)
+        columns = bound_columns(self.stats, np.array([300, 600]), 3, 2, 0.01)
         assert columns["blocks"].tolist() == [100, 200]
-        assert columns["rate_ub_lt"][1] == bound_point(self.stats, 600, 3, 2, 0.01).rate_ub_lt
+        assert columns["rate_ub_lt"][1] == bounds_at(self.stats, 600, 3, 2, 0.01)["rate_ub_lt"]
 
     @pytest.mark.parametrize("stats,n,n_c", [
         (1, [], 1),                   # empty n
@@ -367,7 +369,8 @@ class TestBoundColumns:
         (2, [100, 200, 300], 1),      # two lengths above 1 that differ
         (0, [100], 1),                # no stats
         (1, [100], 0),                # n_c below 1
-        # a plain mapping gets the checks DispersionStats makes, each naming the field
+        # every stat field is checked, and the message names the field
+        ({"capacity": -1.0}, [100], 1),
         ({"v_bf": -0.5}, [100], 1),
         ({"v_bf": math.nan}, [100], 1),
         ({"water_level": math.inf}, [100], 1),
@@ -380,10 +383,10 @@ class TestBoundColumns:
         # an int is the row count of a valid mapping; a dict replaces one
         # field of the valid one-row mapping, and None deletes the field
         if isinstance(stats, int):
-            stats, field = {name: [v] * stats for name, v in vars(self.stats).items()}, None
+            stats, field = {name: [v] * stats for name, v in self.stats.items()}, None
         else:
             (field, value), = stats.items()
-            stats = {**vars(self.stats), field: value}
+            stats = {**self.stats, field: value}
             if value is None:
                 del stats[field]
         with pytest.raises(InvalidParameterError, match=field):
@@ -391,4 +394,4 @@ class TestBoundColumns:
 
     def test_non_multiple_is_named(self):
         with pytest.raises(InvalidParameterError, match="31"):
-            bound_columns(vars(self.stats), [30, 31, 33], 3, 2, 0.01)
+            bound_columns(self.stats, [30, 31, 33], 3, 2, 0.01)

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockfade import (ChannelSpec, InvalidParameterError, bound_point, discretize_rayleigh,
-                       dispersion_stats, make_distribution)
+from blockfade import (ChannelSpec, InvalidParameterError, bound_columns, discretize_rayleigh,
+                       make_distribution, sweep_dispersion_stats)
 import blockfade.cli as cli
 from blockfade.cli import _clamped_rate_series, main, preset_fading
 
@@ -42,22 +42,20 @@ class TestBlocklengthSweep:
         assert len(rows) == 4
 
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0, 2.0], [0.5, 0.5]))
-        stats = dispersion_stats(spec, 1.0)
+        stats = sweep_dispersion_stats(spec, [1.0])
         for row in rows:
+            # each CSV row of the many-row sweep equals the one-row call at its n
             n = int(row["n"])
-            bp = bound_point(stats, n, 1, 2, 0.01, 0.01)
-            assert int(row["B"]) == bp.blocks
+            bp = {name: col.tolist()[0]
+                  for name, col in bound_columns(stats, [n], 1, 2, 0.01, 0.01).items()}
+            assert int(row["B"]) == bp["blocks"]
             assert int(row["n_c"]) == 1
             assert float(row["power_linear"]) == 1.0
             assert float(row["epsilon"]) == 0.01
-            assert float(row["capacity"]) == stats.capacity
-            assert float(row["rate_lb_st"]) == bp.rate_lb_st
-            assert float(row["rate_lb_lt"]) == bp.rate_lb_lt
-            assert float(row["rate_ub_st"]) == bp.rate_ub_st
-            assert float(row["rate_ub_lt"]) == bp.rate_ub_lt
-            assert float(row["rate_nocsit"]) == bp.rate_nocsit
-            assert float(row["log_m_lb_st"]) == bp.log_m_lb_st
-            assert float(row["log_m_ub_lt"]) == bp.log_m_ub_lt
+            assert float(row["capacity"]) == stats["capacity"][0]
+            for name in ("rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt", "rate_nocsit",
+                         "log_m_lb_st", "log_m_ub_lt"):
+                assert float(row[name]) == bp[name], name
 
     def test_points_one_yields_single_row(self, tmp_path):
         out = tmp_path / "one.csv"
@@ -128,15 +126,36 @@ class TestPowerSweep:
                            "log_m_ub_st", "log_m_ub_lt"))]
         for i in range(41):
             budget = 10.0 ** ((0.0 + 20.0 * i / 40) / 10.0)
-            stats = dispersion_stats(spec, budget)
-            bp = bound_point(stats, 4000, 1, 10, 0.01, 0.01)
-            values = (bp.rate_lb_st, bp.rate_lb_lt, bp.rate_ub_st, bp.rate_ub_lt,
-                      bp.rate_nocsit, bp.log_m_lb_st, bp.log_m_lb_lt,
-                      bp.log_m_ub_st, bp.log_m_ub_lt)
-            lines.append(",".join([str(bp.n), str(bp.blocks), "1"]
-                                  + [f"{v:.17g}" for v in (budget, 0.01, stats.capacity)]
+            # the one-row calls at this budget rebuild row i of the many-row sweep
+            stats = sweep_dispersion_stats(spec, [budget])
+            bp = {name: col.tolist()[0]
+                  for name, col in bound_columns(stats, [4000], 1, 10, 0.01, 0.01).items()}
+            values = [bp[name] for name in ("rate_lb_st", "rate_lb_lt", "rate_ub_st",
+                                            "rate_ub_lt", "rate_nocsit", "log_m_lb_st",
+                                            "log_m_lb_lt", "log_m_ub_st", "log_m_ub_lt")]
+            lines.append(",".join([str(bp["n"]), str(bp["blocks"]), "1"]
+                                  + [f"{v:.17g}" for v in (budget, 0.01, stats["capacity"][0])]
                                   + [f"{v:.17g}" for v in values]))
         assert out.read_text() == "\n".join(lines) + "\n"
+
+    # v_bf_prime = E[V] + Var(n_c*C + P/(2*level) - L/2) grows like n_c^2 * Var C per
+    # channel use while v_bf grows like n_c * Var C, so from n_c = 3 the upper bound
+    # falls below the lower bound by far more than the (num_states/2)*log n and n^beta
+    # terms can explain (up to 2640 nats at n_c = 10). The paper's theorem is not in
+    # the repository, so the right per-use form cannot be confirmed here.
+    @pytest.mark.parametrize("n_c", [1, 2] + [
+        pytest.param(n_c, marks=pytest.mark.xfail(
+            strict=True, reason="v_bf_prime scales like n_c^2 * Var C; rate_ub_st < rate_lb_lt"))
+        for n_c in (3, 5, 10)])
+    def test_upper_bound_not_below_lower_bound(self, tmp_path, n_c):
+        # the default grid (the preset, 0-20 dB, 4000 blocks) with only n_c changed
+        out = tmp_path / "p.csv"
+        assert main(["rate-vs-power", "--nc", str(n_c), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 41 and int(rows[0]["n"]) == 4000 * n_c
+        inverted = [row["power_linear"] for row in rows
+                    if float(row["rate_lb_lt"]) > float(row["rate_ub_st"])]
+        assert inverted == []
 
     def test_tiny_power_keeps_the_strongest_state_on(self, tmp_path):
         # at -180 dB the budget is far below one unit in the last place of
@@ -206,7 +225,7 @@ class TestConfigHandling:
                      "--points", "1", "--power-db", "0", "--out", str(out)]) == 0
         _, rows = read_csv(out)
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0, 2.0], [0.5, 0.5]))
-        assert float(rows[0]["capacity"]) == dispersion_stats(spec, 1.0).capacity
+        assert float(rows[0]["capacity"]) == sweep_dispersion_stats(spec, [1.0])["capacity"][0]
 
     def test_preset_matches_library_constructor(self):
         assert preset_fading() == discretize_rayleigh(0.1, 4.1, 10, 1.0)

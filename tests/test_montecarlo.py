@@ -11,13 +11,13 @@ from blockfade import (
     SimConfig,
     delta_b,
     discretize_rayleigh,
-    dispersion_stats,
     hoeffding_violation_bound,
     make_distribution,
     min_blocks_for_backoff,
     simulate_information_density,
     simulate_st_controller,
-    solve_waterfill,
+    sweep_dispersion_stats,
+    water_fill,
 )
 from blockfade.montecarlo import _controller_spends, _density_coefficients, _ks_distance
 from oracles import (
@@ -237,7 +237,7 @@ class TestControllerEngine:
         # one substream per 4096-trial chunk: runs that end inside, at or
         # just past a chunk edge see the same spends for the trials they share
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=fading)
-        powers = np.asarray(solve_waterfill(spec, 0.9).powers)
+        powers = water_fill(spec, [0.9])[1][0]
         spends = {}
         for trials in (4095, 4096, 4097, 8199):
             cfg = SimConfig(spec=spec, budget=1.0, blocks=50, alpha=0.1, trials=trials, seed=5)
@@ -259,7 +259,8 @@ class TestDensityMoments:
         gains, probs, noise_var, budget = params
         for n_c in (1, 3):
             spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
-            x = solve_waterfill(spec, budget).gain_power(gains)
+            g = np.asarray(gains)
+            x = g * g * water_fill(spec, [budget])[1][0]
             fixed, lin, quad = _density_coefficients(spec, x)
             means = fixed - quad * (n_c * noise_var)
             variances = lin * lin * (n_c * noise_var) + 2.0 * quad * quad * (n_c * noise_var ** 2)
@@ -285,7 +286,7 @@ class TestDensitySimulation:
         cfg = SimConfig(spec=spec, budget=budget, blocks=3, alpha=0.1, trials=100, seed=5)
         stats = simulate_information_density(cfg)
         # one code path for E[C]: the bounds' capacity, bit for bit
-        assert stats.analytic_mean == dispersion_stats(spec, budget).capacity
+        assert stats.analytic_mean == sweep_dispersion_stats(spec, [budget])["capacity"][0]
         probs = spec.fading.probs
         powers = waterfill_powers(gains, probs, noise_var, budget)
         g2 = [g * g * p for g, p in zip(gains, powers)]

@@ -7,17 +7,22 @@ from hypothesis import given, settings, strategies as st
 from blockfade import (
     ChannelSpec,
     InvalidParameterError,
-    dispersion_stats,
     link_terms,
     make_distribution,
-    solve_waterfill,
+    sweep_dispersion_stats,
+    water_fill,
 )
-from blockfade.waterfill import water_fill
 from oracles import closed_form_water_level, oracle_link_c, oracle_link_l, oracle_link_v
 
 
 def channel(gains, probs, noise_var=1.0, n_c=1):
     return ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
+
+
+def fill_one(spec, budget):
+    """The one-row water_fill call: the level and the per-state powers as floats."""
+    levels, powers = water_fill(spec, [budget])
+    return float(levels[0]), powers[0].tolist()
 
 
 @st.composite
@@ -72,56 +77,56 @@ class TestLinkFunctions:
 
 class TestSolveWaterfill:
     def test_single_state_level_is_budget_plus_floor(self):
-        alloc = solve_waterfill(channel([1.0], [1.0]), 3.16228)
-        assert alloc.water_level == pytest.approx(4.16228, abs=1e-9)
-        assert alloc.powers[0] == pytest.approx(3.16228, abs=1e-9)
+        level, powers = fill_one(channel([1.0], [1.0]), 3.16228)
+        assert level == pytest.approx(4.16228, abs=1e-9)
+        assert powers[0] == pytest.approx(3.16228, abs=1e-9)
 
     def test_two_state_both_active(self):
-        alloc = solve_waterfill(channel([1.0, 2.0], [0.5, 0.5]), 1.0)
-        assert alloc.water_level == pytest.approx(1.625, abs=1e-9)
-        assert alloc.powers[0] == pytest.approx(0.625, abs=1e-9)
-        assert alloc.powers[1] == pytest.approx(1.375, abs=1e-9)
+        level, powers = fill_one(channel([1.0, 2.0], [0.5, 0.5]), 1.0)
+        assert level == pytest.approx(1.625, abs=1e-9)
+        assert powers[0] == pytest.approx(0.625, abs=1e-9)
+        assert powers[1] == pytest.approx(1.375, abs=1e-9)
 
     def test_two_state_weak_state_inactive(self):
-        alloc = solve_waterfill(channel([1.0, 2.0], [0.5, 0.5]), 0.1)
-        assert alloc.water_level == pytest.approx(0.45, abs=1e-9)
-        assert alloc.powers[0] == 0.0
-        assert alloc.powers[1] == pytest.approx(0.2, abs=1e-9)
+        level, powers = fill_one(channel([1.0, 2.0], [0.5, 0.5]), 0.1)
+        assert level == pytest.approx(0.45, abs=1e-9)
+        assert powers[0] == 0.0
+        assert powers[1] == pytest.approx(0.2, abs=1e-9)
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.inf, math.nan])
     def test_invalid_budget(self, budget):
         with pytest.raises(InvalidParameterError):
-            solve_waterfill(channel([1.0], [1.0]), budget)
+            water_fill(channel([1.0], [1.0]), [budget])
 
     @given(random_channels())
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_budget_identity_and_kkt(self, params):
         gains, probs, noise_var, budget = params
         spec = channel(gains, probs, noise_var)
-        alloc = solve_waterfill(spec, budget)
-        level = alloc.water_level
+        budgets = [budget, 1e-3 * budget, 1e3 * budget]
+        levels, rows = water_fill(spec, budgets)
+        for b, level, powers in zip(budgets, levels.tolist(), rows.tolist()):
+            # every row spends its own budget within 1e-9*max(1, budget)
+            spent = math.fsum(q * p for q, p in zip(probs, powers))
+            assert abs(spent - b) <= 1e-9 * max(1.0, b)
 
-        spent = math.fsum(q * p for q, p in zip(probs, alloc.powers))
-        assert abs(spent - budget) <= 1e-9 * max(1.0, budget)
+            for g, p in zip(gains, powers):
+                floor = noise_var / (g * g)
+                # positive power exactly when the level clears the floor
+                assert (p > 0.0) == (level > floor)
+                if p > 0.0:
+                    assert p + floor == pytest.approx(level, abs=1e-12 * max(1.0, level))
 
-        for g, p in zip(gains, alloc.powers):
-            floor = noise_var / (g * g)
-            # positive power exactly when the level clears the floor
-            assert (p > 0.0) == (level > floor)
-            if p > 0.0:
-                assert p + floor == pytest.approx(level, abs=1e-12 * max(1.0, level))
-
-        # powers non-decreasing in the gain
-        assert all(b >= a for a, b in zip(alloc.powers, alloc.powers[1:]))
+            # powers non-decreasing in the gain
+            assert all(hi >= lo for lo, hi in zip(powers, powers[1:]))
 
     @given(random_channels())
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_waterfilling_identities(self, params):
         gains, probs, noise_var, budget = params
         spec = channel(gains, probs, noise_var)
-        alloc = solve_waterfill(spec, budget)
-        level = alloc.water_level
-        for g, p in zip(gains, alloc.powers):
+        level, powers = fill_one(spec, budget)
+        for g, p in zip(gains, powers):
             g2 = g * g * p
             # received-power fraction equals the power over the level
             assert abs(link_terms(g2, noise_var)[1] - p / level) <= 1e-12
@@ -132,9 +137,9 @@ class TestSolveWaterfill:
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_level_matches_closed_form_oracle(self, params):
         gains, probs, noise_var, budget = params
-        alloc = solve_waterfill(channel(gains, probs, noise_var), budget)
+        level, _ = fill_one(channel(gains, probs, noise_var), budget)
         oracle = closed_form_water_level(gains, probs, noise_var, budget)
-        assert alloc.water_level == pytest.approx(oracle, abs=1e-10 * max(1.0, oracle))
+        assert level == pytest.approx(oracle, abs=1e-10 * max(1.0, oracle))
 
 
 def breakpoint_budgets(gains, probs, noise_var):
@@ -160,12 +165,13 @@ class TestWaterLevels:
         at_break, floors = breakpoint_budgets(gains, probs, noise_var)
         near_break = [b * (1.0 + s) for b in at_break for s in (-1e-6, 1e-6)]
         budgets = [budget, 1e-3 * budget, 1e3 * budget] + near_break + at_break
-        levels = water_fill(spec, budgets)[0]
+        levels, rows = water_fill(spec, budgets)
         assert levels.shape == (len(budgets),)
 
-        for b, level in zip(budgets, levels):
-            # the array pass is the scalar solve, bit for bit
-            assert solve_waterfill(spec, b).water_level == level
+        for b, level, row in zip(budgets, levels, rows):
+            # row i of the array pass is the one-row call, bit for bit
+            one_levels, one_rows = water_fill(spec, [b])
+            assert one_levels[0] == level and one_rows[0].tolist() == row.tolist()
             powers = [max(0.0, level - f) for f in floors]
             spent = math.fsum(q * p for q, p in zip(probs, powers))
             assert abs(spent - b) <= 1e-9 * max(1.0, b)
@@ -185,13 +191,13 @@ class TestWaterLevels:
         # floor (1/4), so the level rounds to that floor; the strongest state
         # must still take the whole budget
         spec = channel([1.0, 2.0], [0.5, 0.5])
-        alloc = solve_waterfill(spec, 1e-18)
-        assert alloc.water_level == pytest.approx(0.25, rel=1e-15)
-        assert alloc.powers[0] == 0.0
-        assert alloc.powers[1] == pytest.approx(2e-18, rel=1e-15)
-        spent = 0.5 * alloc.powers[0] + 0.5 * alloc.powers[1]
+        level, powers = fill_one(spec, 1e-18)
+        assert level == pytest.approx(0.25, rel=1e-15)
+        assert powers[0] == 0.0
+        assert powers[1] == pytest.approx(2e-18, rel=1e-15)
+        spent = 0.5 * powers[0] + 0.5 * powers[1]
         assert abs(spent - 1e-18) <= 1e-15 * 1e-18
-        assert water_fill(spec, [1e-18, 1.0])[0].tolist() == [alloc.water_level, 1.625]
+        assert water_fill(spec, [1e-18, 1.0])[0].tolist() == [level, 1.625]
 
     @given(random_channels(), st.floats(-6.0, 12.0), st.floats(-18.0, 12.0))
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -202,11 +208,13 @@ class TestWaterLevels:
         gains, probs, _, _ = params
         noise_var, budget = 10.0 ** log_noise, 10.0 ** log_budget
         spec = channel(gains, probs, noise_var)
-        alloc = solve_waterfill(spec, budget)
-        spent = math.fsum(q * p for q, p in zip(spec.fading.probs, alloc.powers))
+        level, powers = fill_one(spec, budget)
+        spent = math.fsum(q * p for q, p in zip(spec.fading.probs, powers))
         assert abs(spent - budget) <= 1e-12 * budget
-        assert alloc.powers[-1] > 0.0
-        assert water_fill(spec, [budget])[0][0] == alloc.water_level
+        assert powers[-1] > 0.0
+        # the same row inside a many-row call, bit for bit
+        levels, rows = water_fill(spec, [1.0, budget])
+        assert levels[1] == level and rows[1].tolist() == powers
 
     def test_two_state_breakpoint(self):
         # floors 1 and 1/4: the weak state turns on at budget 0.5*(1 - 1/4)
@@ -226,14 +234,14 @@ class TestWaterLevels:
 class TestCapacity:
     def test_two_state_value(self):
         spec = channel([1.0, 2.0], [0.5, 0.5])
-        cap = dispersion_stats(spec, 1.0).capacity
+        cap = sweep_dispersion_stats(spec, [1.0])["capacity"][0]
         expected = 0.25 * math.log(1.625) + 0.25 * math.log(6.5)
         assert cap == pytest.approx(expected, abs=1e-9)
         assert cap == pytest.approx(0.58933, abs=5e-6)
 
     def test_single_state_closed_form(self):
         spec = channel([1.0], [1.0])
-        cap = dispersion_stats(spec, 3.16228).capacity
+        cap = sweep_dispersion_stats(spec, [3.16228])["capacity"][0]
         assert cap == pytest.approx(0.5 * math.log(4.16228), abs=1e-9)
         assert cap == pytest.approx(0.71303, abs=5e-6)
 
@@ -242,8 +250,8 @@ class TestCapacity:
         budgets = np.geomspace(0.01, 100.0, 25)
         caps, levels = [], []
         for b in budgets:
-            stats = dispersion_stats(spec, float(b))
-            caps.append(stats.capacity)
-            levels.append(stats.water_level)
+            stats = sweep_dispersion_stats(spec, [float(b)])
+            caps.append(stats["capacity"][0])
+            levels.append(stats["water_level"][0])
         assert all(b > a for a, b in zip(caps, caps[1:]))
         assert all(b > a for a, b in zip(levels, levels[1:]))
