@@ -17,6 +17,9 @@ __all__ = ["sweep_dispersion_stats", "bound_columns"]
 
 # The columns of sweep_dispersion_stats, which bound_columns reads.
 _STAT_FIELDS = ("capacity", "v_bf", "v_bf_prime", "water_level", "nocsit_capacity", "nocsit_v")
+# The longest codeword length: the bounds take n as a float, and the n
+# column stays an integer array, up to here.
+_N_MAX = 2 ** 53
 # The columns of bound_columns.
 _BOUND_FIELDS = ("n", "blocks", "epsilon", "beta",
                  "log_m_lb_st", "log_m_lb_lt", "log_m_ub_st", "log_m_ub_lt",
@@ -91,7 +94,8 @@ def bound_columns(stats, n, n_c: int, num_states: int, epsilon: float,
     stats maps each field of sweep_dispersion_stats to a number or a 1-D
     array (the sweep's columns, or one row of them) and is checked as the
     sweep checks its own; n is a 1-D sequence of codeword lengths, each
-    blocks*n_c for an integer number of blocks >= 1. Either may have
+    blocks*n_c for an integer number of blocks >= 1 and at most 2^53
+    (the bounds take n as a float, exact only up to there). Either may have
     length 1 and is then used for every row. epsilon must lie strictly
     in (0, 1/2). Returns one array per field: n and blocks (integers),
     epsilon, beta, the four log-codebook sizes log_m_{lb,ub}_{st,lt} and
@@ -108,6 +112,9 @@ def bound_columns(stats, n, n_c: int, num_states: int, epsilon: float,
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < n_c or v % n_c:
             raise InvalidParameterError(f"codeword length {v!r} is not a positive integer "
                                         f"multiple of the block length {n_c}")
+        if v > _N_MAX:
+            raise InvalidParameterError(f"codeword length {v!r} exceeds 2^53 = {_N_MAX}, the "
+                                        "largest integer a float holds exactly")
     cap, v_bf, v_bf_prime, level, nocsit_cap, nocsit_v = _checked_columns(stats)
     if not len(cap) or (len(cap) != len(n) and 1 not in (len(cap), len(n))):
         raise InvalidParameterError(

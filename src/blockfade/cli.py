@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +28,8 @@ import numpy as np
 from .bounds import bound_columns, sweep_dispersion_stats
 from .errors import InvalidParameterError
 from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh
-from .montecarlo import (SimConfig, check_density_config, simulate_information_density,
-                         simulate_st_controller)
+from .montecarlo import (_MIN_DENSITY_TRIALS, SimConfig, check_density_config,
+                         simulate_information_density, simulate_st_controller)
 from .svg import render_line_chart
 
 __all__ = ["main", "PRESET_NAME", "preset_fading"]
@@ -114,7 +115,7 @@ _FIELDS = (
     _Field("mc.controller.blocks", "int", (_UNREAD, _UNREAD, 1000), lo=1),
     _Field("mc.controller.trials", "int", (_UNREAD, _UNREAD, 100000), lo=1, flag="--trials",
            help="trial count for both simulations "
-                "(at least 100, the density simulation's floor)"),
+                f"(at least {_MIN_DENSITY_TRIALS}, the density simulation's floor)"),
     _Field("mc.density.blocks", "int", (_UNREAD, _UNREAD, 10000), lo=1),
     _Field("mc.density.trials", "int", (_UNREAD, _UNREAD, 10000), lo=1, flag="--trials"),
     _Field("out", "path", (_REQUIRED, _REQUIRED, None), flag="--out", help="output file path"),
@@ -157,6 +158,10 @@ def _build_parser() -> argparse.ArgumentParser:
         for field, _ in _SCHEMAS[command].values():
             if field.flag and field.flag not in declared:  # --trials sets two fields
                 declared.add(field.flag)
+                if field.flag == "--trials":
+                    # the rows keep lo = 1 so that check_density_config names the
+                    # floor in its own error; the help states the range a value passes
+                    field = field._replace(lo=_MIN_DENSITY_TRIALS)
                 p.add_argument(field.flag, dest=field.flag, metavar=field.kind.upper(),
                                type=_KINDS[field.kind][0][0],
                                help=f"{field.help}: {_rule(field)}")
@@ -279,12 +284,6 @@ def _parse_json(text: str, source: str):
         raise InvalidParameterError(f"{source} is nested too deeply to parse") from None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.17g}"
-
-
 def _blocklength_grid(cfg: dict) -> list[int]:
     b_min, b_max = cfg["blocklength_sweep.b_min"], cfg["blocklength_sweep.b_max"]
     points, log_spaced = cfg["blocklength_sweep.points"], cfg["blocklength_sweep.log_spaced"]
@@ -338,10 +337,13 @@ def _write_sweep(cfg: dict, budgets: list[float], n: list[int], xs: list[float],
     columns.update(B=columns["blocks"], n_c=np.full(rows, cfg["n_c"]),
                    power_linear=np.broadcast_to(budgets, rows),
                    capacity=np.broadcast_to(stats["capacity"], rows))
-    table = zip(*(columns[name].tolist() for name in _CSV_COLUMNS))
-    lines = [",".join(_CSV_COLUMNS)] + [",".join(map(_fmt, row)) for row in table]
+    table = [columns[name] for name in _CSV_COLUMNS]
+    # One row template from the column dtypes, applied to the whole table at
+    # once: %d prints an int as str does, %.17g a float as format(v, ".17g").
+    row = ",".join("%d" if column.dtype.kind in "iu" else "%.17g" for column in table) + "\n"
+    values = tuple(chain.from_iterable(zip(*(column.tolist() for column in table))))
     with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(_CSV_COLUMNS) + "\n" + row * rows % values)
     if cfg.get("svg"):
         chart = render_line_chart(_clamped_rate_series(columns, xs), x_label=x_label,
                                   y_label="rate (nats per channel use)", log_x=log_x)

@@ -2,7 +2,9 @@
 
 Produces a fixed-size chart with axes, tick labels, an optional
 log-scaled x axis and a legend. Output is a deterministic function of
-the inputs so repeated runs emit byte-identical files.
+the inputs so repeated runs emit byte-identical files. Each series'
+finite points are mapped to the plot once, and its polyline is written
+in one pass from a single "%.2f,%.2f " template.
 """
 
 import math
@@ -61,12 +63,12 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
     series: iterable of (label, xs, ys) with equal-length coordinate
     sequences; at least one finite point is required overall.
     """
-    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
-           if math.isfinite(x) and math.isfinite(y)]
-    if not pts:
+    finite = [[(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+              for _, xs, ys in series]
+    xs_all = [x for points in finite for x, _ in points]
+    ys_all = [y for points in finite for _, y in points]
+    if not xs_all:
         raise ValueError("nothing to plot: no finite data points")
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if log_x and x_lo <= 0:
@@ -85,15 +87,17 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
+    # The axis ends (their logs on a log axis) and spans are taken once per
+    # chart; px and py keep the per-point operations and their order.
+    x0 = math.log10(x_lo) if log_x else x_lo
+    x_span = (math.log10(x_hi) if log_x else x_hi) - x0
+    y_span = y_hi - y_lo
+
     def px(x: float) -> float:
-        if log_x:
-            frac = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            frac = (x - x_lo) / (x_hi - x_lo)
-        return _MARGIN_L + frac * plot_w
+        return _MARGIN_L + ((math.log10(x) if log_x else x) - x0) / x_span * plot_w
 
     def py(y: float) -> float:
-        return _MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+        return _MARGIN_T + (1.0 - (y - y_lo) / y_span) * plot_h
 
     out = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -123,13 +127,12 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
     out.append(f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
                f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">{_escape(y_label)}</text>')
 
-    for k, (label, xs, ys) in enumerate(series):
-        color = _PALETTE[k % len(_PALETTE)]
-        coords = [(px(x), py(y)) for x, y in zip(xs, ys)
-                  if math.isfinite(x) and math.isfinite(y)]
-        if not coords:
+    for k, points in enumerate(finite):
+        if not points:
             continue
-        path = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
+        coords = tuple(v for x, y in points for v in (px(x), py(y)))
+        path = ("%.2f,%.2f " * len(points) % coords)[:-1]
+        color = _PALETTE[k % len(_PALETTE)]
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.8"/>')
 
     # legend, top right inside the plot area

@@ -242,6 +242,7 @@ def test_criterion_6_controller_violation_bound():
     assert elapsed < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_7_information_density_clt():
     start = time.perf_counter()
     cfg = SimConfig(spec=two_state_spec(), budget=1.0, blocks=10_000, alpha=0.1,

@@ -395,3 +395,12 @@ class TestBoundColumns:
     def test_non_multiple_is_named(self):
         with pytest.raises(InvalidParameterError, match="31"):
             bound_columns(self.stats, [30, 31, 33], 3, 2, 0.01)
+
+    def test_lengths_capped_at_2_to_the_53(self):
+        # up to 2^53 a float holds every length exactly and n stays an int64
+        # column; past the int64 range np.array(n) would turn it into floats
+        columns = bound_columns(self.stats, [2 ** 53], 1, 2, 0.01)
+        assert columns["n"].dtype.kind == "i" and columns["n"].tolist() == [2 ** 53]
+        for n in (2 ** 53 + 1, 10 ** 19):
+            with pytest.raises(InvalidParameterError, match=rf"{n} exceeds 2\^53"):
+                bound_columns(self.stats, [100, n], 1, 2, 0.01)

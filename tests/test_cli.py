@@ -206,6 +206,64 @@ def test_default_sweep_bytes_match_golden_digests(tmp_path, command):
     assert digests == GOLDEN_SHA256[command], f"numpy {np.__version__}"
 
 
+# sha256 of the CSV and SVG of the other shapes the formatters reach, taken
+# as above: the two-state channel read from a file, a budget so small that the
+# CSV prints floats in exponent form (-180 dB), n_c = 3, one-point sweeps and
+# the linear x axis. Each entry is (argv, CSV digest, SVG digest); "{chan}" and
+# "{linear}" stand for the channel file and a config with log_spaced false.
+GOLDEN_SHAPES_SHA256 = {
+    "two-state-0dB": (
+        ("rate-vs-blocklength", "--channel", "{chan}", "--power-db", "0"),
+        "15d58802a5ef439afb7d4c1420bfafd918f593939dd4b342289a315c1b83cda9",
+        "aaebbbe866ebbeaffd73c314149074c8d12120a4b8eefba6858234e0a788b148"),
+    "two-state-20dB": (
+        ("rate-vs-blocklength", "--channel", "{chan}", "--power-db", "20"),
+        "c42d194f0a8dd50aba671d6fcaa986338c8feaaf304a95c081b203caab709fb9",
+        "f2b9e9d6043730a0ec3d6e97af459fda04ad33e114f50ef60efa39cb3084f090"),
+    "two-state-power": (
+        ("rate-vs-power", "--channel", "{chan}"),
+        "931d57ae89c5e04a57ec7cf140a4a0d87f8a5f814403391d91ed14cb3ddff2f5",
+        "b537c2930190c59588cb3ff9d185648b9b628a24abf8d6a0bca0d46328ab4d27"),
+    "minus-180dB": (
+        ("rate-vs-blocklength", "--channel", "{chan}", "--power-db", "-180"),
+        "4d217390db519fd3c5cbc976704d9f9b77c03699698251fb683aa1ccf7c3b27d",
+        "211805c4bf4da22ed8d7ced648c5f5b1dae8302f3413ecba90c47ec7e30284be"),
+    "nc3-length": (
+        ("rate-vs-blocklength", "--nc", "3"),
+        "d223de08687f1cea36b31e00c5c4ca8b1b338a6dee540c3e57c60bff36d38b21",
+        "5aea1e44e9ca23f32c2de09a32fd7031a8d09b8e7013d6e120aac69e8a0d3755"),
+    "nc3-power": (
+        ("rate-vs-power", "--nc", "3"),
+        "83b892f6e6b5ee23d11589ca3cfacc44d88102346af68c344ef539c675389eba",
+        "5b3596f06a51683da9e2476b56ddd83b9432ff54629af92394d7e3d8ccc01981"),
+    "points1-length": (
+        ("rate-vs-blocklength", "--points", "1"),
+        "e8158179d9ab0500e02bb1a9809241388718f90a022cc94bea67deca67776fe8",
+        "8b0bba1e83acaa4e28704b7859c7ba1aba6b58a89915af5e2ee9543897029d5f"),
+    "points1-power": (
+        ("rate-vs-power", "--points", "1"),
+        "704200e3b3e0b699789c83912da1903076fe63dc4ab218425b62e6d86563220c",
+        "9b395c7593c8c3af77ebbf2dfe3d4aafbabd189e76cb3b45842f7ebdf351df81"),
+    "linear-axis": (
+        ("rate-vs-blocklength", "--config", "{linear}"),
+        "92dc1e8bdaf94b86226a859c25acad954fa35877e9098a1ff16ff4ed69798be9",
+        "2bd2da0a1d6b3f5705e7013c1006a8f297991fc6bb462462e24effdc98e2f1d3"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SHAPES_SHA256))
+def test_sweep_shapes_match_golden_digests(tmp_path, shape):
+    argv, *golden = GOLDEN_SHAPES_SHA256[shape]
+    chan, linear = tmp_path / "chan.json", tmp_path / "linear.json"
+    chan.write_text(TWO_STATE_JSON)
+    linear.write_text(json.dumps({"blocklength_sweep": {"log_spaced": False}}))
+    csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    argv = [arg.format(chan=chan, linear=linear) for arg in argv]
+    assert main(argv + ["--out", str(csv), "--svg", str(svg)]) == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv, svg)]
+    assert digests == golden, f"numpy {np.__version__}"
+
+
 class TestConfigHandling:
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -280,6 +338,19 @@ class TestConfigHandling:
         _, rows = read_csv(out)
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["rate-vs-blocklength", "--nc", "1000000000000000", "--points", "3"],
+        ["rate-vs-power", "--nc", str(2 ** 53), "--points", "3"],
+    ])
+    def test_codeword_length_past_2_to_the_53_rejected(self, tmp_path, capsys, argv):
+        # each n_c is accepted on its own; the lengths blocks * n_c are not
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: codeword length ") and "exceeds 2^53" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_clamping_helper_floors_rates_at_zero(self):
         columns = {"capacity": np.array([0.5, 0.5]), "rate_lb_st": np.array([-0.25, 0.1]),
                    "rate_lb_lt": np.array([-0.1, 0.2]), "rate_ub_st": np.array([0.2, 0.3]),
@@ -298,6 +369,7 @@ class TestVerify:
         }
     }
 
+    @pytest.mark.slow
     def test_small_verify_passes_and_is_deterministic(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.SMALL_MC))
@@ -362,6 +434,9 @@ class TestVerify:
             cli._build_parser().parse_args(["verify", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert "--trials INT trial count for both simulations (at least 100," in text
+        start = text.index("--trials INT trial count")
+        trials_help = text[start:text.index("--out PATH", start)]
+        assert re.findall(r"\[.*?\]", trials_help) == ["[100, 9007199254740992]"]
         assert main(["verify", "--trials", "99"]) == 1
         assert "100 trials" in capsys.readouterr().err
         assert main(["verify", "--trials", "100"]) in (0, 3)  # a verdict, not a config error
@@ -376,6 +451,7 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(message)
 
+    @pytest.mark.slow
     def test_default_verify_passes(self, tmp_path):
         # the documented default: two-state channel, seed 42, full trial
         # counts; takes a few seconds

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import pytest
 
 from blockfade.svg import render_line_chart
@@ -48,3 +51,40 @@ def test_escapes_markup():
 def test_flat_series_padded():
     doc = render_line_chart([("flat", [1.0, 2.0], [0.5, 0.5])], x_label="x", y_label="y")
     assert "<polyline" in doc
+
+
+NAN, INF = math.nan, math.inf
+
+# Inputs at the edges of the point filter and the axis padding, each with the
+# polylines it draws and the sha256 of the whole document. Points with a NaN
+# or infinite coordinate are dropped, a series with none left draws no
+# polyline, a flat series is padded by 0.5 either side, and a single point
+# is padded on both axes (halved and doubled on a log axis).
+EDGE_CASES = {
+    "non-finite points dropped": (
+        [("a", [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, NAN, INF, 1.5, -INF]),
+         ("b", [NAN, 2.0, INF, 4.0], [1.0, 1.0, 2.0, 0.25])], False,
+        ["72.00,383.09 836.00,60.18", "326.67,221.64 836.00,463.82"],
+        "bd3c0f1f09834cb5dbe411638f94240dd05e9e713b0ee17e21eee9b4c48e3fd6"),
+    "series without finite points skipped": (
+        [("a", [1.0, 10.0, 100.0], [0.1, 0.2, 0.3]), ("empty", [1.0, 10.0], [NAN, INF])], True,
+        ["72.00,463.82 454.00,262.00 836.00,60.18"],
+        "dc3705f81fc30f3f16cc22f93487baf6ff326593656228bce68728388fcfd7f3"),
+    "flat series": (
+        [("flat", [1.0, 2.0], [0.5, 0.5])], False,
+        ["72.00,262.00 836.00,262.00"],
+        "428a41d0d992c7e132389165a92c279225286d4c13b453dc27813e83a9068532"),
+    "single point": (
+        [("one", [500.0], [0.25])], True,
+        ["454.00,262.00"],
+        "0d3f279231b2c39400cd1a2ff997f7ad7f07797a10f26a32e54e109fc51c3a84"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_case_output_is_pinned(case):
+    series, log_x, polylines, digest = EDGE_CASES[case]
+    doc = render_line_chart(series, x_label="x", y_label="y", log_x=log_x)
+    assert [line.split('"')[1] for line in doc.splitlines()
+            if line.startswith("<polyline")] == polylines
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
