@@ -1,7 +1,9 @@
 """Dispersion statistics and closed-form finite-blocklength rate bounds.
 
-Everything here is an exact finite sum over the fading states; no
-sampling is involved. All rate quantities are in nats.
+bound_columns goes from the channel to the rates in one call: it runs
+sweep_dispersion_stats on the budgets, then evaluates the bounds at each
+codeword length. Everything is an exact finite sum over the fading
+states; no sampling is involved. All rate quantities are in nats.
 """
 
 import math
@@ -9,40 +11,25 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError
-from .fading import ChannelSpec
+from .fading import _INT_MAX, ChannelSpec
 from .specfun import std_normal_inv_cdf
 from .waterfill import _mean_and_var, link_moments, water_fill
 
 __all__ = ["sweep_dispersion_stats", "bound_columns"]
 
-# The columns of sweep_dispersion_stats, which bound_columns reads.
+# The columns of sweep_dispersion_stats, which bound_columns also returns.
 _STAT_FIELDS = ("capacity", "v_bf", "v_bf_prime", "water_level", "nocsit_capacity", "nocsit_v")
-# The longest codeword length: the bounds take n as a float, and the n
-# column stays an integer array, up to here.
-_N_MAX = 2 ** 53
-# The columns of bound_columns.
+# The columns of bound_columns, ahead of the stat columns.
 _BOUND_FIELDS = ("n", "blocks", "epsilon", "beta",
                  "log_m_lb_st", "log_m_lb_lt", "log_m_ub_st", "log_m_ub_lt",
                  "rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt", "rate_nocsit")
 
 
-def _checked_columns(stats) -> np.ndarray:
-    """The stat fields of a mapping as one (fields, rows) array, checked.
+def _checked_columns(columns) -> np.ndarray:
+    """The sweep's six stat columns, in _STAT_FIELDS order, as one checked array.
 
-    Each field holds a number or a 1-D array, all of one length. Every
-    field must be finite; all but nocsit_capacity must be positive, and
-    nocsit_capacity must not exceed capacity + 1e-12. The rules apply to
-    each row on its own: column i of the table, and whether it passes,
-    equal the one-row call on row i bit for bit.
+    The rules (see sweep_dispersion_stats) apply to each row on its own.
     """
-    try:
-        columns = [np.atleast_1d(np.asarray(stats[name], dtype=float)) for name in _STAT_FIELDS]
-    except KeyError as exc:
-        raise InvalidParameterError(f"dispersion stats lack the field {exc}") from None
-    for name, column in zip(_STAT_FIELDS, columns):
-        if column.shape != (len(columns[0]),):
-            raise InvalidParameterError(f"{name} must be a number or a 1-D array as long as "
-                                        f"capacity ({len(columns[0])}), got shape {column.shape}")
     table = np.array(columns)
     ok = np.isfinite(table) & (table > 0.0)
     # rows in field order: 0 is capacity, 4 is nocsit_capacity
@@ -66,7 +53,9 @@ def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
     Var(n_c*C + budget/(2*level) - L/2), whose constant middle term does
     not move the variance but is kept as part of the defining expression.
     Row i equals the one-row call sweep_dispersion_stats(spec,
-    [budgets[i]]) bit for bit, whatever the other budgets.
+    [budgets[i]]) bit for bit, whatever the other budgets. Every field
+    must be finite, all but nocsit_capacity positive, and nocsit_capacity
+    at most capacity + 1e-12; else InvalidParameterError names the field.
     """
     budgets = np.asarray(budgets, dtype=float)
     levels, powers = water_fill(spec, budgets)
@@ -81,51 +70,48 @@ def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
     composite = (spec.n_c * c_vals[:rows] + (budgets / (2.0 * levels))[:, None]
                  - 0.5 * l_vals[:rows])
     _, var_comp = _mean_and_var(composite, np.asarray(spec.fading.probs, dtype=float))
-    columns = dict(zip(_STAT_FIELDS, (cap[:rows], v_bf[:rows], mean_v[:rows] + var_comp,
-                                      levels, cap[rows:], v_bf[rows:])))
-    _checked_columns(columns)
-    return columns
+    table = _checked_columns((cap[:rows], v_bf[:rows], mean_v[:rows] + var_comp,
+                              levels, cap[rows:], v_bf[rows:]))
+    return dict(zip(_STAT_FIELDS, table))
 
 
-def bound_columns(stats, n, n_c: int, num_states: int, epsilon: float,
+def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
                   beta: float = 0.01) -> dict[str, np.ndarray]:
     """The normal-approximation bounds and the constant-power baseline, per row.
 
-    stats maps each field of sweep_dispersion_stats to a number or a 1-D
-    array (the sweep's columns, or one row of them) and is checked as the
-    sweep checks its own; n is a 1-D sequence of codeword lengths, each
-    blocks*n_c for an integer number of blocks >= 1 and at most 2^53
-    (the bounds take n as a float, exact only up to there). Either may have
-    length 1 and is then used for every row. epsilon must lie strictly
-    in (0, 1/2). Returns one array per field: n and blocks (integers),
-    epsilon, beta, the four log-codebook sizes log_m_{lb,ub}_{st,lt} and
-    the rates (each log_m over n), plus rate_nocsit. The residual terms
-    of order n^beta and smaller are excluded; log-codebook sizes may be
-    negative at small n and are reported as computed. Row i equals the
-    one-row call on stats row i and n[i] bit for bit.
+    budgets is a 1-D sequence of power budgets; n is a 1-D sequence of
+    codeword lengths, each blocks*spec.n_c for an integer blocks >= 1 and
+    at most 2^53 (the bounds take n as a float, exact only up to there).
+    The two have equal lengths, or one has length 1 and serves every row.
+    epsilon must lie strictly in (0, 1/2) and beta in (0, 1). All of this
+    is checked before sweep_dispersion_stats(spec, budgets) runs, once.
+    The block length and the state count come from spec. Returns one
+    array per field, one entry per row: n and blocks (integers), epsilon,
+    beta, the four log-codebook sizes log_m_{lb,ub}_{st,lt}, the rates
+    (each log_m over n), rate_nocsit, and the six columns of
+    sweep_dispersion_stats. The residual terms of order n^beta and
+    smaller are excluded; log-codebook sizes may be negative at small n
+    and are reported as computed. Row i equals the one-row call on
+    budgets[i] and n[i] bit for bit, whatever the other rows.
     """
     n = list(n)
-    if not isinstance(n_c, int) or n_c < 1 or not n:
-        raise InvalidParameterError(
-            f"need at least one n and an integer n_c >= 1, got {len(n)} n and n_c={n_c!r}")
     for v in n:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < n_c or v % n_c:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v % spec.n_c or v < 1:
             raise InvalidParameterError(f"codeword length {v!r} is not a positive integer "
-                                        f"multiple of the block length {n_c}")
-        if v > _N_MAX:
-            raise InvalidParameterError(f"codeword length {v!r} exceeds 2^53 = {_N_MAX}, the "
+                                        f"multiple of the block length {spec.n_c}")
+        if v > _INT_MAX:
+            raise InvalidParameterError(f"codeword length {v!r} exceeds 2^53 = {_INT_MAX}, the "
                                         "largest integer a float holds exactly")
-    cap, v_bf, v_bf_prime, level, nocsit_cap, nocsit_v = _checked_columns(stats)
-    if not len(cap) or (len(cap) != len(n) and 1 not in (len(cap), len(n))):
-        raise InvalidParameterError(
-            f"stats and n need equal lengths or length 1, got {len(cap)} and {len(n)}")
-    if num_states < 1:
-        raise InvalidParameterError(f"num_states must be >= 1, got {num_states!r}")
+    if not n or not len(budgets) or (len(budgets) != len(n) and 1 not in (len(budgets), len(n))):
+        raise InvalidParameterError(f"budgets and n need equal lengths or length 1, got "
+                                    f"{len(budgets)} and {len(n)}")
     if not (0.0 < epsilon < 0.5):
         raise DomainError(f"error probability must lie strictly in (0, 1/2), got {epsilon!r}")
     if not (0.0 < beta < 1.0):
         raise InvalidParameterError(f"beta must lie strictly in (0, 1), got {beta!r}")
 
+    stats = sweep_dispersion_stats(spec, budgets)
+    cap, v_bf, v_bf_prime, level, nocsit_cap, nocsit_v = stats.values()
     rows = max(len(cap), len(n))
     quantile = std_normal_inv_cdf(epsilon)
     ints = np.broadcast_to(np.array(n), rows)
@@ -137,11 +123,14 @@ def bound_columns(stats, n, n_c: int, num_states: int, epsilon: float,
 
     lb_lt = nf * cap + np.sqrt(nf * v_bf) * quantile + 0.5 * log_n - backoff
     lb_st = lb_lt - np.sqrt(nf / 2.0)
-    ub_st = nf * cap + np.sqrt(nf * v_bf_prime) * quantile + 0.5 * num_states * log_n
+    ub_st = (nf * cap + np.sqrt(nf * v_bf_prime) * quantile
+             + 0.5 * spec.fading.num_states * log_n)
     ub_lt = ub_st + np.sqrt(nf) / (2.0 * level)
     nocsit_log_m = nf * nocsit_cap + np.sqrt(nf * nocsit_v) * quantile + 0.5 * log_n - backoff
 
     log_m = (lb_st, lb_lt, ub_st, ub_lt)
-    columns = (ints.copy(), ints // n_c, np.full(rows, epsilon), np.full(rows, beta),
-               *log_m, *(x / nf for x in log_m), nocsit_log_m / nf)
-    return dict(zip(_BOUND_FIELDS, columns))
+    columns = dict(zip(_BOUND_FIELDS, (ints.copy(), ints // spec.n_c, np.full(rows, epsilon),
+                                       np.full(rows, beta), *log_m, *(x / nf for x in log_m),
+                                       nocsit_log_m / nf)))
+    columns.update((name, np.broadcast_to(col, rows).copy()) for name, col in stats.items())
+    return columns

@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import bound_columns, sweep_dispersion_stats
+from .bounds import bound_columns
 from .errors import InvalidParameterError
-from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh
+from .fading import _INT_MAX, ChannelSpec, FadingDistribution, discretize_rayleigh
 from .montecarlo import (_MIN_DENSITY_TRIALS, SimConfig, check_density_config,
                          simulate_information_density, simulate_st_controller)
 from .svg import render_line_chart
@@ -44,10 +44,6 @@ _KS_THRESHOLD = 0.02
 _VAR_REL_TOLERANCE = 0.02
 
 _COMMANDS = ("rate-vs-blocklength", "rate-vs-power", "verify")
-# The largest integer a float holds exactly: the bounds and the simulations
-# turn counts and lengths into floats, so an "int" field stops here unless
-# its row sets another hi.
-_INT_MAX = 2 ** 53
 _REQUIRED = object()  # no default: the file or a flag must set the field
 _UNREAD = object()    # the command does not read the field and rejects it
 
@@ -330,13 +326,10 @@ def _clamped_rate_series(columns: dict, xs: list[float]):
 def _write_sweep(cfg: dict, budgets: list[float], n: list[int], xs: list[float],
                  x_label: str, log_x: bool) -> None:
     """Write the bounds of every row to the CSV and the optional SVG; see bound_columns."""
-    stats = sweep_dispersion_stats(cfg["spec"], budgets)
-    columns = bound_columns(stats, n, cfg["n_c"], cfg["spec"].fading.num_states,
-                            cfg["epsilon"], cfg["beta"])
+    columns = bound_columns(cfg["spec"], budgets, n, cfg["epsilon"], cfg["beta"])
     rows = len(columns["n"])
     columns.update(B=columns["blocks"], n_c=np.full(rows, cfg["n_c"]),
-                   power_linear=np.broadcast_to(budgets, rows),
-                   capacity=np.broadcast_to(stats["capacity"], rows))
+                   power_linear=np.broadcast_to(budgets, rows))
     table = [columns[name] for name in _CSV_COLUMNS]
     # One row template from the column dtypes, applied to the whole table at
     # once: %d prints an int as str does, %.17g a float as format(v, ".17g").

@@ -23,6 +23,10 @@ __all__ = [
 _SUM_TOL = 1e-12
 # Looser input tolerance inside which make_distribution renormalizes.
 _RENORM_TOL = 1e-9
+# The largest integer a float holds exactly. The bounds and the simulations
+# take codeword lengths and block counts as floats, so those counts, and
+# every integer config field by default, stop here.
+_INT_MAX = 2 ** 53
 
 
 @dataclass(frozen=True)

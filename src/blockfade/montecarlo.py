@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .fading import ChannelSpec
+from .fading import _INT_MAX, ChannelSpec
 from .specfun import std_normal_cdf
 from .waterfill import link_moments, link_terms, water_fill
 
@@ -36,8 +36,6 @@ _MASK64 = (1 << 64) - 1
 _CONTROLLER_STREAM = 1
 _DENSITY_STREAM = 11
 _MIN_DENSITY_TRIALS = 100
-# Past 2^53 a float no longer holds every block count.
-_MAX_BLOCKS = 2 ** 53
 # Trials per controller substream; changing it changes every result.
 _CONTROLLER_CHUNK = 4096
 
@@ -136,12 +134,12 @@ def min_blocks_for_backoff(budget: float, alpha: float, water_level: float) -> i
     # seeds the search: delta_b's own rounding decides the answer.
     log_threshold = (math.log(2.0) + 2.0 * (math.log(water_level) - math.log(budget))) \
         / (1.0 - alpha)
-    blocks = min(int(math.exp(min(log_threshold, 37.0))) + 1, _MAX_BLOCKS + 1)  # e^37 > 2^53
+    blocks = min(int(math.exp(min(log_threshold, 37.0))) + 1, _INT_MAX + 1)  # e^37 > 2^53
     while blocks > 1 and delta_b(blocks - 1, alpha, water_level) < budget:
         blocks -= 1
-    while blocks <= _MAX_BLOCKS and delta_b(blocks, alpha, water_level) >= budget:
+    while blocks <= _INT_MAX and delta_b(blocks, alpha, water_level) >= budget:
         blocks += 1
-    if blocks > _MAX_BLOCKS:
+    if blocks > _INT_MAX:
         raise InvalidParameterError(
             f"the back-off stays at or above the budget {budget:.6g} at alpha={alpha:g} "
             f"for every block count up to 2^53, the largest supported")

@@ -66,7 +66,9 @@ def _floors(spec: ChannelSpec) -> np.ndarray:
 def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     """Water levels and per-state powers (budgets x states) for a 1-D array.
 
-    Budgets must be positive and finite. Row i equals the one-row call
+    Budgets must be positive and finite, and the level and the largest
+    received SNR, max(gain)^2 * level / noise_var, finite (else one
+    InvalidParameterError, no warning). Row i equals the one-row call
     water_fill(spec, [budgets[i]]) bit for bit.
 
     With the states reversed (floors f increasing, probabilities q),
@@ -93,10 +95,19 @@ def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     probs = np.asarray(spec.fading.probs, dtype=float)[::-1]
     cum_q = np.cumsum(probs)
     to_floor = np.concatenate(([0.0], np.cumsum(cum_q[:-1] * np.diff(floors))))
-    above = (budgets[:, None] - to_floor) / cum_q
-    top = np.count_nonzero(above > 0.0, axis=1) - 1
-    depth = above[np.arange(len(budgets)), top]
-    levels = floors[top] + depth
+    # A budget near the float range overflows here; such rows are rejected
+    # below, so the overflow is not worth a warning.
+    with np.errstate(over="ignore"):
+        above = (budgets[:, None] - to_floor) / cum_q
+        top = np.count_nonzero(above > 0.0, axis=1) - 1
+        depth = above[np.arange(len(budgets)), top]
+        levels = floors[top] + depth
+        # floors[0] = noise_var / max(gain)^2: the largest received SNR per row
+        bad = ~np.isfinite(levels / floors[0])
+    if bad.any():
+        raise InvalidParameterError(
+            f"power budget {float(budgets[bad][0])!r} is too large: the water level or "
+            "max(gain)^2 * level / noise_var overflows a float")
     powers = np.maximum(0.0, (floors[top][:, None] - floors) + depth[:, None])
     return levels, powers[:, ::-1]
 

@@ -176,11 +176,10 @@ def test_criterion_4_bound_ordering_and_convergence():
     offsets = expected_rate_offsets(4000, 0.01, 0.01)
     start = time.perf_counter()
     spec = preset_spec()
-    stats = sweep_dispersion_stats(spec, [PRESET_BUDGET])
 
     def rates(lengths):
         # per n, the rates lb_st, lb_lt, ub_st, ub_lt
-        bp = bound_columns(stats, lengths, 1, 10, 0.01)
+        bp = bound_columns(spec, [PRESET_BUDGET], lengths, 0.01)
         return list(zip(*(bp[name].tolist() for name in
                           ("rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt"))))
 

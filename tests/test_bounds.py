@@ -15,6 +15,7 @@ from blockfade import (
     sweep_dispersion_stats,
     water_fill,
 )
+import blockfade.bounds as bounds
 from blockfade.waterfill import link_moments
 from oracles import (
     TWO_STATE,
@@ -41,10 +42,21 @@ def stats_at(spec, budget):
     return {name: float(col[0]) for name, col in sweep_dispersion_stats(spec, [budget]).items()}
 
 
-def bounds_at(stats, n, n_c, num_states, epsilon, beta=0.01):
-    """The one-row bound_columns call at one n: one Python number per field."""
-    columns = bound_columns(stats, [n], n_c, num_states, epsilon, beta)
+def bounds_at(spec, budget, n, epsilon, beta=0.01):
+    """The one-row bound_columns call at one budget and n: one Python number per field."""
+    columns = bound_columns(spec, [budget], [n], epsilon, beta)
     return {name: col.tolist()[0] for name, col in columns.items()}
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("bound_columns computed before it checked its inputs")
+
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Fail the test if bound_columns starts the sweep or a water-filling solve."""
+    for name in ("sweep_dispersion_stats", "water_fill"):
+        monkeypatch.setattr(bounds, name, must_not_run)
 
 
 class TestDispersions:
@@ -192,10 +204,11 @@ class TestDispersionStats:
 
 class TestBoundPoint:
     def setup_method(self):
-        self.stats = stats_at(two_state_spec(), 1.0)
+        self.spec = two_state_spec()
+        self.stats = stats_at(self.spec, 1.0)
 
     def test_two_state_reference_point(self):
-        bp = bounds_at(self.stats, 10_000, 1, 2, 0.01, 0.01)
+        bp = bounds_at(self.spec, 1.0, 10_000, 0.01, 0.01)
         # recompose every term independently of the library expression
         n = 10_000
         q = std_normal_inv_cdf(0.01)
@@ -216,7 +229,7 @@ class TestBoundPoint:
         assert bp["log_m_ub_lt"] == pytest.approx(5776.8, abs=0.15)
 
     def test_rates_are_log_m_over_n(self):
-        bp = bounds_at(self.stats, 5000, 1, 2, 0.01)
+        bp = bounds_at(self.spec, 1.0, 5000, 0.01)
         assert bp["rate_lb_st"] == bp["log_m_lb_st"] / 5000
         assert bp["rate_lb_lt"] == bp["log_m_lb_lt"] / 5000
         assert bp["rate_ub_st"] == bp["log_m_ub_st"] / 5000
@@ -224,30 +237,31 @@ class TestBoundPoint:
 
     def test_st_below_lt(self):
         for n in (100, 1000, 100_000):
-            bp = bounds_at(self.stats, n, 1, 2, 0.01)
+            bp = bounds_at(self.spec, 1.0, n, 0.01)
             assert bp["log_m_lb_st"] <= bp["log_m_lb_lt"]
             assert bp["log_m_ub_st"] <= bp["log_m_ub_lt"]
 
     def test_block_structure_respected(self):
-        bp = bounds_at(self.stats, 300, 3, 2, 0.01)
+        # the block length comes from the spec, so blocks = n / n_c always
+        bp = bounds_at(two_state_spec(n_c=3), 1.0, 300, 0.01)
         assert bp["blocks"] == 100
         with pytest.raises(InvalidParameterError):
-            bound_columns(self.stats, [301], 3, 2, 0.01)
+            bound_columns(two_state_spec(n_c=3), [1.0], [301], 0.01)
         with pytest.raises(InvalidParameterError):
-            bound_columns(self.stats, [0], 1, 2, 0.01)
+            bound_columns(self.spec, [1.0], [0], 0.01)
 
     @pytest.mark.parametrize("eps", [0.6, 0.5, 0.0, -0.1, 1.0])
-    def test_epsilon_domain(self, eps):
+    def test_epsilon_domain(self, no_sweep, eps):
         with pytest.raises(DomainError):
-            bound_columns(self.stats, [1000], 1, 2, eps)
+            bound_columns(self.spec, [1.0], [1000], eps)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5, 2.0])
-    def test_beta_domain(self, beta):
+    def test_beta_domain(self, no_sweep, beta):
         with pytest.raises(InvalidParameterError):
-            bound_columns(self.stats, [1000], 1, 2, 0.01, beta)
+            bound_columns(self.spec, [1.0], [1000], 0.01, beta)
 
     def test_negative_log_m_reported_raw(self):
-        bp = bounds_at(self.stats, 4, 1, 2, 0.01)
+        bp = bounds_at(self.spec, 1.0, 4, 0.01)
         assert bp["log_m_lb_st"] < 0.0
         assert bp["rate_lb_st"] < 0.0
 
@@ -256,7 +270,7 @@ class TestBoundPoint:
     def test_ordering_chain_on_random_channels(self, params, n):
         gains, probs, noise_var, budget = params
         spec = ChannelSpec(noise_var=noise_var, n_c=1, fading=make_distribution(gains, probs))
-        bp = bounds_at(stats_at(spec, budget), n, 1, spec.fading.num_states, 0.01)
+        bp = bounds_at(spec, budget, n, 0.01)
         assert bp["log_m_lb_st"] <= bp["log_m_lb_lt"]
         assert bp["log_m_ub_st"] <= bp["log_m_ub_lt"]
         assert bp["log_m_lb_lt"] <= bp["log_m_ub_st"]
@@ -268,7 +282,7 @@ class TestConvergence:
         stats = stats_at(spec, PRESET_BUDGET)
 
         def deviations(n):
-            bp = bounds_at(stats, n, 1, 10, 0.01)
+            bp = bounds_at(spec, PRESET_BUDGET, n, 0.01)
             return [abs(bp[name] - stats["capacity"]) for name in
                     ("rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt")]
 
@@ -291,7 +305,7 @@ class TestConvergence:
             target = stats["capacity"] if attr != "rate_nocsit" else stats["nocsit_capacity"]
 
             def scaled(n):
-                return abs(bounds_at(stats, n, 1, 10, 0.01)[attr] - target) * n ** 0.495
+                return abs(bounds_at(spec, PRESET_BUDGET, n, 0.01)[attr] - target) * n ** 0.495
 
             k_const = max(scaled(n) for n in coarse)
             assert math.isfinite(k_const) and k_const > 0.0
@@ -317,7 +331,8 @@ def scalar_bound_point(stats, n, num_states, epsilon, beta):
 
 class TestBoundColumns:
     def setup_method(self):
-        self.stats = stats_at(two_state_spec(), 1.0)
+        self.spec = two_state_spec()
+        self.stats = stats_at(self.spec, 1.0)
 
     @given(random_channels(), st.integers(1, 5),
            st.lists(st.integers(1, 10 ** 7), min_size=1, max_size=12),
@@ -326,22 +341,24 @@ class TestBoundColumns:
     def test_rows_equal_one_row_calls_bit_for_bit(self, params, n_c, blocks, epsilon, beta):
         gains, probs, noise_var, budget = params
         spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
-        many_stats = sweep_dispersion_stats(spec, [budget * 0.5 ** i for i in range(len(blocks))])
-        one_stats = {name: col[:1] for name, col in many_stats.items()}
+        budgets = [budget * 0.5 ** i for i in range(len(blocks))]
         n = [b * n_c for b in blocks]
         k = spec.fading.num_states
-        # many n with one stats, and one n with many stats
-        for stats, lengths in ((one_stats, n), (many_stats, [n[0]])):
-            columns = bound_columns(stats, lengths, n_c, k, epsilon, beta)
+        # many n at one budget, and one n at many budgets
+        for row_budgets, lengths in (([budget], n), (budgets, [n[0]])):
+            columns = bound_columns(spec, row_budgets, lengths, epsilon, beta)
+            assert list(columns) == [*bounds._BOUND_FIELDS, *bounds._STAT_FIELDS]
             assert all(len(col) == len(blocks) for col in columns.values())
             assert columns["n"].dtype.kind == columns["blocks"].dtype.kind == "i"
             for i in range(len(blocks)):
-                row = min(i, len(stats["capacity"]) - 1)
-                s_i = {name: float(col[row]) for name, col in stats.items()}
+                b_i = row_budgets[min(i, len(row_budgets) - 1)]
                 n_i = lengths[min(i, len(lengths) - 1)]
-                one = bound_columns(s_i, [n_i], n_c, k, epsilon, beta)
+                one = bound_columns(spec, [b_i], [n_i], epsilon, beta)
                 assert {name: col[i] for name, col in columns.items()} == \
                     {name: col[0] for name, col in one.items()}
+                s_i = stats_at(spec, b_i)
+                for name, value in s_i.items():
+                    assert columns[name][i] == value, name
                 for name, value in scalar_bound_point(s_i, n_i, k, epsilon, beta).items():
                     assert columns[name][i] == value, name
                 assert columns["n"][i] == n_i and columns["blocks"][i] * n_c == n_i
@@ -351,56 +368,60 @@ class TestBoundColumns:
         # last bit for a few percent of n; over this many n that reaches the
         # outputs, so the kernel must take those two terms from math
         n = list(range(1, 20_001))
-        columns = bound_columns(self.stats, n, 1, 2, 0.01)
+        columns = bound_columns(self.spec, [1.0], n, 0.01)
         expected = [scalar_bound_point(self.stats, v, 2, 0.01, 0.01) for v in n]
         for name in expected[0]:
             assert columns[name].tolist() == [row[name] for row in expected], name
 
     def test_numpy_integers_accepted(self):
-        columns = bound_columns(self.stats, np.array([300, 600]), 3, 2, 0.01)
+        spec = two_state_spec(n_c=3)
+        columns = bound_columns(spec, np.array([1.0]), np.array([300, 600]), 0.01)
         assert columns["blocks"].tolist() == [100, 200]
-        assert columns["rate_ub_lt"][1] == bounds_at(self.stats, 600, 3, 2, 0.01)["rate_ub_lt"]
+        assert columns["rate_ub_lt"][1] == bounds_at(spec, 1.0, 600, 0.01)["rate_ub_lt"]
 
-    @pytest.mark.parametrize("stats,n,n_c", [
+    @pytest.mark.parametrize("rows,n,n_c", [
         (1, [], 1),                   # empty n
         (1, [100, 200.0], 1),         # a float n
         (1, [100, True], 1),          # a bool n
         (1, [30, 31, 33], 3),         # a non-multiple of n_c in the middle
         (2, [100, 200, 300], 1),      # two lengths above 1 that differ
-        (0, [100], 1),                # no stats
-        (1, [100], 0),                # n_c below 1
-        # every stat field is checked, and the message names the field
-        ({"capacity": -1.0}, [100], 1),
-        ({"v_bf": -0.5}, [100], 1),
-        ({"v_bf": math.nan}, [100], 1),
-        ({"water_level": math.inf}, [100], 1),
-        ({"nocsit_capacity": 1.0}, [100], 1),           # above capacity
-        ({"v_bf_prime": None}, [100], 1),               # missing
-        ({"nocsit_v": [0.5, 0.5]}, [100], 1),           # columns of unequal lengths
-        ({"capacity": [[0.5]]}, [100], 1),              # not 1-D
+        (0, [100], 1),                # no budgets
     ])
-    def test_invalid_inputs(self, stats, n, n_c):
-        # an int is the row count of a valid mapping; a dict replaces one
-        # field of the valid one-row mapping, and None deletes the field
-        if isinstance(stats, int):
-            stats, field = {name: [v] * stats for name, v in self.stats.items()}, None
-        else:
-            (field, value), = stats.items()
-            stats = {**self.stats, field: value}
-            if value is None:
-                del stats[field]
-        with pytest.raises(InvalidParameterError, match=field):
-            bound_columns(stats, n, n_c, 2, 0.01)
+    def test_invalid_inputs(self, no_sweep, rows, n, n_c):
+        # rows is the budget count; each fault is found before any solve
+        with pytest.raises(InvalidParameterError):
+            bound_columns(two_state_spec(n_c), [1.0] * rows, n, 0.01)
 
     def test_non_multiple_is_named(self):
         with pytest.raises(InvalidParameterError, match="31"):
-            bound_columns(self.stats, [30, 31, 33], 3, 2, 0.01)
+            bound_columns(two_state_spec(n_c=3), [1.0], [30, 31, 33], 0.01)
 
-    def test_lengths_capped_at_2_to_the_53(self):
+    def test_lengths_capped_at_2_to_the_53(self, monkeypatch):
         # up to 2^53 a float holds every length exactly and n stays an int64
         # column; past the int64 range np.array(n) would turn it into floats
-        columns = bound_columns(self.stats, [2 ** 53], 1, 2, 0.01)
+        columns = bound_columns(self.spec, [1.0], [2 ** 53], 0.01)
         assert columns["n"].dtype.kind == "i" and columns["n"].tolist() == [2 ** 53]
+        monkeypatch.setattr(bounds, "sweep_dispersion_stats", must_not_run)  # the cap comes first
         for n in (2 ** 53 + 1, 10 ** 19):
             with pytest.raises(InvalidParameterError, match=rf"{n} exceeds 2\^53"):
-                bound_columns(self.stats, [100, n], 1, 2, 0.01)
+                bound_columns(self.spec, [1.0], [100, n], 0.01)
+
+    @pytest.mark.parametrize("n_c", [1, 3])
+    def test_block_length_and_state_count_come_from_the_spec(self, n_c):
+        spec = two_state_spec(n_c)
+        columns = bound_columns(spec, [1.0], [300], 0.01)
+        assert columns["blocks"].tolist() == [300 // n_c]
+        expected = scalar_bound_point(stats_at(spec, 1.0), 300, 2, 0.01, 0.01)
+        assert columns["rate_ub_st"][0] == expected["rate_ub_st"]
+        if n_c == 1:
+            # the converse's (num_states/2)*log n term at two states
+            assert columns["rate_ub_st"][0] == pytest.approx(0.51796, abs=5e-6)
+
+    def test_sweep_check_fires_and_names_the_field(self):
+        # at noise_var 1e300 and budget 1e-300 the capacity underflows to 0.0
+        spec = ChannelSpec(noise_var=1e300, n_c=1, fading=two_state_spec().fading)
+        message = r"capacity must be positive and finite, got 0\.0"
+        with pytest.raises(InvalidParameterError, match=message):
+            sweep_dispersion_stats(spec, [1.0, 1e-300])
+        with pytest.raises(InvalidParameterError, match=message):
+            bound_columns(spec, [1e-300], [100], 0.01)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 
 from blockfade import (ChannelSpec, InvalidParameterError, bound_columns, discretize_rayleigh,
                        make_distribution, sweep_dispersion_stats)
+import blockfade.bounds as bounds
 import blockfade.cli as cli
+import blockfade.montecarlo as montecarlo
 from blockfade.cli import _clamped_rate_series, main, preset_fading
 
 TWO_STATE_JSON = '{"gains": [1.0, 2.0], "probs": [0.5, 0.5]}'
@@ -42,17 +45,16 @@ class TestBlocklengthSweep:
         assert len(rows) == 4
 
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0, 2.0], [0.5, 0.5]))
-        stats = sweep_dispersion_stats(spec, [1.0])
         for row in rows:
             # each CSV row of the many-row sweep equals the one-row call at its n
             n = int(row["n"])
             bp = {name: col.tolist()[0]
-                  for name, col in bound_columns(stats, [n], 1, 2, 0.01, 0.01).items()}
+                  for name, col in bound_columns(spec, [1.0], [n], 0.01, 0.01).items()}
             assert int(row["B"]) == bp["blocks"]
             assert int(row["n_c"]) == 1
             assert float(row["power_linear"]) == 1.0
             assert float(row["epsilon"]) == 0.01
-            assert float(row["capacity"]) == stats["capacity"][0]
+            assert float(row["capacity"]) == bp["capacity"]
             for name in ("rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt", "rate_nocsit",
                          "log_m_lb_st", "log_m_ub_lt"):
                 assert float(row[name]) == bp[name], name
@@ -126,15 +128,14 @@ class TestPowerSweep:
                            "log_m_ub_st", "log_m_ub_lt"))]
         for i in range(41):
             budget = 10.0 ** ((0.0 + 20.0 * i / 40) / 10.0)
-            # the one-row calls at this budget rebuild row i of the many-row sweep
-            stats = sweep_dispersion_stats(spec, [budget])
+            # the one-row call at this budget rebuilds row i of the many-row sweep
             bp = {name: col.tolist()[0]
-                  for name, col in bound_columns(stats, [4000], 1, 10, 0.01, 0.01).items()}
+                  for name, col in bound_columns(spec, [budget], [4000], 0.01, 0.01).items()}
             values = [bp[name] for name in ("rate_lb_st", "rate_lb_lt", "rate_ub_st",
                                             "rate_ub_lt", "rate_nocsit", "log_m_lb_st",
                                             "log_m_lb_lt", "log_m_ub_st", "log_m_ub_lt")]
             lines.append(",".join([str(bp["n"]), str(bp["blocks"]), "1"]
-                                  + [f"{v:.17g}" for v in (budget, 0.01, stats["capacity"][0])]
+                                  + [f"{v:.17g}" for v in (budget, 0.01, bp["capacity"])]
                                   + [f"{v:.17g}" for v in values]))
         assert out.read_text() == "\n".join(lines) + "\n"
 
@@ -196,6 +197,19 @@ GOLDEN_SHA256 = {
         "0a3d4eeb2fc5e2bcfaffe4c7613c67a2e990c58bb37fe3a4902f8f64bb91394b",
         "bf84e2a67693022fa223a87bdecc103704b2309f9c185e24da3b445d58078f57"),
 }
+
+
+@pytest.mark.parametrize("command", COMMANDS[:2])
+def test_sweep_makes_one_solve_and_one_column_check(tmp_path, monkeypatch, command):
+    calls = {"water_fill": 0, "_checked_columns": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(bounds, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(bounds, name, counted)
+    assert main([command, "--out", str(tmp_path / "o.csv")]) == 0
+    assert calls == {"water_fill": 1, "_checked_columns": 1}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
@@ -342,8 +356,10 @@ class TestConfigHandling:
         ["rate-vs-blocklength", "--nc", "1000000000000000", "--points", "3"],
         ["rate-vs-power", "--nc", str(2 ** 53), "--points", "3"],
     ])
-    def test_codeword_length_past_2_to_the_53_rejected(self, tmp_path, capsys, argv):
-        # each n_c is accepted on its own; the lengths blocks * n_c are not
+    def test_codeword_length_past_2_to_the_53_rejected(self, tmp_path, capsys, no_computation,
+                                                      argv):
+        # each n_c is accepted on its own; the lengths blocks * n_c are not,
+        # and bound_columns says so before it solves anything
         out = tmp_path / "o.csv"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -479,13 +495,17 @@ class TestVerify:
 
 @pytest.fixture
 def no_computation(monkeypatch):
-    """Fail the test if the CLI starts a solve or a simulation."""
+    """Fail the test if the CLI starts a solve or a simulation.
+
+    The solves are patched where bound_columns calls them, so its own
+    input checks still run.
+    """
     def must_not_run(*args, **kwargs):
         raise AssertionError("computation started before the config was checked")
 
-    for name in ("sweep_dispersion_stats", "simulate_st_controller",
-                 "simulate_information_density"):
-        monkeypatch.setattr(cli, name, must_not_run)
+    for module, name in ((bounds, "sweep_dispersion_stats"), (bounds, "water_fill"),
+                         (cli, "simulate_st_controller"), (cli, "simulate_information_density")):
+        monkeypatch.setattr(module, name, must_not_run)
 
 
 class TestSchema:
@@ -515,6 +535,28 @@ class TestSchema:
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")] + flags
         assert main(argv) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,payload,flags", [
+        ("rate-vs-blocklength", {}, ["--power-db", "3082"]),
+        ("rate-vs-power", {"power_sweep": {"p_max_db": 3082}}, []),
+        ("verify", {}, ["--power-db", "3082", "--trials", "100"]),
+    ])
+    def test_budget_that_overflows_the_water_level_rejected(self, tmp_path, capsys, monkeypatch,
+                                                            command, payload, flags):
+        # 10^308.2 is finite, so the dB rule passes it, but 4 * level is not
+        def must_not_draw(*args, **kwargs):
+            raise AssertionError("a simulation drew before the budget was rejected")
+
+        monkeypatch.setattr(montecarlo, "_substream", must_not_draw)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: power budget 1.584893192461") and "too large" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,payload,flags,field", [
         ("rate-vs-blocklength", None, [], "out"),

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +231,18 @@ class TestWaterLevels:
     def test_invalid_budgets(self, budgets):
         with pytest.raises(InvalidParameterError):
             water_fill(channel([1.0, 2.0], [0.5, 0.5]), budgets)
+
+    def test_budget_that_overflows_the_largest_snr_rejected(self):
+        # gain^2 tops out at 4: at 1e308 the level is finite but 4 * level is
+        # not, and 1e308 / 0.5 overflows inside the solve; neither may warn
+        spec = channel([1.0, 2.0], [0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(water_fill(spec, [1e307])[0] * 4.0).all()
+            for budget in (1e308, 1.7e308):
+                with pytest.raises(InvalidParameterError,
+                                   match=re.escape(f"power budget {budget!r} is too large")):
+                    water_fill(spec, [1.0, budget])
 
 
 class TestCapacity:
