@@ -67,7 +67,9 @@ def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
     c_vals, l_vals, cap, var_c, var_l, mean_v = link_moments(
         spec, gains * gains * np.concatenate((powers, const)))
     v_bf = mean_v + spec.n_c * var_c + 0.5 * var_l
-    composite = (spec.n_c * c_vals[:rows] + (budgets / (2.0 * levels))[:, None]
+    # budget / level * 0.5 has the bits of budget / (2 * level) and cannot
+    # overflow where 2 * level would.
+    composite = (spec.n_c * c_vals[:rows] + (budgets / levels * 0.5)[:, None]
                  - 0.5 * l_vals[:rows])
     _, var_comp = _mean_and_var(composite, np.asarray(spec.fading.probs, dtype=float))
     table = _checked_columns((cap[:rows], v_bf[:rows], mean_v[:rows] + var_comp,
@@ -125,7 +127,7 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     lb_st = lb_lt - np.sqrt(nf / 2.0)
     ub_st = (nf * cap + np.sqrt(nf * v_bf_prime) * quantile
              + 0.5 * spec.fading.num_states * log_n)
-    ub_lt = ub_st + np.sqrt(nf) / (2.0 * level)
+    ub_lt = ub_st + np.sqrt(nf) / level * 0.5  # not / (2 * level), which can overflow
     nocsit_log_m = nf * nocsit_cap + np.sqrt(nf * nocsit_v) * quantile + 0.5 * log_n - backoff
 
     log_m = (lb_st, lb_lt, ub_st, ub_lt)

@@ -85,6 +85,7 @@ class ChannelSpec:
 
     noise_var: additive noise variance (power units), > 0.
     n_c: channel uses per coherence block, >= 1.
+    Every state's floor noise_var / gain^2 must be positive and finite.
     """
 
     noise_var: float
@@ -96,6 +97,15 @@ class ChannelSpec:
             raise InvalidParameterError(f"noise_var must be positive and finite, got {self.noise_var!r}")
         if not isinstance(self.n_c, int) or self.n_c < 1:
             raise InvalidParameterError(f"n_c must be an integer >= 1, got {self.n_c!r}")
+        for g in self.fading.gains:
+            # water-filling's floor for the state; in Python floats, so an
+            # overflow or underflow here raises no numpy warning
+            square = g * g
+            floor = self.noise_var / square if square > 0.0 else math.inf
+            if not (0.0 < floor < math.inf):
+                raise InvalidParameterError(
+                    f"gain {g!r} is out of range for noise_var {self.noise_var!r}: the floor "
+                    f"noise_var / gain^2 = {floor!r} must be positive and finite")
 
 
 def _floats(what: str, values: Iterable[float]) -> tuple[float, ...]:

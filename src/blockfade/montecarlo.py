@@ -9,6 +9,13 @@ trials and draws the chunk's counts in one call; the chunk size is part
 of the determinism contract. Either way trial t sees the same draws no
 matter how many trials run, in what order, or on how many workers, and
 aggregation is a plain order-independent reduction.
+
+A density trial draws one uniform per block, then the block's n_c
+normals. Each uniform's fading state comes from an exact guide table
+(indexed search): a power-of-two grid of cells on [0, 1) gives most
+keys their state in one lookup, and only keys in a cell that a
+cumulative-probability edge splits go to searchsorted, so the states
+equal searchsorted's bit for bit. The trials share one set of buffers.
 """
 
 import math
@@ -38,6 +45,10 @@ _DENSITY_STREAM = 11
 _MIN_DENSITY_TRIALS = 100
 # Trials per controller substream; changing it changes every result.
 _CONTROLLER_CHUNK = 4096
+# Guide-table cells per fading state, and the most cells a table may have.
+# Neither moves a result: the lookup equals searchsorted for any cell count.
+_GUIDE_CELLS_PER_STATE = 4
+_GUIDE_MAX_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -212,6 +223,80 @@ def _density_coefficients(spec: ChannelSpec, x: np.ndarray):
     return spec.n_c * c + spec.n_c * l / 2.0, np.sqrt(x) / (s2 + x), l / (2.0 * s2)
 
 
+def _state_guide(cum: np.ndarray) -> tuple[float, np.ndarray]:
+    """Guide table that maps a uniform u in [0, 1) to its fading state.
+
+    cum holds the cumulative probabilities, the last one 1. [0, 1) is cut
+    into a power-of-two number of equal cells, about four per state, so
+    int(u * cells) is exact. table[k] is the state searchsorted(cum, u,
+    side="right") gives every u in cell k, or len(cum) when an edge lies
+    strictly inside the cell: only keys there need searchsorted.
+    """
+    cells = min(1 << (_GUIDE_CELLS_PER_STATE * len(cum) - 1).bit_length(), _GUIDE_MAX_CELLS)
+    corners = np.arange(cells + 1) / cells
+    table = np.searchsorted(cum, corners[:-1], side="right")
+    table[np.searchsorted(cum, corners[1:], side="left") != table] = len(cum)
+    return float(cells), table
+
+
+def _lookup_states(u: np.ndarray, cum: np.ndarray, cells: float, table: np.ndarray,
+                   states: np.ndarray) -> None:
+    """Write searchsorted(cum, u, side="right") into states, by the guide table."""
+    # The cast truncates u * cells >= 0, which is the floor. Mode "clip"
+    # spares take the copy of out= its default mode makes; every index is
+    # in range.
+    np.multiply(u, cells, out=states, casting="unsafe")
+    np.take(table, states, out=states, mode="clip")
+    hit = np.flatnonzero(states == len(cum))
+    states[hit] = np.searchsorted(cum, u[hit], side="right")
+
+
+def _density_totals(cfg: SimConfig, fixed: np.ndarray, lin: np.ndarray,
+                    quad: np.ndarray) -> np.ndarray:
+    """Each trial's log-likelihood total, from its own substream.
+
+    Trial t draws blocks uniforms, which pick the states, then blocks*n_c
+    standard normals, scaled by the noise s.d.; its total is the pairwise
+    sum of the increments fixed + lin*sum(z) - quad*sum(z^2) (see
+    _density_coefficients). The buffers are allocated once and every
+    trial draws into them.
+    """
+    n_c, blocks = cfg.spec.n_c, cfg.blocks
+    cum = np.cumsum(np.asarray(cfg.spec.fading.probs, dtype=float))
+    cum[-1] = 1.0  # guard the top edge against rounding
+    cells, table = _state_guide(cum)
+    noise_std = math.sqrt(cfg.spec.noise_var)
+    u, work, term = (np.empty(blocks) for _ in range(3))
+    noise = np.empty((blocks, n_c))
+    # With one use per block, sum(z) is z itself and sum(z^2) is z*z.
+    lin_part = noise.reshape(blocks) if n_c == 1 else np.empty(blocks)
+    quad_part = u  # u is spent once the states are known
+    states = np.empty(blocks, dtype=np.intp)
+    totals = np.empty(cfg.trials)
+    for trial in range(cfg.trials):
+        rng = _substream(cfg.seed, _DENSITY_STREAM, trial)
+        rng.random(out=u)
+        rng.standard_normal(out=noise)
+        _lookup_states(u, cum, cells, table, states)
+        # normal(0, s) returns 0 + s*z, which differs from s*z only in the
+        # sign of a zero; no total can tell them apart
+        np.multiply(noise, noise_std, out=noise)
+        if n_c == 1:
+            np.multiply(lin_part, lin_part, out=quad_part)
+        else:
+            noise.sum(axis=1, out=lin_part)
+            np.einsum("ij,ij->i", noise, noise, out=quad_part)
+        np.take(fixed, states, out=work, mode="clip")
+        np.take(lin, states, out=term, mode="clip")
+        term *= lin_part
+        work += term
+        np.take(quad, states, out=term, mode="clip")
+        term *= quad_part
+        work -= term
+        totals[trial] = float(work.sum())
+    return totals
+
+
 def _ks_distance(sorted_sample: np.ndarray) -> float:
     n = len(sorted_sample)
     cdf = np.array([std_normal_cdf(t) for t in sorted_sample])
@@ -252,20 +337,8 @@ def simulate_information_density(cfg: SimConfig) -> DensityStats:
     analytic_mean = float(mean_c[0])
     analytic_var = float(mean_v[0] + n_c * var_c[0])
 
-    cum = np.cumsum(np.asarray(spec.fading.probs, dtype=float))
-    cum[-1] = 1.0  # guard the top edge against rounding
-    noise_std = math.sqrt(spec.noise_var)
+    totals = _density_totals(cfg, fixed, lin, quad)
     n = cfg.blocks * n_c
-    totals = np.empty(cfg.trials)
-    for trial in range(cfg.trials):
-        rng = _substream(cfg.seed, _DENSITY_STREAM, trial)
-        states = np.searchsorted(cum, rng.random(cfg.blocks), side="right")
-        noise = rng.normal(0.0, noise_std, size=(cfg.blocks, n_c))
-        lin_part = noise.sum(axis=1)
-        quad_part = np.einsum("ij,ij->i", noise, noise)
-        increments = fixed[states] + lin[states] * lin_part - quad[states] * quad_part
-        totals[trial] = float(increments.sum())
-
     standardized = np.sort((totals - n * analytic_mean) / math.sqrt(n * analytic_var))
     return DensityStats(
         empirical_mean_per_use=float(totals.mean()) / n,

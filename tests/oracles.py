@@ -6,7 +6,9 @@ water-level oracle enumerates active sets in closed form instead of
 bisecting, and moment accumulation uses fsum over reversed state order
 with the uncentered variance formula. The controller's violation
 probability is summed exactly over the state counts, and its original
-per-block sampler is kept here as a sampling reference.
+per-block sampler is kept here as a sampling reference. The density
+simulation's original per-trial loop is kept as its bit-for-bit
+reference.
 """
 
 import math
@@ -192,6 +194,34 @@ def per_block_violations(probs, powers, blocks, cap, trials, seed, stream=1) -> 
         states = np.searchsorted(cum, rng.random(blocks), side="right")
         violations += float(powers[states].sum()) > cap
     return violations
+
+
+def per_trial_density_totals(fixed, lin, quad, probs, noise_var, n_c, blocks, trials, seed,
+                             stream=11) -> np.ndarray:
+    """Log-likelihood totals of the original per-trial density sampler.
+
+    Trial t has its own Philox generator, key (stream, seed) and counter
+    t * 2^192. It draws one uniform per block and maps each to a state by
+    searchsorted on the cumulative probabilities, then draws the blocks'
+    noise as normal(0, sqrt(noise_var)) of shape (blocks, n_c). Its total
+    is the sum of fixed + lin*sum(z) - quad*sum(z^2) over the blocks, with
+    the coefficients of each block's state.
+    """
+    cum = np.cumsum(np.asarray(probs, dtype=float))
+    cum[-1] = 1.0
+    fixed, lin, quad = (np.asarray(a, dtype=float) for a in (fixed, lin, quad))
+    key = (stream << 64) | (seed & ((1 << 64) - 1))
+    noise_std = math.sqrt(noise_var)
+    totals = np.empty(trials)
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=trial << 192))
+        states = np.searchsorted(cum, rng.random(blocks), side="right")
+        noise = rng.normal(0.0, noise_std, size=(blocks, n_c))
+        lin_part = noise.sum(axis=1)
+        quad_part = np.einsum("ij,ij->i", noise, noise)
+        increments = fixed[states] + lin[states] * lin_part - quad[states] * quad_part
+        totals[trial] = float(increments.sum())
+    return totals
 
 
 def binomial_acceptance_region(trials, p, false_alarm) -> tuple[int, int]:

@@ -199,6 +199,31 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the verify report, taken as above, for (argv, exit code): the
+# documented defaults (checked by TestVerify.test_default_verify_passes, which
+# runs them anyway), and a small run on the preset at n_c = 2 whose density
+# checks fail at 300 trials (exit 3). Both pin the density engine's draws.
+GOLDEN_VERIFY_SHA256 = {
+    "default": (
+        (), 0, "8be57d7d2ef343b8283e0464e22e42ab9d09e76023ee00d74707d12996b43444"),
+    "paper-rayleigh-nc2": (
+        ("--trials", "300", "--channel", "paper-rayleigh", "--nc", "2", "--seed", "5"), 3,
+        "db4109bfde7cf69aaf14f8d419fc653383847578f8c7095aacfb23a60dba4de8"),
+}
+
+
+def verify_report_digest(tmp_path, shape):
+    argv, code, _ = GOLDEN_VERIFY_SHA256[shape]
+    out = tmp_path / "report.json"
+    assert main(["verify", *argv, "--out", str(out)]) == code
+    return hashlib.sha256(out.read_bytes()).hexdigest(), json.loads(out.read_text())
+
+
+def test_small_verify_report_matches_golden_digest(tmp_path):
+    digest, _ = verify_report_digest(tmp_path, "paper-rayleigh-nc2")
+    assert digest == GOLDEN_VERIFY_SHA256["paper-rayleigh-nc2"][2], f"numpy {np.__version__}"
+
+
 @pytest.mark.parametrize("command", COMMANDS[:2])
 def test_sweep_makes_one_solve_and_one_column_check(tmp_path, monkeypatch, command):
     calls = {"water_fill": 0, "_checked_columns": 0}
@@ -471,9 +496,8 @@ class TestVerify:
     def test_default_verify_passes(self, tmp_path):
         # the documented default: two-state channel, seed 42, full trial
         # counts; takes a few seconds
-        out = tmp_path / "default.json"
-        assert main(["verify", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
+        digest, report = verify_report_digest(tmp_path, "default")
+        assert digest == GOLDEN_VERIFY_SHA256["default"][2], f"numpy {np.__version__}"
         assert report["pass"] is True
         assert report["seed"] == 42
         assert report["controller"]["trials"] == 100000
@@ -555,6 +579,40 @@ class TestSchema:
             assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: power budget 1.584893192461") and "too large" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,payload,flags", [
+        ("rate-vs-blocklength", {}, ["--power-db", "3080", "--points", "2"]),
+        ("rate-vs-power", {"power_sweep": {"p_max_db": 3080, "points": 2}}, []),
+    ])
+    def test_budget_near_the_float_range_sweeps_without_overflow(self, tmp_path, command,
+                                                                 payload, flags):
+        # gain^2 is at most 1, so water_fill takes 10^308, but 2 * level overflows
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(payload))
+        argv = [command, "--channel", '{"gains": [0.5, 1.0], "probs": [0.5, 0.5]}',
+                "--config", str(cfg), "--out", str(out)] + flags
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert main(argv) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2
+        assert all(math.isfinite(float(value)) for row in rows for value in row.values())
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("gains,named", [([1.0, 1e200], "1e+200"), ([1e-200, 1.0], "1e-200")])
+    def test_gain_whose_floor_is_not_finite_is_named(self, tmp_path, capsys, no_computation,
+                                                     command, gains, named):
+        # the floor noise_var / gain^2 would be 0 and inf: the channel is at
+        # fault, not the budget
+        channel = json.dumps({"gains": gains, "probs": [0.5, 0.5]})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--channel", channel, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: gain {named} is out of range") and "budget" not in err
         assert err.count("\n") == 1
         assert not out.exists()
 

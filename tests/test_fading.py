@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,3 +143,14 @@ class TestChannelSpec:
     def test_invalid(self, noise_var, n_c):
         with pytest.raises(InvalidParameterError):
             ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution([1.0], [1.0]))
+
+    @pytest.mark.parametrize("gains,noise_var,named", [
+        ([1.0, 1e200], 1.0, "1e+200"),  # gain^2 overflows: the floor would be 0
+        ([1e-200, 1.0], 1.0, "1e-200"),  # gain^2 underflows: the floor would be inf
+        ([1e-150, 1.0], 1e10, "1e-150"),  # noise_var / gain^2 overflows
+        ([1.0, 1e150], 1e-100, "1e+150"),  # noise_var / gain^2 underflows
+    ])
+    def test_gain_whose_floor_is_not_positive_and_finite(self, gains, noise_var, named):
+        with pytest.raises(InvalidParameterError, match=rf"^gain {re.escape(named)} .*"
+                                                        "noise_var / gain\\^2"):
+            ChannelSpec(noise_var=noise_var, n_c=1, fading=make_distribution(gains, [0.5, 0.5]))

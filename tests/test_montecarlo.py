@@ -19,7 +19,8 @@ from blockfade import (
     sweep_dispersion_stats,
     water_fill,
 )
-from blockfade.montecarlo import _controller_spends, _density_coefficients, _ks_distance
+from blockfade.montecarlo import (_controller_spends, _density_coefficients, _density_totals,
+                                  _ks_distance, _lookup_states, _state_guide)
 from oracles import (
     binomial_acceptance_region,
     controller_powers,
@@ -28,6 +29,7 @@ from oracles import (
     oracle_link_c,
     oracle_link_v,
     per_block_violations,
+    per_trial_density_totals,
     waterfill_powers,
 )
 from test_waterfill import random_channels
@@ -327,6 +329,65 @@ class TestDensitySimulation:
         se_mean = math.sqrt(stats.analytic_var / (400 * n))
         assert abs(stats.empirical_mean_per_use - stats.analytic_mean) <= 4.0 * se_mean
         assert abs(stats.empirical_var_per_use - stats.analytic_var) <= 0.2 * stats.analytic_var
+
+
+class TestDensityEngine:
+    # The engine against the original per-trial loop (oracles.py), bit for
+    # bit: the same draws in the same order, the same increments and sums.
+    CHANNELS = {
+        "two-state": (TWO_STATE, 1.0, 1),
+        "paper-rayleigh": (discretize_rayleigh(0.1, 4.1, 10, 1.0), 1.0, 1),
+        "one-state": (make_distribution([1.0], [1.0]), 1.0, 1),
+        # the edges 0.3 and 0.6 fall inside guide cells
+        "edge-inside-a-cell": (make_distribution([0.5, 1.0, 2.0], [0.3, 0.3, 0.4]), 1.0, 1),
+        # edges crowd the top cells, so many keys go back to searchsorted
+        "rayleigh-1000": (discretize_rayleigh(0.001, 6.0, 1000), 1.0, 1),
+        "nc3": (TWO_STATE, 0.7, 3),
+    }
+
+    @staticmethod
+    def cum(fading):
+        cum = np.cumsum(np.asarray(fading.probs, dtype=float))
+        cum[-1] = 1.0
+        return cum
+
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    def test_totals_equal_the_per_trial_oracle_bit_for_bit(self, name):
+        fading, noise_var, n_c = self.CHANNELS[name]
+        spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=fading)
+        cfg = SimConfig(spec=spec, budget=1.0, blocks=700, alpha=0.1, trials=12, seed=2 ** 64 - 1)
+        gains = np.asarray(fading.gains, dtype=float)
+        coefficients = _density_coefficients(spec, gains * gains * water_fill(spec, [1.0])[1][0])
+        ours = _density_totals(cfg, *coefficients)
+        theirs = per_trial_density_totals(*coefficients, fading.probs, noise_var, n_c,
+                                          cfg.blocks, cfg.trials, cfg.seed)
+        assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("name,least,most", [
+        ("two-state", 0.0, 0.0), ("one-state", 0.0, 0.0),
+        ("edge-inside-a-cell", 0.1, 0.2), ("rayleigh-1000", 0.1, 1.0),
+    ])
+    def test_share_of_split_cells(self, name, least, most):
+        # the two-state edge 1/2 is a cell corner; see CHANNELS for the others
+        cum = self.cum(self.CHANNELS[name][0])
+        cells, table = _state_guide(cum)
+        assert cells >= 4 * len(cum) or cells == 2 ** 14
+        assert least <= np.mean(table == len(cum)) <= most
+
+    @given(random_channels())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_lookup_equals_searchsorted_at_every_edge(self, params):
+        # keys at, just below and just above every cumulative edge and
+        # every cell corner, where a wrong cell or table entry would show
+        gains, probs, _, _ = params
+        cum = self.cum(make_distribution(gains, probs))
+        cells, table = _state_guide(cum)
+        points = np.concatenate((cum[:-1], np.arange(cells) / cells))
+        keys = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
+        keys = keys[(keys >= 0.0) & (keys < 1.0)]
+        states = np.empty(len(keys), dtype=np.intp)
+        _lookup_states(keys, cum, cells, table, states)
+        assert np.array_equal(states, np.searchsorted(cum, keys, side="right"))
 
 
 class TestKsHelper:
