@@ -12,17 +12,8 @@ Monte Carlo simulation.
 from .bounds import bound_columns, sweep_dispersion_stats
 from .errors import BlockfadeError, DomainError, InvalidParameterError
 from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh, make_distribution
-from .montecarlo import (
-    DensityStats,
-    SimConfig,
-    ViolationReport,
-    delta_b,
-    hoeffding_violation_bound,
-    min_blocks_for_backoff,
-    simulate_information_density,
-    simulate_st_controller,
-)
-from .specfun import std_normal_cdf, std_normal_inv_cdf, std_normal_pdf
+from .montecarlo import SimConfig, simulate_information_density, simulate_st_controller
+from .specfun import std_normal_cdf, std_normal_inv_cdf
 from .waterfill import link_terms, water_fill
 
 __version__ = "0.1.0"
@@ -30,24 +21,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockfadeError",
     "ChannelSpec",
-    "DensityStats",
     "DomainError",
     "FadingDistribution",
     "InvalidParameterError",
     "SimConfig",
-    "ViolationReport",
     "bound_columns",
-    "delta_b",
     "discretize_rayleigh",
-    "hoeffding_violation_bound",
     "link_terms",
     "make_distribution",
-    "min_blocks_for_backoff",
     "simulate_information_density",
     "simulate_st_controller",
     "sweep_dispersion_stats",
     "std_normal_cdf",
     "std_normal_inv_cdf",
-    "std_normal_pdf",
     "water_fill",
 ]

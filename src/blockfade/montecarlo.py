@@ -16,6 +16,10 @@ normals. Each uniform's fading state comes from an exact guide table
 keys their state in one lookup, and only keys in a cell that a
 cumulative-probability edge splits go to searchsorted, so the states
 equal searchsorted's bit for bit. The trials share one set of buffers.
+
+Each simulation returns its own section of the ``verify`` report, a dict
+of plain floats, ints and bools: the measured values, the echoed block
+and trial counts, each check's threshold or tolerance, and its verdict.
 """
 
 import math
@@ -28,21 +32,16 @@ from .fading import _INT_MAX, ChannelSpec
 from .specfun import std_normal_cdf
 from .waterfill import link_moments, link_terms, water_fill
 
-__all__ = [
-    "SimConfig",
-    "ViolationReport",
-    "DensityStats",
-    "delta_b",
-    "hoeffding_violation_bound",
-    "min_blocks_for_backoff",
-    "simulate_st_controller",
-    "simulate_information_density",
-]
+__all__ = ["SimConfig", "simulate_st_controller", "simulate_information_density"]
 
 _MASK64 = (1 << 64) - 1
 _CONTROLLER_STREAM = 1
 _DENSITY_STREAM = 11
 _MIN_DENSITY_TRIALS = 100
+# The density checks' fixed tolerances: the variance's relative error and
+# the KS distance. They do not widen with fewer trials.
+_VAR_REL_TOLERANCE = 0.02
+_KS_THRESHOLD = 0.02
 # Trials per controller substream; changing it changes every result.
 _CONTROLLER_CHUNK = 4096
 # Guide-table cells per fading state, and the most cells a table may have.
@@ -75,80 +74,26 @@ class SimConfig:
             raise InvalidParameterError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    """Observed controller budget violations against the analytic bound."""
-
-    empirical_prob: float
-    hoeffding_bound: float
-    delta_b: float
-    lambda_b: float
-    trials: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.empirical_prob <= 1.0):
-            raise InvalidParameterError(
-                f"empirical probability must lie in [0, 1], got {self.empirical_prob!r}")
-
-
-@dataclass(frozen=True)
-class DensityStats:
-    """Sampled information-density moments against their analytic targets."""
-
-    empirical_mean_per_use: float
-    empirical_var_per_use: float
-    analytic_mean: float
-    analytic_var: float
-    ks_distance: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.ks_distance <= 1.0):
-            raise InvalidParameterError(
-                f"KS distance must lie in [0, 1], got {self.ks_distance!r}")
-
-
-def delta_b(blocks: int, alpha: float, water_level: float) -> float:
+def _delta_b(blocks: int, alpha: float, water_level: float) -> float:
     """Budget back-off water_level * sqrt(2 / blocks^(1-alpha))."""
-    if blocks < 1:
-        raise InvalidParameterError(f"blocks must be >= 1, got {blocks!r}")
-    if not (0.0 < alpha < 1.0):
-        raise InvalidParameterError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
-    if not (water_level > 0.0):
-        raise InvalidParameterError(f"water_level must be positive, got {water_level!r}")
     return water_level * math.sqrt(2.0 / float(blocks) ** (1.0 - alpha))
 
 
-def hoeffding_violation_bound(blocks: int, delta: float, water_level: float) -> float:
-    """Concentration bound exp(-blocks*delta^2 / (2*water_level^2)).
-
-    With the canonical back-off from delta_b this collapses to
-    exp(-blocks^alpha).
-    """
-    if blocks < 1 or delta < 0.0 or not (water_level > 0.0):
-        raise InvalidParameterError(
-            f"need blocks >= 1, delta >= 0, water_level > 0; got {blocks!r}, {delta!r}, {water_level!r}")
-    return math.exp(-blocks * delta * delta / (2.0 * water_level * water_level))
-
-
-def min_blocks_for_backoff(budget: float, alpha: float, water_level: float) -> int:
-    """Smallest block count whose back-off delta_b stays below the budget.
+def _min_blocks_for_backoff(budget: float, alpha: float, water_level: float) -> int:
+    """Smallest block count whose back-off _delta_b stays below the budget.
 
     Raises InvalidParameterError when that count exceeds 2^53, the CLI's
     cap on block counts: past it a float no longer holds every integer.
     """
-    if not (budget > 0.0 and water_level > 0.0 and 0.0 < alpha < 1.0):
-        raise InvalidParameterError(
-            f"need budget > 0, water_level > 0, 0 < alpha < 1; got {budget!r}, "
-            f"{water_level!r}, {alpha!r}")
-    # delta_b < budget  <=>  blocks^(1-alpha) > 2*water_level^2/budget^2. The
+    # _delta_b < budget  <=>  blocks^(1-alpha) > 2*water_level^2/budget^2. The
     # threshold is formed in log space, where it cannot overflow, and only
-    # seeds the search: delta_b's own rounding decides the answer.
+    # seeds the search: _delta_b's own rounding decides the answer.
     log_threshold = (math.log(2.0) + 2.0 * (math.log(water_level) - math.log(budget))) \
         / (1.0 - alpha)
     blocks = min(int(math.exp(min(log_threshold, 37.0))) + 1, _INT_MAX + 1)  # e^37 > 2^53
-    while blocks > 1 and delta_b(blocks - 1, alpha, water_level) < budget:
+    while blocks > 1 and _delta_b(blocks - 1, alpha, water_level) < budget:
         blocks -= 1
-    while blocks <= _INT_MAX and delta_b(blocks, alpha, water_level) >= budget:
+    while blocks <= _INT_MAX and _delta_b(blocks, alpha, water_level) >= budget:
         blocks += 1
     if blocks > _INT_MAX:
         raise InvalidParameterError(
@@ -178,8 +123,8 @@ def _controller_spends(cfg: SimConfig, powers: np.ndarray):
         yield np.sum(counts * powers, axis=-1)
 
 
-def simulate_st_controller(cfg: SimConfig) -> ViolationReport:
-    """Sample the backed-off power controller and count budget violations.
+def simulate_st_controller(cfg: SimConfig) -> dict:
+    """Sample the backed-off power controller and check its violation rate.
 
     Per trial, a fading sequence of length ``blocks`` is drawn and the
     controller allocates water-filling power against the reduced budget
@@ -187,11 +132,18 @@ def simulate_st_controller(cfg: SimConfig) -> ViolationReport:
     energy constraint can only be breached at the full sum, which depends
     on the sequence only through its state counts k ~ Multinomial(blocks,
     probs): the trial violates iff k . powers > blocks * budget.
+
+    Returns verify's controller section: the violation share
+    empirical_prob; the Hoeffding bound exp(-blocks*delta_b^2 /
+    (2*level^2)) at the full water level, which with this back-off
+    collapses to exp(-blocks^alpha); delta_b; the backed-off level
+    lambda_b; blocks and trials; the Wald slack 3*sqrt(p(1-p)/trials);
+    the threshold, bound plus slack; and pass, empirical_prob <= threshold.
     """
     full_level = float(water_fill(cfg.spec, [cfg.budget])[0][0])
-    backoff = delta_b(cfg.blocks, cfg.alpha, full_level)
+    backoff = _delta_b(cfg.blocks, cfg.alpha, full_level)
     if cfg.budget <= backoff:
-        needed = min_blocks_for_backoff(cfg.budget, cfg.alpha, full_level)
+        needed = _min_blocks_for_backoff(cfg.budget, cfg.alpha, full_level)
         raise InvalidParameterError(
             f"back-off {backoff:.6g} meets or exceeds the budget {cfg.budget:.6g}; "
             f"use at least {needed} blocks at alpha={cfg.alpha:g}")
@@ -201,13 +153,13 @@ def simulate_st_controller(cfg: SimConfig) -> ViolationReport:
     violations = sum(int(np.count_nonzero(spends > cap_total))
                      for spends in _controller_spends(cfg, powers[0]))
 
-    return ViolationReport(
-        empirical_prob=violations / cfg.trials,
-        hoeffding_bound=hoeffding_violation_bound(cfg.blocks, backoff, full_level),
-        delta_b=backoff,
-        lambda_b=float(levels[0]),
-        trials=cfg.trials,
-    )
+    p_hat = violations / cfg.trials
+    bound = math.exp(-cfg.blocks * backoff * backoff / (2.0 * full_level * full_level))
+    slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / cfg.trials)
+    threshold = bound + slack
+    return {"empirical_prob": p_hat, "hoeffding_bound": bound, "delta_b": backoff,
+            "lambda_b": float(levels[0]), "blocks": cfg.blocks, "trials": cfg.trials,
+            "binomial_slack": slack, "threshold": threshold, "pass": p_hat <= threshold}
 
 
 def _density_coefficients(spec: ChannelSpec, x: np.ndarray):
@@ -313,19 +265,26 @@ def check_density_config(cfg: SimConfig) -> None:
             f"density simulation needs at least {_MIN_DENSITY_TRIALS} trials, got {cfg.trials}")
 
 
-def simulate_information_density(cfg: SimConfig) -> DensityStats:
-    """Sample the per-codeword log-likelihood sum and compare moments.
+def simulate_information_density(cfg: SimConfig) -> dict:
+    """Sample the per-codeword log-likelihood sum and check its law.
 
     Per trial, fading states and Gaussian noise are drawn for every
-    block, the block increments are accumulated, and the run reports the
-    per-channel-use mean and variance of the total next to the analytic
-    targets, plus the Kolmogorov-Smirnov distance of the standardized
-    totals from the standard normal cdf.
+    block, the block increments are accumulated, and the run compares
+    the per-channel-use mean and variance of the total with the analytic
+    targets, and the standardized totals with the standard normal cdf.
 
     The analytic variance target is the mean per-use dispersion plus n_c
     times the rate variance; the sphere-correction term that enters the
     achievability dispersion does not arise for a fixed unit-energy
     codeword, so the target is deliberately not the full bound constant.
+
+    Returns verify's density section: the measured per-use mean and
+    variance, their analytic targets and the Kolmogorov-Smirnov distance;
+    blocks and trials; each check's tolerance and pass flag (the mean
+    within mean_tolerance = 3*sqrt(analytic_var/(trials*n)) of its
+    target, n = blocks*n_c; the variance's relative error at most
+    var_rel_tolerance; the KS distance at most ks_threshold); and pass,
+    all three.
     """
     check_density_config(cfg)
     spec = cfg.spec
@@ -340,10 +299,17 @@ def simulate_information_density(cfg: SimConfig) -> DensityStats:
     totals = _density_totals(cfg, fixed, lin, quad)
     n = cfg.blocks * n_c
     standardized = np.sort((totals - n * analytic_mean) / math.sqrt(n * analytic_var))
-    return DensityStats(
-        empirical_mean_per_use=float(totals.mean()) / n,
-        empirical_var_per_use=float(totals.var(ddof=1)) / n,
-        analytic_mean=analytic_mean,
-        analytic_var=analytic_var,
-        ks_distance=_ks_distance(standardized),
-    )
+    mean = float(totals.mean()) / n
+    var = float(totals.var(ddof=1)) / n
+    ks = _ks_distance(standardized)
+    mean_tolerance = 3.0 * math.sqrt(analytic_var / (cfg.trials * n))
+    mean_pass = abs(mean - analytic_mean) <= mean_tolerance
+    var_pass = abs(var - analytic_var) <= _VAR_REL_TOLERANCE * analytic_var
+    ks_pass = ks <= _KS_THRESHOLD
+    return {"empirical_mean_per_use": mean, "empirical_var_per_use": var,
+            "analytic_mean": analytic_mean, "analytic_var": analytic_var, "ks_distance": ks,
+            "blocks": cfg.blocks, "trials": cfg.trials,
+            "mean_tolerance": mean_tolerance, "mean_pass": mean_pass,
+            "var_rel_tolerance": _VAR_REL_TOLERANCE, "var_pass": var_pass,
+            "ks_threshold": _KS_THRESHOLD, "ks_pass": ks_pass,
+            "pass": mean_pass and var_pass and ks_pass}

@@ -1,17 +1,18 @@
 """Standard-normal distribution functions.
 
-Only the three functions the rate bounds need: the cdf, the density and
-the quantile. The cdf is evaluated through the complementary error
-function (C library ``erfc``, a rational/continued-fraction
-approximation), which keeps full precision in both tails because no
-subtraction from 1 ever happens on the small side.
+Only the two functions the library needs: the cdf and the quantile. The
+density is private; only the quantile's Newton step uses it. The cdf is
+evaluated through the complementary error function (C library ``erfc``,
+a rational/continued-fraction approximation), which keeps full precision
+in both tails because no subtraction from 1 ever happens on the small
+side.
 """
 
 import math
 
 from .errors import DomainError
 
-__all__ = ["std_normal_cdf", "std_normal_pdf", "std_normal_inv_cdf"]
+__all__ = ["std_normal_cdf", "std_normal_inv_cdf"]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -40,11 +41,8 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def std_normal_pdf(x: float) -> float:
-    """Density of a standard Gaussian."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"standard normal pdf needs a finite argument, got {x!r}")
+def _std_normal_pdf(x: float) -> float:
+    """Density of a standard Gaussian at a finite x."""
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
@@ -73,7 +71,7 @@ def std_normal_inv_cdf(p: float) -> float:
     if not (0.0 < p < 1.0) or not math.isfinite(p):
         raise DomainError(f"quantile argument must lie strictly in (0, 1), got {p!r}")
     x = _acklam(p)
-    density = std_normal_pdf(x)
+    density = _std_normal_pdf(x)
     if density > 0.0:
         x -= (std_normal_cdf(x) - p) / density
     return x

@@ -221,21 +221,21 @@ def test_criterion_6_controller_violation_bound():
     cfg = SimConfig(spec=two_state_spec(), budget=1.0, blocks=1000, alpha=0.1,
                     trials=100_000, seed=42)
     report = simulate_st_controller(cfg)
-    slack = 3.0 * math.sqrt(report.empirical_prob * (1.0 - report.empirical_prob)
-                            / report.trials)
-    bound_ok = report.empirical_prob <= report.hoeffding_bound + slack
+    slack = 3.0 * math.sqrt(report["empirical_prob"] * (1.0 - report["empirical_prob"])
+                            / report["trials"])
+    bound_ok = report["empirical_prob"] <= report["hoeffding_bound"] + slack
 
     single = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
     single_cfg = SimConfig(spec=single, budget=1.0, blocks=1000, alpha=0.1,
                            trials=10_000, seed=42)
     single_report = simulate_st_controller(single_cfg)
-    single_ok = single_report.empirical_prob == 0.0
+    single_ok = single_report["empirical_prob"] == 0.0
     elapsed = time.perf_counter() - start
 
     ok = bound_ok and single_ok and elapsed < 60.0
     _report(6, "controller violations within concentration bound", ok,
-            f"empirical {report.empirical_prob:.2e} <= bound {report.hoeffding_bound:.4f}, "
-            f"single-state violations {single_report.empirical_prob}, {elapsed:.1f}s")
+            f"empirical {report['empirical_prob']:.2e} <= bound {report['hoeffding_bound']:.4f}, "
+            f"single-state violations {single_report['empirical_prob']}, {elapsed:.1f}s")
     assert bound_ok
     assert single_ok
     assert elapsed < 60.0
@@ -248,17 +248,17 @@ def test_criterion_7_information_density_clt():
                     trials=10_000, seed=42)
     stats = simulate_information_density(cfg)
     n = cfg.blocks
-    se = math.sqrt(stats.analytic_var / (cfg.trials * n))
-    mean_ok = abs(stats.empirical_mean_per_use - 0.5893274981708231) <= 3.0 * se
-    var_ok = abs(stats.empirical_var_per_use - 0.51952) <= 0.02 * 0.51952
-    ks_ok = stats.ks_distance <= 0.02
+    se = math.sqrt(stats["analytic_var"] / (cfg.trials * n))
+    mean_ok = abs(stats["empirical_mean_per_use"] - 0.5893274981708231) <= 3.0 * se
+    var_ok = abs(stats["empirical_var_per_use"] - 0.51952) <= 0.02 * 0.51952
+    ks_ok = stats["ks_distance"] <= 0.02
     elapsed = time.perf_counter() - start
 
     ok = mean_ok and var_ok and ks_ok and elapsed < 120.0
     _report(7, "information-density moments and normality", ok,
-            f"mean {stats.empirical_mean_per_use:.6f} (target 0.589327, 3se {3 * se:.1e}), "
-            f"var {stats.empirical_var_per_use:.5f} (target 0.51952 +/- 2%), "
-            f"ks {stats.ks_distance:.4f}, {elapsed:.1f}s")
+            f"mean {stats['empirical_mean_per_use']:.6f} (target 0.589327, 3se {3 * se:.1e}), "
+            f"var {stats['empirical_var_per_use']:.5f} (target 0.51952 +/- 2%), "
+            f"ks {stats['ks_distance']:.4f}, {elapsed:.1f}s")
     assert mean_ok
     assert var_ok
     assert ks_ok

@@ -8,6 +8,30 @@ from blockfade import bounds, fading, montecarlo, specfun, waterfill
 
 ERROR_CLASSES = {"BlockfadeError", "DomainError", "InvalidParameterError"}
 
+# Adding or dropping a public name takes a deliberate edit here.
+EXPORTS = [
+    "BlockfadeError",
+    "ChannelSpec",
+    "DomainError",
+    "FadingDistribution",
+    "InvalidParameterError",
+    "SimConfig",
+    "bound_columns",
+    "discretize_rayleigh",
+    "link_terms",
+    "make_distribution",
+    "simulate_information_density",
+    "simulate_st_controller",
+    "std_normal_cdf",
+    "std_normal_inv_cdf",
+    "sweep_dispersion_stats",
+    "water_fill",
+]
+
+
+def test_exports_are_pinned():
+    assert sorted(blockfade.__all__) == EXPORTS
+
 
 def test_star_import_binds_every_export():
     namespace = {}

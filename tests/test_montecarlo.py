@@ -1,3 +1,4 @@
+import json
 import math
 from statistics import NormalDist
 
@@ -9,18 +10,17 @@ from blockfade import (
     ChannelSpec,
     InvalidParameterError,
     SimConfig,
-    delta_b,
     discretize_rayleigh,
-    hoeffding_violation_bound,
     make_distribution,
-    min_blocks_for_backoff,
     simulate_information_density,
     simulate_st_controller,
     sweep_dispersion_stats,
     water_fill,
 )
-from blockfade.montecarlo import (_controller_spends, _density_coefficients, _density_totals,
-                                  _ks_distance, _lookup_states, _state_guide)
+from blockfade.cli import main
+from blockfade.montecarlo import (_controller_spends, _delta_b, _density_coefficients,
+                                  _density_totals, _ks_distance, _lookup_states,
+                                  _min_blocks_for_backoff, _state_guide)
 from oracles import (
     binomial_acceptance_region,
     controller_powers,
@@ -45,63 +45,53 @@ def two_state_cfg(blocks, trials, alpha=0.1, seed=42, n_c=1, budget=1.0):
 
 class TestScalarBounds:
     def test_delta_b_reference_value(self):
-        value = delta_b(1000, 0.1, 1.625)
+        value = _delta_b(1000, 0.1, 1.625)
         assert value == pytest.approx(1.625 * math.sqrt(2.0 / 1000.0 ** 0.9), rel=1e-15)
         assert value == pytest.approx(0.10265, abs=1e-5)
 
     def test_delta_b_single_block(self):
         for lam in (0.5, 1.625, 4.0):
-            assert delta_b(1, 0.3, lam) == pytest.approx(lam * math.sqrt(2.0), rel=1e-15)
+            assert _delta_b(1, 0.3, lam) == pytest.approx(lam * math.sqrt(2.0), rel=1e-15)
 
     @pytest.mark.parametrize("blocks,alpha,lam", [
         (10, 0.05, 0.5), (100, 0.3, 1.625), (1000, 0.1, 1.625), (10000, 0.9, 4.0),
     ])
     def test_hoeffding_collapses_to_exp_of_power(self, blocks, alpha, lam):
-        # with the canonical back-off the exponent is exactly -blocks^alpha
-        bound = hoeffding_violation_bound(blocks, delta_b(blocks, alpha, lam), lam)
-        assert bound == pytest.approx(math.exp(-float(blocks) ** alpha), rel=1e-12)
-
-    def test_hoeffding_zero_delta(self):
-        assert hoeffding_violation_bound(500, 0.0, 1.0) == 1.0
+        # with the canonical back-off the exponent is exactly -blocks^alpha;
+        # one state of gain 1 puts the water level at budget + noise_var = lam
+        spec = ChannelSpec(noise_var=0.1 * lam, n_c=1, fading=make_distribution([1.0], [1.0]))
+        cfg = SimConfig(spec=spec, budget=0.9 * lam, blocks=blocks, alpha=alpha,
+                        trials=1, seed=1)
+        report = simulate_st_controller(cfg)
+        assert report["delta_b"] == pytest.approx(_delta_b(blocks, alpha, lam), rel=1e-12)
+        assert report["hoeffding_bound"] == pytest.approx(math.exp(-float(blocks) ** alpha),
+                                                          rel=1e-12)
 
     def test_hoeffding_reference_value(self):
-        bound = hoeffding_violation_bound(1000, 0.10265222404272396, 1.625)
+        bound = simulate_st_controller(two_state_cfg(blocks=1000, trials=1))["hoeffding_bound"]
         assert bound == pytest.approx(math.exp(-1000.0 ** 0.1), rel=1e-12)
         assert bound == pytest.approx(0.1360, abs=2e-4)
 
     def test_hoeffding_decreasing_in_blocks(self):
-        values = [hoeffding_violation_bound(b, 0.05, 1.0) for b in (10, 100, 1000, 10000)]
+        values = [simulate_st_controller(two_state_cfg(blocks=b, trials=1))["hoeffding_bound"]
+                  for b in (10, 100, 1000, 10000)]
         assert all(b < a for a, b in zip(values, values[1:]))
-
-    @pytest.mark.parametrize("call", [
-        lambda: delta_b(0, 0.1, 1.0),
-        lambda: delta_b(10, 0.0, 1.0),
-        lambda: delta_b(10, 1.0, 1.0),
-        lambda: delta_b(10, 0.1, 0.0),
-        lambda: hoeffding_violation_bound(0, 0.1, 1.0),
-        lambda: hoeffding_violation_bound(10, -0.1, 1.0),
-        lambda: two_state_cfg(blocks=10, trials=10, seed=-1),
-        lambda: two_state_cfg(blocks=10, trials=10, seed=2 ** 64),
-    ])
-    def test_scalar_preconditions(self, call):
-        with pytest.raises(InvalidParameterError):
-            call()
 
     def test_min_blocks_for_backoff(self):
         # two-state level 1.625, budget 1, alpha 0.5:
         # blocks^(0.5) > 2*1.625^2 means blocks > 27.9
-        assert min_blocks_for_backoff(1.0, 0.5, 1.625) == 28
-        assert delta_b(28, 0.5, 1.625) < 1.0
-        assert delta_b(27, 0.5, 1.625) >= 1.0
+        assert _min_blocks_for_backoff(1.0, 0.5, 1.625) == 28
+        assert _delta_b(28, 0.5, 1.625) < 1.0
+        assert _delta_b(27, 0.5, 1.625) >= 1.0
         # alpha 0.9: blocks > (2*1.625^2)^10 = 16879798.7
-        assert min_blocks_for_backoff(1.0, 0.9, 1.625) == 16879799
-        assert delta_b(16879799, 0.9, 1.625) < 1.0 <= delta_b(16879798, 0.9, 1.625)
+        assert _min_blocks_for_backoff(1.0, 0.9, 1.625) == 16879799
+        assert _delta_b(16879799, 0.9, 1.625) < 1.0 <= _delta_b(16879798, 0.9, 1.625)
 
     @pytest.mark.parametrize("alpha", [0.96, 0.999, 1.0 - 1e-12])
     def test_min_blocks_past_2_to_53_is_an_error(self, alpha):
         # the threshold (2*1.625^2)^(1/(1-alpha)) overflows a float at 0.999
         with pytest.raises(InvalidParameterError, match=r"2\^53"):
-            min_blocks_for_backoff(1.0, alpha, 1.625)
+            _min_blocks_for_backoff(1.0, alpha, 1.625)
 
 
 class TestController:
@@ -109,7 +99,7 @@ class TestController:
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
         cfg = SimConfig(spec=spec, budget=2.0, blocks=50, alpha=0.3, trials=500, seed=3)
         report = simulate_st_controller(cfg)
-        assert report.empirical_prob == 0.0
+        assert report["empirical_prob"] == 0.0
 
     def test_deterministic_reports(self):
         cfg = two_state_cfg(blocks=200, trials=400)
@@ -120,39 +110,36 @@ class TestController:
         first = simulate_st_controller(cfg)
         second = simulate_st_controller(cfg)
         assert first == second
-        assert first.empirical_prob in (0.0, 1.0)
+        assert first["empirical_prob"] in (0.0, 1.0)
 
     def test_trial_results_do_not_depend_on_trial_count(self):
         # substreams: the first trial's draw is fixed, so prefix counts agree
         small = simulate_st_controller(two_state_cfg(blocks=150, trials=50, seed=5))
         large = simulate_st_controller(two_state_cfg(blocks=150, trials=200, seed=5))
-        assert small.delta_b == large.delta_b
-        assert small.lambda_b == large.lambda_b
-        assert round(small.empirical_prob * 50) <= round(large.empirical_prob * 200)
+        assert small["delta_b"] == large["delta_b"]
+        assert small["lambda_b"] == large["lambda_b"]
+        assert round(small["empirical_prob"] * 50) <= round(large["empirical_prob"] * 200)
 
     def test_bound_reported_matches_canonical_form(self):
         cfg = two_state_cfg(blocks=1000, trials=10)
         report = simulate_st_controller(cfg)
-        assert report.hoeffding_bound == pytest.approx(math.exp(-1000.0 ** 0.1), rel=1e-12)
-        assert report.delta_b == pytest.approx(delta_b(1000, 0.1, 1.625), rel=1e-9)
+        assert report["hoeffding_bound"] == pytest.approx(math.exp(-1000.0 ** 0.1), rel=1e-12)
+        assert report["delta_b"] == pytest.approx(_delta_b(1000, 0.1, 1.625), rel=1e-9)
 
     def test_backed_off_level_value(self):
         report = simulate_st_controller(two_state_cfg(blocks=1000, trials=10))
         # both states stay active at the reduced budget, so the level drops
         # by exactly the back-off
-        assert report.lambda_b == pytest.approx(1.625 - report.delta_b, abs=1e-9)
+        assert report["lambda_b"] == pytest.approx(1.625 - report["delta_b"], abs=1e-9)
 
     def test_violations_within_hoeffding_bound(self):
-        report = simulate_st_controller(two_state_cfg(blocks=1000, trials=2000))
-        slack = 3.0 * math.sqrt(report.empirical_prob * (1.0 - report.empirical_prob) / report.trials)
-        assert report.empirical_prob <= report.hoeffding_bound + slack
+        assert simulate_st_controller(two_state_cfg(blocks=1000, trials=2000))["pass"] is True
 
     @pytest.mark.parametrize("blocks", [100, 1000, 10000])
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
     def test_bound_grid(self, blocks, alpha):
         report = simulate_st_controller(two_state_cfg(blocks=blocks, trials=1500, alpha=alpha))
-        slack = 3.0 * math.sqrt(report.empirical_prob * (1.0 - report.empirical_prob) / report.trials)
-        assert report.empirical_prob <= report.hoeffding_bound + slack
+        assert report["pass"] is True
 
     def test_budget_below_backoff_names_minimum_blocks(self):
         cfg = two_state_cfg(blocks=1, trials=10, alpha=0.5)
@@ -173,8 +160,8 @@ class TestController:
         assert exact == pytest.approx(5.575e-4, abs=5e-8)
         report = simulate_st_controller(cfg)
         lo, hi = binomial_acceptance_region(cfg.trials, exact, 1e-6)
-        assert lo <= round(report.empirical_prob * cfg.trials) <= hi
-        assert report.empirical_prob <= report.hoeffding_bound
+        assert lo <= round(report["empirical_prob"] * cfg.trials) <= hi
+        assert report["empirical_prob"] <= report["hoeffding_bound"]
 
     def test_exact_probability_at_verify_defaults(self):
         gains, probs = [1.0, 2.0], [0.5, 0.5]
@@ -182,8 +169,8 @@ class TestController:
         exact = exact_violation_probability(probs, powers, 1000, 1000.0)
         assert exact == pytest.approx(1.854e-18, rel=5e-4)
         report = simulate_st_controller(two_state_cfg(blocks=1000, trials=10))
-        assert report.lambda_b == pytest.approx(powers[0] + 1.0, rel=1e-12)
-        assert exact < report.hoeffding_bound
+        assert report["lambda_b"] == pytest.approx(powers[0] + 1.0, rel=1e-12)
+        assert exact < report["hoeffding_bound"]
 
 
 def _violations(cfg, powers, cap):
@@ -288,47 +275,49 @@ class TestDensitySimulation:
         cfg = SimConfig(spec=spec, budget=budget, blocks=3, alpha=0.1, trials=100, seed=5)
         stats = simulate_information_density(cfg)
         # one code path for E[C]: the bounds' capacity, bit for bit
-        assert stats.analytic_mean == sweep_dispersion_stats(spec, [budget])["capacity"][0]
+        assert stats["analytic_mean"] == sweep_dispersion_stats(spec, [budget])["capacity"][0]
         probs = spec.fading.probs
         powers = waterfill_powers(gains, probs, noise_var, budget)
         g2 = [g * g * p for g, p in zip(gains, powers)]
         mean_v, _ = fsum_mean_var([oracle_link_v(x, noise_var) for x in g2], probs)
         _, var_c = fsum_mean_var([oracle_link_c(x, noise_var) for x in g2], probs)
-        assert stats.analytic_var == pytest.approx(mean_v + n_c * var_c, rel=1e-12)
+        assert stats["analytic_var"] == pytest.approx(mean_v + n_c * var_c, rel=1e-12)
 
     def test_analytic_targets(self):
         cfg = two_state_cfg(blocks=200, trials=100)
         stats = simulate_information_density(cfg)
-        assert stats.analytic_mean == pytest.approx(0.58933, abs=5e-6)
-        assert stats.analytic_var == pytest.approx(0.51952, abs=5e-6)
+        assert stats["analytic_mean"] == pytest.approx(0.58933, abs=5e-6)
+        assert stats["analytic_var"] == pytest.approx(0.51952, abs=5e-6)
 
     def test_moderate_run_matches_targets(self):
         cfg = two_state_cfg(blocks=2000, trials=1000, seed=7)
         stats = simulate_information_density(cfg)
         n = 2000
-        se_mean = math.sqrt(stats.analytic_var / (1000 * n))
-        assert abs(stats.empirical_mean_per_use - stats.analytic_mean) <= 3.0 * se_mean
-        assert abs(stats.empirical_var_per_use - stats.analytic_var) <= 0.10 * stats.analytic_var
-        assert stats.ks_distance <= 0.05
+        se_mean = math.sqrt(stats["analytic_var"] / (1000 * n))
+        assert abs(stats["empirical_mean_per_use"] - stats["analytic_mean"]) <= 3.0 * se_mean
+        assert abs(stats["empirical_var_per_use"] - stats["analytic_var"]) \
+            <= 0.10 * stats["analytic_var"]
+        assert stats["ks_distance"] <= 0.05
 
     def test_single_state_gaussian_sum(self):
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
         cfg = SimConfig(spec=spec, budget=2.0, blocks=500, alpha=0.1, trials=1000, seed=21)
         stats = simulate_information_density(cfg)
         g2 = 2.0
-        assert stats.analytic_mean == pytest.approx(oracle_link_c(g2, 1.0), abs=1e-9)
-        assert stats.analytic_var == pytest.approx(oracle_link_v(g2, 1.0), abs=1e-9)
-        assert stats.ks_distance <= 0.06
+        assert stats["analytic_mean"] == pytest.approx(oracle_link_c(g2, 1.0), abs=1e-9)
+        assert stats["analytic_var"] == pytest.approx(oracle_link_v(g2, 1.0), abs=1e-9)
+        assert stats["ks_distance"] <= 0.06
 
     def test_block_length_two(self):
         cfg = two_state_cfg(blocks=400, trials=400, n_c=2, seed=13)
         stats = simulate_information_density(cfg)
         # per-use variance target picks up the block length: E[V] + 2*Var[C]
-        assert stats.analytic_var == pytest.approx(0.639633, abs=1e-5)
+        assert stats["analytic_var"] == pytest.approx(0.639633, abs=1e-5)
         n = 800
-        se_mean = math.sqrt(stats.analytic_var / (400 * n))
-        assert abs(stats.empirical_mean_per_use - stats.analytic_mean) <= 4.0 * se_mean
-        assert abs(stats.empirical_var_per_use - stats.analytic_var) <= 0.2 * stats.analytic_var
+        se_mean = math.sqrt(stats["analytic_var"] / (400 * n))
+        assert abs(stats["empirical_mean_per_use"] - stats["analytic_mean"]) <= 4.0 * se_mean
+        assert abs(stats["empirical_var_per_use"] - stats["analytic_var"]) \
+            <= 0.2 * stats["analytic_var"]
 
 
 class TestDensityEngine:
@@ -404,27 +393,63 @@ class TestKsHelper:
         assert _ks_distance(np.sort(sample)) > 0.3
 
 
+class TestVerifySections:
+    def test_threshold_fields_follow_their_formulas(self):
+        # each threshold written once, here; widely spread gains make
+        # violations common enough that the binomial slack is not zero
+        fading = make_distribution([0.18, 30.0], [0.5, 0.5])
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=fading)
+        cfg = SimConfig(spec=spec, budget=1.0, blocks=1000, alpha=0.01, trials=20_000, seed=42)
+        ctrl = simulate_st_controller(cfg)
+        p_hat, trials = ctrl["empirical_prob"], ctrl["trials"]
+        assert p_hat > 0.0 and trials == cfg.trials and ctrl["blocks"] == cfg.blocks
+        slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+        assert ctrl["binomial_slack"] == pytest.approx(slack, rel=1e-12)
+        assert ctrl["threshold"] == pytest.approx(ctrl["hoeffding_bound"] + slack, rel=1e-12)
+        assert ctrl["pass"] is (p_hat <= ctrl["threshold"])
+
+        # here the KS distance, 0.0217, lies just above its threshold, and
+        # the variance's relative error, 0.0107, below its tolerance
+        cfg = two_state_cfg(blocks=50, trials=1000, seed=4)
+        dens = simulate_information_density(cfg)
+        assert dens["trials"] == cfg.trials and dens["blocks"] == cfg.blocks
+        n = cfg.blocks * cfg.spec.n_c
+        mean_tolerance = 3.0 * math.sqrt(dens["analytic_var"] / (cfg.trials * n))
+        assert dens["mean_tolerance"] == pytest.approx(mean_tolerance, rel=1e-12)
+        assert dens["var_rel_tolerance"] == dens["ks_threshold"] == 0.02
+        assert dens["mean_pass"] is (abs(dens["empirical_mean_per_use"] - dens["analytic_mean"])
+                                     <= dens["mean_tolerance"])
+        assert dens["var_pass"] is (abs(dens["empirical_var_per_use"] - dens["analytic_var"])
+                                    <= 0.02 * dens["analytic_var"])
+        assert dens["ks_pass"] is (dens["ks_distance"] <= 0.02)
+        assert dens["pass"] is (dens["mean_pass"] and dens["var_pass"] and dens["ks_pass"])
+
+
 class TestReportSerialization:
-    def test_reports_round_trip_through_json(self):
-        import dataclasses
-        import json
-
-        report = simulate_st_controller(two_state_cfg(blocks=100, trials=200))
-        # a NumPy scalar here would turn verify's pass flags into np.bool_
-        assert type(report.empirical_prob) is float
-        again = json.loads(json.dumps(dataclasses.asdict(report)))
-        assert again["empirical_prob"] == report.empirical_prob
-        assert again["lambda_b"] == report.lambda_b
-
-        stats = simulate_information_density(two_state_cfg(blocks=100, trials=100))
-        again = json.loads(json.dumps(dataclasses.asdict(stats)))
-        assert again["ks_distance"] == stats.ks_distance
+    def test_reports_round_trip_through_json(self, tmp_path):
+        # verify's two sections are the simulations' return values as they
+        # are, so a seed sweep can call the library without the CLI
+        out = tmp_path / "report.json"
+        assert main(["verify", "--trials", "100", "--seed", "3", "--out", str(out)]) in (0, 3)
+        report = json.loads(out.read_text(encoding="utf-8"))
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=TWO_STATE)
+        sections = {
+            "controller": simulate_st_controller(SimConfig(spec=spec, budget=1.0, blocks=1000,
+                                                           alpha=0.1, trials=100, seed=3)),
+            "density": simulate_information_density(SimConfig(spec=spec, budget=1.0, blocks=10000,
+                                                              alpha=0.1, trials=100, seed=3)),
+        }
+        for name, section in sections.items():
+            assert report[name] == json.loads(json.dumps(section))
+            # a NumPy scalar here would turn the pass flags into np.bool_
+            assert {type(value) for value in section.values()} <= {float, int, bool}
+        assert report["pass"] is (report["controller"]["pass"] and report["density"]["pass"])
 
 
 class TestSimConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(budget=0.0), dict(budget=-1.0), dict(blocks=0), dict(alpha=0.0),
-        dict(alpha=1.0), dict(trials=0), dict(seed=1.5),
+        dict(alpha=1.0), dict(trials=0), dict(seed=1.5), dict(seed=-1), dict(seed=2 ** 64),
     ])
     def test_rejects_bad_fields(self, kwargs):
         base = dict(spec=ChannelSpec(noise_var=1.0, n_c=1, fading=TWO_STATE),
