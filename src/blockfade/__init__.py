@@ -10,7 +10,7 @@ Monte Carlo simulation.
 """
 
 from .bounds import bound_columns, sweep_dispersion_stats
-from .errors import BlockfadeError, DomainError, InvalidParameterError
+from .errors import BlockfadeError, InvalidParameterError
 from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh, make_distribution
 from .montecarlo import SimConfig, simulate_information_density, simulate_st_controller
 from .specfun import std_normal_cdf, std_normal_inv_cdf
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockfadeError",
     "ChannelSpec",
-    "DomainError",
     "FadingDistribution",
     "InvalidParameterError",
     "SimConfig",

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 from .fading import _INT_MAX, ChannelSpec
 from .specfun import std_normal_inv_cdf
 from .waterfill import _mean_and_var, link_moments, water_fill
@@ -108,7 +108,8 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
         raise InvalidParameterError(f"budgets and n need equal lengths or length 1, got "
                                     f"{len(budgets)} and {len(n)}")
     if not (0.0 < epsilon < 0.5):
-        raise DomainError(f"error probability must lie strictly in (0, 1/2), got {epsilon!r}")
+        raise InvalidParameterError(
+            f"error probability must lie strictly in (0, 1/2), got {epsilon!r}")
     if not (0.0 < beta < 1.0):
         raise InvalidParameterError(f"beta must lie strictly in (0, 1), got {beta!r}")
 

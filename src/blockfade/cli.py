@@ -361,12 +361,12 @@ def cmd_verify(cfg: dict) -> int:
 
     # Build and check both configs before either simulation runs.
     controller_cfg = SimConfig(spec=spec, budget=budget, blocks=cfg["mc.controller.blocks"],
-                               alpha=alpha, trials=cfg["mc.controller.trials"], seed=seed)
+                               trials=cfg["mc.controller.trials"], seed=seed)
     density_cfg = SimConfig(spec=spec, budget=budget, blocks=cfg["mc.density.blocks"],
-                            alpha=alpha, trials=cfg["mc.density.trials"], seed=seed)
+                            trials=cfg["mc.density.trials"], seed=seed)
     check_density_config(density_cfg)
 
-    controller = simulate_st_controller(controller_cfg)
+    controller = simulate_st_controller(controller_cfg, alpha=alpha)
     density = simulate_information_density(density_cfg)
     all_pass = controller["pass"] and density["pass"]
     report = {

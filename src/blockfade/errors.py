@@ -7,7 +7,3 @@ class BlockfadeError(Exception):
 
 class InvalidParameterError(BlockfadeError, ValueError):
     """A constructor or operation received parameters outside its contract."""
-
-
-class DomainError(BlockfadeError, ValueError):
-    """A mathematical function was evaluated outside its domain."""

@@ -57,7 +57,6 @@ class SimConfig:
     spec: ChannelSpec
     budget: float
     blocks: int
-    alpha: float
     trials: int
     seed: int
 
@@ -66,8 +65,6 @@ class SimConfig:
             raise InvalidParameterError(f"budget must be positive and finite, got {self.budget!r}")
         if not isinstance(self.blocks, int) or self.blocks < 1:
             raise InvalidParameterError(f"blocks must be an integer >= 1, got {self.blocks!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidParameterError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise InvalidParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
@@ -82,23 +79,21 @@ def _delta_b(blocks: int, alpha: float, water_level: float) -> float:
 def _min_blocks_for_backoff(budget: float, alpha: float, water_level: float) -> int:
     """Smallest block count whose back-off _delta_b stays below the budget.
 
-    Raises InvalidParameterError when that count exceeds 2^53, the CLI's
+    _delta_b falls as blocks grows, so this bisects [1, 2^53] on it.
+    Raises InvalidParameterError when the count exceeds 2^53, the CLI's
     cap on block counts: past it a float no longer holds every integer.
     """
-    # _delta_b < budget  <=>  blocks^(1-alpha) > 2*water_level^2/budget^2. The
-    # threshold is formed in log space, where it cannot overflow, and only
-    # seeds the search: _delta_b's own rounding decides the answer.
-    log_threshold = (math.log(2.0) + 2.0 * (math.log(water_level) - math.log(budget))) \
-        / (1.0 - alpha)
-    blocks = min(int(math.exp(min(log_threshold, 37.0))) + 1, _INT_MAX + 1)  # e^37 > 2^53
-    while blocks > 1 and _delta_b(blocks - 1, alpha, water_level) < budget:
-        blocks -= 1
-    while blocks <= _INT_MAX and _delta_b(blocks, alpha, water_level) >= budget:
-        blocks += 1
-    if blocks > _INT_MAX:
+    if _delta_b(_INT_MAX, alpha, water_level) >= budget:
         raise InvalidParameterError(
             f"the back-off stays at or above the budget {budget:.6g} at alpha={alpha:g} "
             f"for every block count up to 2^53, the largest supported")
+    below, blocks = 0, _INT_MAX  # _delta_b(blocks) < budget; no count <= below qualifies
+    while blocks - below > 1:
+        mid = (below + blocks) // 2
+        if _delta_b(mid, alpha, water_level) < budget:
+            blocks = mid
+        else:
+            below = mid
     return blocks
 
 
@@ -123,15 +118,17 @@ def _controller_spends(cfg: SimConfig, powers: np.ndarray):
         yield np.sum(counts * powers, axis=-1)
 
 
-def simulate_st_controller(cfg: SimConfig) -> dict:
+def simulate_st_controller(cfg: SimConfig, *, alpha: float) -> dict:
     """Sample the backed-off power controller and check its violation rate.
 
-    Per trial, a fading sequence of length ``blocks`` is drawn and the
-    controller allocates water-filling power against the reduced budget
-    (budget - delta_b). With unit-energy reference symbols the running
-    energy constraint can only be breached at the full sum, which depends
-    on the sequence only through its state counts k ~ Multinomial(blocks,
-    probs): the trial violates iff k . powers > blocks * budget.
+    alpha, the back-off exponent, must lie strictly in (0, 1); it is
+    checked before any solve. Per trial, a fading sequence of length
+    ``blocks`` is drawn and the controller allocates water-filling power
+    against the reduced budget (budget - delta_b). With unit-energy
+    reference symbols the running energy constraint can only be breached
+    at the full sum, which depends on the sequence only through its state
+    counts k ~ Multinomial(blocks, probs): the trial violates iff
+    k . powers > blocks * budget.
 
     Returns verify's controller section: the violation share
     empirical_prob; the Hoeffding bound exp(-blocks*delta_b^2 /
@@ -140,13 +137,15 @@ def simulate_st_controller(cfg: SimConfig) -> dict:
     lambda_b; blocks and trials; the Wald slack 3*sqrt(p(1-p)/trials);
     the threshold, bound plus slack; and pass, empirical_prob <= threshold.
     """
+    if not (0.0 < alpha < 1.0):
+        raise InvalidParameterError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     full_level = float(water_fill(cfg.spec, [cfg.budget])[0][0])
-    backoff = _delta_b(cfg.blocks, cfg.alpha, full_level)
+    backoff = _delta_b(cfg.blocks, alpha, full_level)
     if cfg.budget <= backoff:
-        needed = _min_blocks_for_backoff(cfg.budget, cfg.alpha, full_level)
+        needed = _min_blocks_for_backoff(cfg.budget, alpha, full_level)
         raise InvalidParameterError(
             f"back-off {backoff:.6g} meets or exceeds the budget {cfg.budget:.6g}; "
-            f"use at least {needed} blocks at alpha={cfg.alpha:g}")
+            f"use at least {needed} blocks at alpha={alpha:g}")
 
     levels, powers = water_fill(cfg.spec, [cfg.budget - backoff])
     cap_total = cfg.blocks * cfg.budget

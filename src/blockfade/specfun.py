@@ -10,7 +10,7 @@ side.
 
 import math
 
-from .errors import DomainError
+from .errors import InvalidParameterError
 
 __all__ = ["std_normal_cdf", "std_normal_inv_cdf"]
 
@@ -33,11 +33,11 @@ _P_LOW = 0.02425
 def std_normal_cdf(x: float) -> float:
     """Cumulative distribution function of a standard Gaussian.
 
-    Raises DomainError for NaN or infinite input.
+    Raises InvalidParameterError for NaN or infinite input.
     """
     x = float(x)
     if not math.isfinite(x):
-        raise DomainError(f"standard normal cdf needs a finite argument, got {x!r}")
+        raise InvalidParameterError(f"standard normal cdf needs a finite argument, got {x!r}")
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
@@ -69,7 +69,7 @@ def std_normal_inv_cdf(p: float) -> float:
     """
     p = float(p)
     if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise DomainError(f"quantile argument must lie strictly in (0, 1), got {p!r}")
+        raise InvalidParameterError(f"quantile argument must lie strictly in (0, 1), got {p!r}")
     x = _acklam(p)
     density = _std_normal_pdf(x)
     if density > 0.0:

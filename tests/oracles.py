@@ -8,7 +8,9 @@ with the uncentered variance formula. The controller's violation
 probability is summed exactly over the state counts, and its original
 per-block sampler is kept here as a sampling reference. The density
 simulation's original per-trial loop is kept as its bit-for-bit
-reference.
+reference. Two dispersions come from the literature in their published
+form, not from the library's decomposition: the real AWGN dispersion
+and the Polyanskiy-Verdu constant-power fading dispersion (mpmath).
 """
 
 import math
@@ -107,6 +109,34 @@ def oracle_channel_quantities(gains, probs, noise_var, n_c, budget) -> dict:
         "nocsit_capacity": cap_n,
         "nocsit_v": mean_vn + n_c * var_cn + 0.5 * var_ln,
     }
+
+
+def awgn_dispersion(snr: float) -> float:
+    """Real AWGN channel dispersion SNR(SNR+2) / (2(SNR+1)^2), in nats^2, in mpmath.
+
+    Polyanskiy, Poor & Verdu, "Channel coding rate in the finite
+    blocklength regime", IEEE Trans. IT 2010, Section IV.
+    """
+    snr = mp.mpf(snr)
+    return float(snr * (snr + 2) / (2 * (snr + 1) ** 2))
+
+
+def pv_constant_power_dispersion(gains, probs, noise_var, budget, n_c=1) -> float:
+    """Dispersion of coherent fading with receiver-only CSI, at constant power, in mpmath.
+
+    n_c * Var C(gamma) + (1 - E^2[1/(1 + gamma)]) / 2 with
+    gamma = gain^2 * budget / noise_var and C = log(1 + gamma) / 2: the
+    real-channel form of Polyanskiy & Verdu, "Scalar coherent fading
+    channel: dispersion analysis", ISIT 2011 (n_c = 1), with the rate
+    variance counted once per channel use of a block.
+    """
+    qs = [mp.mpf(q) for q in probs]
+    gammas = [mp.mpf(g) ** 2 * mp.mpf(budget) / mp.mpf(noise_var) for g in gains]
+    rates = [mp.log1p(x) / 2 for x in gammas]
+    mean_c = mp.fsum(q * c for q, c in zip(qs, rates))
+    var_c = mp.fsum(q * (c - mean_c) ** 2 for q, c in zip(qs, rates))
+    mean_inv = mp.fsum(q / (1 + x) for q, x in zip(qs, gammas))
+    return float(n_c * var_c + (1 - mean_inv ** 2) / 2)
 
 
 def oracle_dispersions_for_alloc(gains, probs, noise_var, n_c, powers, level, budget) -> dict:

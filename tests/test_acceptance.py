@@ -26,7 +26,7 @@ from blockfade import (
     water_fill,
 )
 from blockfade.cli import main, preset_fading
-from oracles import bisect_quantile, oracle_channel_quantities
+from oracles import bisect_quantile, oracle_channel_quantities, pv_constant_power_dispersion
 
 # Capacity of the paper-rayleigh preset at 5 dB, to five digits.
 CAPACITY_ANCHOR = 0.74230
@@ -218,17 +218,15 @@ def test_criterion_5_quantile_accuracy():
 
 def test_criterion_6_controller_violation_bound():
     start = time.perf_counter()
-    cfg = SimConfig(spec=two_state_spec(), budget=1.0, blocks=1000, alpha=0.1,
-                    trials=100_000, seed=42)
-    report = simulate_st_controller(cfg)
+    cfg = SimConfig(spec=two_state_spec(), budget=1.0, blocks=1000, trials=100_000, seed=42)
+    report = simulate_st_controller(cfg, alpha=0.1)
     slack = 3.0 * math.sqrt(report["empirical_prob"] * (1.0 - report["empirical_prob"])
                             / report["trials"])
     bound_ok = report["empirical_prob"] <= report["hoeffding_bound"] + slack
 
     single = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
-    single_cfg = SimConfig(spec=single, budget=1.0, blocks=1000, alpha=0.1,
-                           trials=10_000, seed=42)
-    single_report = simulate_st_controller(single_cfg)
+    single_cfg = SimConfig(spec=single, budget=1.0, blocks=1000, trials=10_000, seed=42)
+    single_report = simulate_st_controller(single_cfg, alpha=0.1)
     single_ok = single_report["empirical_prob"] == 0.0
     elapsed = time.perf_counter() - start
 
@@ -244,8 +242,7 @@ def test_criterion_6_controller_violation_bound():
 @pytest.mark.slow
 def test_criterion_7_information_density_clt():
     start = time.perf_counter()
-    cfg = SimConfig(spec=two_state_spec(), budget=1.0, blocks=10_000, alpha=0.1,
-                    trials=10_000, seed=42)
+    cfg = SimConfig(spec=two_state_spec(), budget=1.0, blocks=10_000, trials=10_000, seed=42)
     stats = simulate_information_density(cfg)
     n = cfg.blocks
     se = math.sqrt(stats["analytic_var"] / (cfg.trials * n))
@@ -292,3 +289,26 @@ def test_criterion_8_determinism(tmp_path):
             f"verify bytes equal: {verify_ok}, sweep bytes equal: {sweep_ok}")
     assert verify_ok
     assert sweep_ok
+
+
+def test_criterion_9_constant_power_dispersion_anchor():
+    # Polyanskiy & Verdu (ISIT 2011): with CSI at the receiver only, the
+    # dispersion is Var C(gamma) + (1 - E^2[1/(1 + gamma)])/2, here with
+    # n_c * Var C for n_c uses per block. The library composes nocsit_v as
+    # E[V] + n_c*Var C + Var L/2 instead, so this is the one check of the
+    # Var L/2 term that does not reuse the library's own formula.
+    gains, probs = readme_preset_grid()
+    anchors = {1: 0.62764434389249, 3: 1.013388640302669}
+    lib, oracle = {}, {}
+    for n_c in anchors:
+        spec = ChannelSpec(noise_var=1.0, n_c=n_c, fading=preset_fading())
+        lib[n_c] = float(sweep_dispersion_stats(spec, [PRESET_BUDGET])["nocsit_v"][0])
+        oracle[n_c] = pv_constant_power_dispersion(gains, probs, 1.0, PRESET_BUDGET, n_c)
+    worst = max(abs(lib[n_c] - oracle[n_c]) / oracle[n_c] for n_c in anchors)
+    anchor_err = max(abs(oracle[n_c] - anchor) for n_c, anchor in anchors.items())
+    ok = worst <= 1e-13 and anchor_err <= 5e-15
+    _report(9, "constant-power dispersion equals Polyanskiy-Verdu's", ok,
+            f"nocsit_v at 5 dB {lib[1]:.14f} (n_c = 1), {lib[3]:.15f} (n_c = 3), "
+            f"worst relative gap {worst:.1e}, anchor error {anchor_err:.1e}")
+    assert worst <= 1e-13
+    assert anchor_err <= 5e-15

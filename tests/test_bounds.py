@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from blockfade import (
     ChannelSpec,
-    DomainError,
     InvalidParameterError,
     bound_columns,
     discretize_rayleigh,
@@ -19,6 +18,7 @@ import blockfade.bounds as bounds
 from blockfade.waterfill import link_moments
 from oracles import (
     TWO_STATE,
+    awgn_dispersion,
     oracle_channel_quantities,
     oracle_dispersions_for_alloc,
 )
@@ -252,7 +252,7 @@ class TestBoundPoint:
 
     @pytest.mark.parametrize("eps", [0.6, 0.5, 0.0, -0.1, 1.0])
     def test_epsilon_domain(self, no_sweep, eps):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError, match="error probability"):
             bound_columns(self.spec, [1.0], [1000], eps)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5, 2.0])
@@ -425,3 +425,99 @@ class TestBoundColumns:
             sweep_dispersion_stats(spec, [1.0, 1e-300])
         with pytest.raises(InvalidParameterError, match=message):
             bound_columns(spec, [1e-300], [100], 0.01)
+
+
+def unit_scale(columns, name, i):
+    """How far a unit-free column may move: 1e-12 of this, per row."""
+    value = abs(float(columns[name][i]))
+    if name.startswith("log_m_"):
+        return value + float(columns["n"][i] * columns["capacity"][i])
+    if name.startswith("rate_"):
+        return value + float(columns["capacity"][i])
+    return value
+
+
+# Every column that holds nats, nats^2 or nats per use. log_m_ub_lt and
+# rate_ub_lt belong here too, but ub_lt's sqrt(n)/(2*level) term has units
+# of 1/power (ROADMAP item 12); they are checked on their own below.
+UNIT_FREE = ("capacity", "v_bf", "v_bf_prime", "nocsit_capacity", "nocsit_v",
+             "log_m_lb_st", "log_m_lb_lt", "log_m_ub_st",
+             "rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_nocsit")
+
+
+def bound_table(gains, probs, noise_var, budget, n_c, n):
+    spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
+    return bound_columns(spec, [budget], n, 0.01)
+
+
+class TestInvariants:
+    # The channel model fixes these without a formula, so a slip that a
+    # second copy of the formulas would repeat still shows here.
+
+    @given(random_channels(), st.floats(-3.0, 3.0), st.integers(1, 3),
+           st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=4))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_noise_and_budget_scaled_together_leave_the_rates(self, params, log_k, n_c, blocks):
+        # (noise_var, budget) -> (k*noise_var, k*budget) is the same channel
+        # in other units of power
+        gains, probs, noise_var, budget = params
+        k = 10.0 ** log_k
+        n = [b * n_c for b in blocks]
+        base = bound_table(gains, probs, noise_var, budget, n_c, n)
+        scaled = bound_table(gains, probs, k * noise_var, k * budget, n_c, n)
+        for i in range(len(n)):
+            for name in UNIT_FREE:
+                gap = abs(scaled[name][i] - base[name][i])
+                assert gap <= 1e-12 * unit_scale(base, name, i), name
+            assert scaled["water_level"][i] == pytest.approx(k * base["water_level"][i], rel=1e-12)
+
+    @pytest.mark.parametrize("k", [pytest.param(k, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 12: ub_lt's sqrt(n)/(2*level) term is not unit-free"))
+        for k in (7.0, 0.1)])
+    def test_upper_bound_lt_is_unit_free(self, k):
+        # two-state channel, n = 100, 1000 and 10000: log_m_ub_lt moves by
+        # 5.2% at k = 7 and 54% at k = 0.1
+        n = [100, 1000, 10000]
+        base = bound_table(TWO_STATE["gains"], TWO_STATE["probs"], 1.0, 1.0, 1, n)
+        scaled = bound_table(TWO_STATE["gains"], TWO_STATE["probs"], k, k, 1, n)
+        for i in range(len(n)):
+            for name in ("log_m_ub_lt", "rate_ub_lt"):
+                gap = abs(scaled[name][i] - base[name][i])
+                assert gap <= 1e-12 * unit_scale(base, name, i), name
+
+    @given(random_channels(), st.integers(-6, 6), st.integers(1, 3))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_gains_by_a_power_of_two_leave_every_column_bit_identical(self, params, j, n_c):
+        # gains * 2^j with noise_var * 4^j: every received SNR is the same,
+        # and power-of-two scaling rounds nothing
+        gains, probs, noise_var, budget = params
+        n = [n_c, 100 * n_c, 10 ** 5 * n_c]
+        base = bound_table(gains, probs, noise_var, budget, n_c, n)
+        scaled = bound_table([g * 2.0 ** j for g in gains], probs, noise_var * 4.0 ** j,
+                             budget, n_c, n)
+        for name, column in base.items():
+            assert scaled[name].tobytes() == column.tobytes(), name
+
+    @given(st.floats(0.01, 100.0), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_one_state_dispersions_are_the_awgn_dispersion(self, gain, noise_var, budget):
+        # one state: no fading, so both dispersions are the real AWGN
+        # channel's at SNR = gain^2 * budget / noise_var
+        stats = stats_at(ChannelSpec(noise_var=noise_var, n_c=1,
+                                     fading=make_distribution([gain], [1.0])), budget)
+        expected = awgn_dispersion(gain * gain * budget / noise_var)
+        assert stats["v_bf"] == pytest.approx(expected, rel=1e-15)
+        assert stats["v_bf_prime"] == pytest.approx(expected, rel=1e-15)
+
+    @given(st.floats(0.01, 100.0), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+           st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=4))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_one_state_block_length_moves_no_bound(self, gain, noise_var, budget, blocks):
+        # one state has no rate variance for n_c to multiply
+        n = [3 * b for b in blocks]
+        one = bound_table([gain], [1.0], noise_var, budget, 1, n)
+        three = bound_table([gain], [1.0], noise_var, budget, 3, n)
+        for name in one:
+            if name.startswith(("log_m_", "rate_")):
+                assert three[name].tobytes() == one[name].tobytes(), name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from statistics import NormalDist
@@ -17,6 +18,7 @@ from blockfade import (
     sweep_dispersion_stats,
     water_fill,
 )
+import blockfade.montecarlo as montecarlo
 from blockfade.cli import main
 from blockfade.montecarlo import (_controller_spends, _delta_b, _density_coefficients,
                                   _density_totals, _ks_distance, _lookup_states,
@@ -37,10 +39,9 @@ from test_waterfill import random_channels
 TWO_STATE = make_distribution([1.0, 2.0], [0.5, 0.5])
 
 
-def two_state_cfg(blocks, trials, alpha=0.1, seed=42, n_c=1, budget=1.0):
+def two_state_cfg(blocks, trials, seed=42, n_c=1, budget=1.0):
     spec = ChannelSpec(noise_var=1.0, n_c=n_c, fading=TWO_STATE)
-    return SimConfig(spec=spec, budget=budget, blocks=blocks, alpha=alpha,
-                     trials=trials, seed=seed)
+    return SimConfig(spec=spec, budget=budget, blocks=blocks, trials=trials, seed=seed)
 
 
 class TestScalarBounds:
@@ -60,20 +61,21 @@ class TestScalarBounds:
         # with the canonical back-off the exponent is exactly -blocks^alpha;
         # one state of gain 1 puts the water level at budget + noise_var = lam
         spec = ChannelSpec(noise_var=0.1 * lam, n_c=1, fading=make_distribution([1.0], [1.0]))
-        cfg = SimConfig(spec=spec, budget=0.9 * lam, blocks=blocks, alpha=alpha,
-                        trials=1, seed=1)
-        report = simulate_st_controller(cfg)
+        cfg = SimConfig(spec=spec, budget=0.9 * lam, blocks=blocks, trials=1, seed=1)
+        report = simulate_st_controller(cfg, alpha=alpha)
         assert report["delta_b"] == pytest.approx(_delta_b(blocks, alpha, lam), rel=1e-12)
         assert report["hoeffding_bound"] == pytest.approx(math.exp(-float(blocks) ** alpha),
                                                           rel=1e-12)
 
     def test_hoeffding_reference_value(self):
-        bound = simulate_st_controller(two_state_cfg(blocks=1000, trials=1))["hoeffding_bound"]
+        cfg = two_state_cfg(blocks=1000, trials=1)
+        bound = simulate_st_controller(cfg, alpha=0.1)["hoeffding_bound"]
         assert bound == pytest.approx(math.exp(-1000.0 ** 0.1), rel=1e-12)
         assert bound == pytest.approx(0.1360, abs=2e-4)
 
     def test_hoeffding_decreasing_in_blocks(self):
-        values = [simulate_st_controller(two_state_cfg(blocks=b, trials=1))["hoeffding_bound"]
+        values = [simulate_st_controller(two_state_cfg(blocks=b, trials=1),
+                                         alpha=0.1)["hoeffding_bound"]
                   for b in (10, 100, 1000, 10000)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -93,58 +95,85 @@ class TestScalarBounds:
         with pytest.raises(InvalidParameterError, match=r"2\^53"):
             _min_blocks_for_backoff(1.0, alpha, 1.625)
 
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 0.999), st.floats(0.1, 100.0))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_min_blocks_is_the_first_count_below_the_budget(self, budget, alpha, ratio):
+        level = budget * ratio
+        try:
+            blocks = _min_blocks_for_backoff(budget, alpha, level)
+        except InvalidParameterError:
+            assert _delta_b(2 ** 53, alpha, level) >= budget
+            return
+        assert _delta_b(blocks, alpha, level) < budget
+        assert blocks == 1 or budget <= _delta_b(blocks - 1, alpha, level)
+
 
 class TestController:
     def test_single_state_never_violates(self):
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
-        cfg = SimConfig(spec=spec, budget=2.0, blocks=50, alpha=0.3, trials=500, seed=3)
-        report = simulate_st_controller(cfg)
+        cfg = SimConfig(spec=spec, budget=2.0, blocks=50, trials=500, seed=3)
+        report = simulate_st_controller(cfg, alpha=0.3)
         assert report["empirical_prob"] == 0.0
 
     def test_deterministic_reports(self):
         cfg = two_state_cfg(blocks=200, trials=400)
-        assert simulate_st_controller(cfg) == simulate_st_controller(cfg)
+        assert simulate_st_controller(cfg, alpha=0.1) == simulate_st_controller(cfg, alpha=0.1)
 
     def test_single_trial_reproducible(self):
         cfg = two_state_cfg(blocks=100, trials=1, seed=9)
-        first = simulate_st_controller(cfg)
-        second = simulate_st_controller(cfg)
+        first = simulate_st_controller(cfg, alpha=0.1)
+        second = simulate_st_controller(cfg, alpha=0.1)
         assert first == second
         assert first["empirical_prob"] in (0.0, 1.0)
 
     def test_trial_results_do_not_depend_on_trial_count(self):
         # substreams: the first trial's draw is fixed, so prefix counts agree
-        small = simulate_st_controller(two_state_cfg(blocks=150, trials=50, seed=5))
-        large = simulate_st_controller(two_state_cfg(blocks=150, trials=200, seed=5))
+        small = simulate_st_controller(two_state_cfg(blocks=150, trials=50, seed=5), alpha=0.1)
+        large = simulate_st_controller(two_state_cfg(blocks=150, trials=200, seed=5), alpha=0.1)
         assert small["delta_b"] == large["delta_b"]
         assert small["lambda_b"] == large["lambda_b"]
         assert round(small["empirical_prob"] * 50) <= round(large["empirical_prob"] * 200)
 
     def test_bound_reported_matches_canonical_form(self):
         cfg = two_state_cfg(blocks=1000, trials=10)
-        report = simulate_st_controller(cfg)
+        report = simulate_st_controller(cfg, alpha=0.1)
         assert report["hoeffding_bound"] == pytest.approx(math.exp(-1000.0 ** 0.1), rel=1e-12)
         assert report["delta_b"] == pytest.approx(_delta_b(1000, 0.1, 1.625), rel=1e-9)
 
     def test_backed_off_level_value(self):
-        report = simulate_st_controller(two_state_cfg(blocks=1000, trials=10))
+        report = simulate_st_controller(two_state_cfg(blocks=1000, trials=10), alpha=0.1)
         # both states stay active at the reduced budget, so the level drops
         # by exactly the back-off
         assert report["lambda_b"] == pytest.approx(1.625 - report["delta_b"], abs=1e-9)
 
     def test_violations_within_hoeffding_bound(self):
-        assert simulate_st_controller(two_state_cfg(blocks=1000, trials=2000))["pass"] is True
+        report = simulate_st_controller(two_state_cfg(blocks=1000, trials=2000), alpha=0.1)
+        assert report["pass"] is True
 
     @pytest.mark.parametrize("blocks", [100, 1000, 10000])
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
     def test_bound_grid(self, blocks, alpha):
-        report = simulate_st_controller(two_state_cfg(blocks=blocks, trials=1500, alpha=alpha))
+        report = simulate_st_controller(two_state_cfg(blocks=blocks, trials=1500), alpha=alpha)
         assert report["pass"] is True
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+    def test_rejects_bad_alpha_before_any_work(self, monkeypatch, alpha):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the controller solved or drew before it checked alpha")
+
+        for name in ("water_fill", "_substream"):
+            monkeypatch.setattr(montecarlo, name, must_not_run)
+        with pytest.raises(InvalidParameterError, match=r"alpha must lie strictly in \(0, 1\)"):
+            simulate_st_controller(two_state_cfg(blocks=10, trials=10), alpha=alpha)
+
+    def test_alpha_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            simulate_st_controller(two_state_cfg(blocks=10, trials=10), 0.1)
+
     def test_budget_below_backoff_names_minimum_blocks(self):
-        cfg = two_state_cfg(blocks=1, trials=10, alpha=0.5)
+        cfg = two_state_cfg(blocks=1, trials=10)
         with pytest.raises(InvalidParameterError, match="28"):
-            simulate_st_controller(cfg)
+            simulate_st_controller(cfg, alpha=0.5)
 
     def test_rare_violations_are_counted(self):
         # widely spread gains with a tiny back-off exponent put the exact
@@ -153,12 +182,11 @@ class TestController:
         # region at a false-alarm rate of 1e-6
         gains, probs = [0.18, 30.0], [0.5, 0.5]
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution(gains, probs))
-        cfg = SimConfig(spec=spec, budget=1.0, blocks=1000, alpha=0.01,
-                        trials=4_000_000, seed=42)
+        cfg = SimConfig(spec=spec, budget=1.0, blocks=1000, trials=4_000_000, seed=42)
         exact = exact_violation_probability(
             probs, controller_powers(gains, probs, 1.0, 1.0, 1000, 0.01), 1000, 1000.0)
         assert exact == pytest.approx(5.575e-4, abs=5e-8)
-        report = simulate_st_controller(cfg)
+        report = simulate_st_controller(cfg, alpha=0.01)
         lo, hi = binomial_acceptance_region(cfg.trials, exact, 1e-6)
         assert lo <= round(report["empirical_prob"] * cfg.trials) <= hi
         assert report["empirical_prob"] <= report["hoeffding_bound"]
@@ -168,7 +196,7 @@ class TestController:
         powers = controller_powers(gains, probs, 1.0, 1.0, 1000, 0.1)
         exact = exact_violation_probability(probs, powers, 1000, 1000.0)
         assert exact == pytest.approx(1.854e-18, rel=5e-4)
-        report = simulate_st_controller(two_state_cfg(blocks=1000, trials=10))
+        report = simulate_st_controller(two_state_cfg(blocks=1000, trials=10), alpha=0.1)
         assert report["lambda_b"] == pytest.approx(powers[0] + 1.0, rel=1e-12)
         assert exact < report["hoeffding_bound"]
 
@@ -215,8 +243,7 @@ class TestControllerEngine:
         assert 0.05 <= exact <= 0.3
 
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution(gains, probs))
-        cfg = SimConfig(spec=spec, budget=1.0, blocks=blocks, alpha=0.5,
-                        trials=500_000, seed=17)
+        cfg = SimConfig(spec=spec, budget=1.0, blocks=blocks, trials=500_000, seed=17)
         lo, hi = binomial_acceptance_region(cfg.trials, exact, self.FALSE_ALARM)
         assert lo <= _violations(cfg, powers, cap) <= hi
 
@@ -229,7 +256,7 @@ class TestControllerEngine:
         powers = water_fill(spec, [0.9])[1][0]
         spends = {}
         for trials in (4095, 4096, 4097, 8199):
-            cfg = SimConfig(spec=spec, budget=1.0, blocks=50, alpha=0.1, trials=trials, seed=5)
+            cfg = SimConfig(spec=spec, budget=1.0, blocks=50, trials=trials, seed=5)
             spends[trials] = np.concatenate(list(_controller_spends(cfg, powers)))
             assert spends[trials].shape == (trials,)
         longest = spends[8199]
@@ -272,7 +299,7 @@ class TestDensitySimulation:
     def test_analytic_targets_share_the_bounds_moments(self, params, n_c):
         gains, probs, noise_var, budget = params
         spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
-        cfg = SimConfig(spec=spec, budget=budget, blocks=3, alpha=0.1, trials=100, seed=5)
+        cfg = SimConfig(spec=spec, budget=budget, blocks=3, trials=100, seed=5)
         stats = simulate_information_density(cfg)
         # one code path for E[C]: the bounds' capacity, bit for bit
         assert stats["analytic_mean"] == sweep_dispersion_stats(spec, [budget])["capacity"][0]
@@ -301,7 +328,7 @@ class TestDensitySimulation:
 
     def test_single_state_gaussian_sum(self):
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0], [1.0]))
-        cfg = SimConfig(spec=spec, budget=2.0, blocks=500, alpha=0.1, trials=1000, seed=21)
+        cfg = SimConfig(spec=spec, budget=2.0, blocks=500, trials=1000, seed=21)
         stats = simulate_information_density(cfg)
         g2 = 2.0
         assert stats["analytic_mean"] == pytest.approx(oracle_link_c(g2, 1.0), abs=1e-9)
@@ -344,7 +371,7 @@ class TestDensityEngine:
     def test_totals_equal_the_per_trial_oracle_bit_for_bit(self, name):
         fading, noise_var, n_c = self.CHANNELS[name]
         spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=fading)
-        cfg = SimConfig(spec=spec, budget=1.0, blocks=700, alpha=0.1, trials=12, seed=2 ** 64 - 1)
+        cfg = SimConfig(spec=spec, budget=1.0, blocks=700, trials=12, seed=2 ** 64 - 1)
         gains = np.asarray(fading.gains, dtype=float)
         coefficients = _density_coefficients(spec, gains * gains * water_fill(spec, [1.0])[1][0])
         ours = _density_totals(cfg, *coefficients)
@@ -399,8 +426,8 @@ class TestVerifySections:
         # violations common enough that the binomial slack is not zero
         fading = make_distribution([0.18, 30.0], [0.5, 0.5])
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=fading)
-        cfg = SimConfig(spec=spec, budget=1.0, blocks=1000, alpha=0.01, trials=20_000, seed=42)
-        ctrl = simulate_st_controller(cfg)
+        cfg = SimConfig(spec=spec, budget=1.0, blocks=1000, trials=20_000, seed=42)
+        ctrl = simulate_st_controller(cfg, alpha=0.01)
         p_hat, trials = ctrl["empirical_prob"], ctrl["trials"]
         assert p_hat > 0.0 and trials == cfg.trials and ctrl["blocks"] == cfg.blocks
         slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
@@ -435,9 +462,9 @@ class TestReportSerialization:
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=TWO_STATE)
         sections = {
             "controller": simulate_st_controller(SimConfig(spec=spec, budget=1.0, blocks=1000,
-                                                           alpha=0.1, trials=100, seed=3)),
+                                                           trials=100, seed=3), alpha=0.1),
             "density": simulate_information_density(SimConfig(spec=spec, budget=1.0, blocks=10000,
-                                                              alpha=0.1, trials=100, seed=3)),
+                                                              trials=100, seed=3)),
         }
         for name, section in sections.items():
             assert report[name] == json.loads(json.dumps(section))
@@ -447,13 +474,18 @@ class TestReportSerialization:
 
 
 class TestSimConfigValidation:
+    def test_fields_are_the_sampling_plan(self):
+        # the back-off exponent belongs to the controller, not to the plan
+        names = [field.name for field in dataclasses.fields(SimConfig)]
+        assert names == ["spec", "budget", "blocks", "trials", "seed"]
+
     @pytest.mark.parametrize("kwargs", [
-        dict(budget=0.0), dict(budget=-1.0), dict(blocks=0), dict(alpha=0.0),
-        dict(alpha=1.0), dict(trials=0), dict(seed=1.5), dict(seed=-1), dict(seed=2 ** 64),
+        dict(budget=0.0), dict(budget=-1.0), dict(blocks=0), dict(trials=0), dict(seed=1.5),
+        dict(seed=-1), dict(seed=2 ** 64),
     ])
     def test_rejects_bad_fields(self, kwargs):
         base = dict(spec=ChannelSpec(noise_var=1.0, n_c=1, fading=TWO_STATE),
-                    budget=1.0, blocks=10, alpha=0.1, trials=10, seed=1)
+                    budget=1.0, blocks=10, trials=10, seed=1)
         base.update(kwargs)
         with pytest.raises(InvalidParameterError):
             SimConfig(**base)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blockfade import DomainError, std_normal_cdf, std_normal_inv_cdf
+from blockfade import InvalidParameterError, std_normal_cdf, std_normal_inv_cdf
 from blockfade.specfun import _std_normal_pdf
 from oracles import bisect_quantile, mp_norm_cdf
 
@@ -74,13 +74,13 @@ def test_quantile_monotonic():
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_cdf_rejects_non_finite(x):
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParameterError):
         std_normal_cdf(x)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
 def test_quantile_rejects_out_of_range(p):
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParameterError):
         std_normal_inv_cdf(p)
 
 
