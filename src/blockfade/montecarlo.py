@@ -10,12 +10,13 @@ of the determinism contract. Either way trial t sees the same draws no
 matter how many trials run, in what order, or on how many workers, and
 aggregation is a plain order-independent reduction.
 
-A density trial draws one uniform per block, then the block's n_c
-normals. Each uniform's fading state comes from an exact guide table
-(indexed search): a power-of-two grid of cells on [0, 1) gives most
-keys their state in one lookup, and only keys in a cell that a
-cumulative-probability edge splits go to searchsorted, so the states
-equal searchsorted's bit for bit. The trials share one set of buffers.
+A density trial draws sufficient statistics, not channel uses: its
+fading-state counts, then per state one normal for the sum of the
+noise and one gamma for the rest of its sum of squares. That is
+O(states) draws per trial, whatever the block count, and the totals
+have exactly the law they would have if every channel use were drawn;
+their bytes depend on numpy's multinomial, standard_normal and
+standard_gamma.
 
 Each simulation returns its own section of the ``verify`` report, a dict
 of plain floats, ints and bools: the measured values, the echoed block
@@ -44,10 +45,6 @@ _VAR_REL_TOLERANCE = 0.02
 _KS_THRESHOLD = 0.02
 # Trials per controller substream; changing it changes every result.
 _CONTROLLER_CHUNK = 4096
-# Guide-table cells per fading state, and the most cells a table may have.
-# Neither moves a result: the lookup equals searchsorted for any cell count.
-_GUIDE_CELLS_PER_STATE = 4
-_GUIDE_MAX_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -174,77 +171,32 @@ def _density_coefficients(spec: ChannelSpec, x: np.ndarray):
     return spec.n_c * c + spec.n_c * l / 2.0, np.sqrt(x) / (s2 + x), l / (2.0 * s2)
 
 
-def _state_guide(cum: np.ndarray) -> tuple[float, np.ndarray]:
-    """Guide table that maps a uniform u in [0, 1) to its fading state.
-
-    cum holds the cumulative probabilities, the last one 1. [0, 1) is cut
-    into a power-of-two number of equal cells, about four per state, so
-    int(u * cells) is exact. table[k] is the state searchsorted(cum, u,
-    side="right") gives every u in cell k, or len(cum) when an edge lies
-    strictly inside the cell: only keys there need searchsorted.
-    """
-    cells = min(1 << (_GUIDE_CELLS_PER_STATE * len(cum) - 1).bit_length(), _GUIDE_MAX_CELLS)
-    corners = np.arange(cells + 1) / cells
-    table = np.searchsorted(cum, corners[:-1], side="right")
-    table[np.searchsorted(cum, corners[1:], side="left") != table] = len(cum)
-    return float(cells), table
-
-
-def _lookup_states(u: np.ndarray, cum: np.ndarray, cells: float, table: np.ndarray,
-                   states: np.ndarray) -> None:
-    """Write searchsorted(cum, u, side="right") into states, by the guide table."""
-    # The cast truncates u * cells >= 0, which is the floor. Mode "clip"
-    # spares take the copy of out= its default mode makes; every index is
-    # in range.
-    np.multiply(u, cells, out=states, casting="unsafe")
-    np.take(table, states, out=states, mode="clip")
-    hit = np.flatnonzero(states == len(cum))
-    states[hit] = np.searchsorted(cum, u[hit], side="right")
-
-
 def _density_totals(cfg: SimConfig, fixed: np.ndarray, lin: np.ndarray,
                     quad: np.ndarray) -> np.ndarray:
     """Each trial's log-likelihood total, from its own substream.
 
-    Trial t draws blocks uniforms, which pick the states, then blocks*n_c
-    standard normals, scaled by the noise s.d.; its total is the pairwise
-    sum of the increments fixed + lin*sum(z) - quad*sum(z^2) (see
-    _density_coefficients). The buffers are allocated once and every
-    trial draws into them.
+    A total depends on the noise only through each state's sums S = sum(z)
+    and Q = sum(z^2) over its m = k*n_c uses, k the state's block count
+    (see _density_coefficients). Given k, S ~ N(0, m*s2), and by Cochran's
+    theorem Q - S^2/m is s2 times a chi-square with m - 1 degrees of
+    freedom, independent of S. So trial t draws k ~ Multinomial(blocks,
+    probs), then one standard normal and one standard gamma per state,
+    and its total is sum(k*fixed + lin*S - quad*Q): exact in distribution,
+    and O(states) draws and memory per trial.
     """
-    n_c, blocks = cfg.spec.n_c, cfg.blocks
-    cum = np.cumsum(np.asarray(cfg.spec.fading.probs, dtype=float))
-    cum[-1] = 1.0  # guard the top edge against rounding
-    cells, table = _state_guide(cum)
-    noise_std = math.sqrt(cfg.spec.noise_var)
-    u, work, term = (np.empty(blocks) for _ in range(3))
-    noise = np.empty((blocks, n_c))
-    # With one use per block, sum(z) is z itself and sum(z^2) is z*z.
-    lin_part = noise.reshape(blocks) if n_c == 1 else np.empty(blocks)
-    quad_part = u  # u is spent once the states are known
-    states = np.empty(blocks, dtype=np.intp)
+    probs = np.asarray(cfg.spec.fading.probs, dtype=float)
+    n_c, s2 = cfg.spec.n_c, cfg.spec.noise_var
     totals = np.empty(cfg.trials)
     for trial in range(cfg.trials):
         rng = _substream(cfg.seed, _DENSITY_STREAM, trial)
-        rng.random(out=u)
-        rng.standard_normal(out=noise)
-        _lookup_states(u, cum, cells, table, states)
-        # normal(0, s) returns 0 + s*z, which differs from s*z only in the
-        # sign of a zero; no total can tell them apart
-        np.multiply(noise, noise_std, out=noise)
-        if n_c == 1:
-            np.multiply(lin_part, lin_part, out=quad_part)
-        else:
-            noise.sum(axis=1, out=lin_part)
-            np.einsum("ij,ij->i", noise, noise, out=quad_part)
-        np.take(fixed, states, out=work, mode="clip")
-        np.take(lin, states, out=term, mode="clip")
-        term *= lin_part
-        work += term
-        np.take(quad, states, out=term, mode="clip")
-        term *= quad_part
-        work -= term
-        totals[trial] = float(work.sum())
+        k = rng.multinomial(cfg.blocks, probs)
+        m = k * n_c
+        s = rng.standard_normal(len(k)) * np.sqrt(m * s2)
+        # s2*chi2(nu) is 2*s2*gamma(nu/2): numpy's chisquare rejects the
+        # nu = 0 of a state with one use or none, standard_gamma(0) is 0;
+        # with no use S is 0, and max(m, 1) keeps S^2/m at 0
+        q = s * s / np.maximum(m, 1) + 2.0 * s2 * rng.standard_gamma(np.maximum(m - 1, 0) / 2.0)
+        totals[trial] = float(np.sum(k * fixed + lin * s - quad * q))
     return totals
 
 
@@ -267,8 +219,8 @@ def check_density_config(cfg: SimConfig) -> None:
 def simulate_information_density(cfg: SimConfig) -> dict:
     """Sample the per-codeword log-likelihood sum and check its law.
 
-    Per trial, fading states and Gaussian noise are drawn for every
-    block, the block increments are accumulated, and the run compares
+    Per trial, the total of the block increments is drawn from its
+    sufficient statistics (see _density_totals), and the run compares
     the per-channel-use mean and variance of the total with the analytic
     targets, and the standardized totals with the standard normal cdf.
 

@@ -2,9 +2,9 @@
 
 Produces a fixed-size chart with axes, tick labels, an optional
 log-scaled x axis and a legend. Output is a deterministic function of
-the inputs so repeated runs emit byte-identical files. Each series'
-finite points are mapped to the plot once, and its polyline is written
-in one pass from a single "%.2f,%.2f " template.
+the inputs so repeated runs emit byte-identical files. Each distinct x
+is mapped to the plot once, however many series share it, and each
+polyline is written in one pass from a single "%.2f,%.2f " template.
 """
 
 import math
@@ -99,6 +99,10 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
     def py(y: float) -> float:
         return _MARGIN_T + (1.0 - (y - y_lo) / y_span) * plot_h
 
+    # The sweeps give every series the same xs, so each distinct x (its
+    # log10 on a log axis) is mapped once, not once per series.
+    x_pixels = {x: px(x) for x in set(xs_all)}
+
     out = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
                f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">')
@@ -130,7 +134,7 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
     for k, points in enumerate(finite):
         if not points:
             continue
-        coords = tuple(v for x, y in points for v in (px(x), py(y)))
+        coords = tuple(v for x, y in points for v in (x_pixels[x], py(y)))
         path = ("%.2f,%.2f " * len(points) % coords)[:-1]
         color = _PALETTE[k % len(_PALETTE)]
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.8"/>')

@@ -254,6 +254,33 @@ def per_trial_density_totals(fixed, lin, quad, probs, noise_var, n_c, blocks, tr
     return totals
 
 
+def sufficient_statistic_density_totals(fixed, lin, quad, probs, noise_var, n_c, blocks,
+                                        trials, seed, stream=11) -> np.ndarray:
+    """Log-likelihood totals of the sufficient-statistic density sampler.
+
+    Trial t has its own Philox generator, key (stream, seed) and counter
+    t * 2^192. It draws the state counts k ~ Multinomial(blocks, probs),
+    then one standard normal per state, then one standard gamma of shape
+    max(m - 1, 0)/2 per state, m = k*n_c, each state one scalar call in
+    turn. State i's noise sums are S = z*sqrt(m*noise_var) and
+    Q = S^2/max(m, 1) + 2*noise_var*g, and the trial's total is the sum of
+    k*fixed + lin*S - quad*Q over the states.
+    """
+    key = (stream << 64) | (seed & ((1 << 64) - 1))
+    totals = np.empty(trials)
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=trial << 192))
+        counts = [int(k) for k in rng.multinomial(blocks, probs)]
+        uses = [k * n_c for k in counts]
+        sums = [rng.standard_normal() * math.sqrt(m * noise_var) for m in uses]
+        squares = [s * s / max(m, 1) + 2.0 * noise_var * rng.standard_gamma(max(m - 1, 0) / 2.0)
+                   for s, m in zip(sums, uses)]
+        terms = [k * f + l * s - q_ * q
+                 for k, f, l, q_, s, q in zip(counts, fixed, lin, quad, sums, squares)]
+        totals[trial] = float(np.sum(np.array(terms)))
+    return totals
+
+
 def binomial_acceptance_region(trials, p, false_alarm) -> tuple[int, int]:
     """Counts [lo, hi] a Binomial(trials, p) draw leaves with chance <= false_alarm.
 

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from blockfade import (
     ChannelSpec,
@@ -239,7 +238,6 @@ def test_criterion_6_controller_violation_bound():
     assert elapsed < 60.0
 
 
-@pytest.mark.slow
 def test_criterion_7_information_density_clt():
     start = time.perf_counter()
     cfg = SimConfig(spec=two_state_spec(), budget=1.0, blocks=10_000, trials=10_000, seed=42)

@@ -88,3 +88,17 @@ def test_edge_case_output_is_pinned(case):
     assert [line.split('"')[1] for line in doc.splitlines()
             if line.startswith("<polyline")] == polylines
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_each_distinct_x_is_mapped_once(monkeypatch):
+    # six series on one 40-point log grid, as rate-vs-blocklength draws
+    # them: 40 logs for the points plus a few for the axis ends and ticks,
+    # not one per point of every series
+    xs = [100.0 * 10.0 ** (2.0 * i / 39) for i in range(40)]
+    series = [(f"s{k}", xs, [k + x / 1e4 for x in xs]) for k in range(6)]
+    expected = render_line_chart(series, x_label="n", y_label="rate", log_x=True)
+    logged = []
+    real_log10 = math.log10
+    monkeypatch.setattr(math, "log10", lambda x: logged.append(x) or real_log10(x))
+    assert render_line_chart(series, x_label="n", y_label="rate", log_x=True) == expected
+    assert len(logged) < 2 * len(xs)
