@@ -10,16 +10,14 @@ Monte Carlo simulation.
 """
 
 from .bounds import bound_columns, sweep_dispersion_stats
-from .errors import BlockfadeError, InvalidParameterError
+from .errors import InvalidParameterError
 from .fading import ChannelSpec, FadingDistribution, discretize_rayleigh, make_distribution
 from .montecarlo import SimConfig, simulate_information_density, simulate_st_controller
-from .specfun import std_normal_cdf, std_normal_inv_cdf
 from .waterfill import link_terms, water_fill
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockfadeError",
     "ChannelSpec",
     "FadingDistribution",
     "InvalidParameterError",
@@ -31,7 +29,5 @@ __all__ = [
     "simulate_information_density",
     "simulate_st_controller",
     "sweep_dispersion_stats",
-    "std_normal_cdf",
-    "std_normal_inv_cdf",
     "water_fill",
 ]

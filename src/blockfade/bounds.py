@@ -95,6 +95,12 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     smaller are excluded; log-codebook sizes may be negative at small n
     and are reported as computed. Row i equals the one-row call on
     budgets[i] and n[i] bit for bit, whatever the other rows.
+
+    The upper bounds' num_states*log(n)/2 term counts the states; it
+    does not read the law. Splitting one state into gains g and
+    g*(1+delta), each with half its mass, moves capacity, the
+    dispersions, the lower bounds and rate_nocsit by O(delta), but
+    rate_ub_st and rate_ub_lt by log(n)/(2n) + O(delta), for any delta.
     """
     n = list(n)
     for v in n:
@@ -124,12 +130,15 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     log_n = np.array([math.log(v) for v in n])
     backoff = np.array([float(v) ** ((1.0 - beta) / 2.0) for v in n])
 
-    lb_lt = nf * cap + np.sqrt(nf * v_bf) * quantile + 0.5 * log_n - backoff
+    def achievability(capacity, dispersion):
+        return nf * capacity + np.sqrt(nf * dispersion) * quantile + 0.5 * log_n - backoff
+
+    lb_lt = achievability(cap, v_bf)
     lb_st = lb_lt - np.sqrt(nf / 2.0)
     ub_st = (nf * cap + np.sqrt(nf * v_bf_prime) * quantile
              + 0.5 * spec.fading.num_states * log_n)
     ub_lt = ub_st + np.sqrt(nf) / level * 0.5  # not / (2 * level), which can overflow
-    nocsit_log_m = nf * nocsit_cap + np.sqrt(nf * nocsit_v) * quantile + 0.5 * log_n - backoff
+    nocsit_log_m = achievability(nocsit_cap, nocsit_v)
 
     log_m = (lb_st, lb_lt, ub_st, ub_lt)
     columns = dict(zip(_BOUND_FIELDS, (ints.copy(), ints // spec.n_c, np.full(rows, epsilon),

@@ -27,8 +27,8 @@ import numpy as np
 from .bounds import bound_columns
 from .errors import InvalidParameterError
 from .fading import _INT_MAX, ChannelSpec, FadingDistribution, discretize_rayleigh
-from .montecarlo import (_MIN_DENSITY_TRIALS, SimConfig, check_density_config,
-                         simulate_information_density, simulate_st_controller)
+from .montecarlo import (_MIN_DENSITY_TRIALS, SimConfig, simulate_information_density,
+                         simulate_st_controller)
 from .svg import render_line_chart
 
 __all__ = ["main", "PRESET_NAME", "preset_fading"]
@@ -104,12 +104,13 @@ _FIELDS = (
            help="base seed for the simulations' counter-based substreams"),
     _Field("mc.alpha", "number", (_UNREAD, _UNREAD, 0.1), lo=0.0, hi=1.0, flag="--alpha",
            help="back-off exponent"),
+    # --trials sets both trial counts; the density row comes first, so the
+    # flag's help states its range, which is the stricter of the two
+    _Field("mc.density.trials", "int", (_UNREAD, _UNREAD, 10000), lo=_MIN_DENSITY_TRIALS,
+           flag="--trials", help="trial count for both simulations"),
     _Field("mc.controller.blocks", "int", (_UNREAD, _UNREAD, 1000), lo=1),
-    _Field("mc.controller.trials", "int", (_UNREAD, _UNREAD, 100000), lo=1, flag="--trials",
-           help="trial count for both simulations "
-                f"(at least {_MIN_DENSITY_TRIALS}, the density simulation's floor)"),
+    _Field("mc.controller.trials", "int", (_UNREAD, _UNREAD, 100000), lo=1, flag="--trials"),
     _Field("mc.density.blocks", "int", (_UNREAD, _UNREAD, 10000), lo=1),
-    _Field("mc.density.trials", "int", (_UNREAD, _UNREAD, 10000), lo=1, flag="--trials"),
     _Field("out", "path", (_REQUIRED, _REQUIRED, None), flag="--out", help="output file path"),
     _Field("svg", "path", (None, None, _UNREAD), flag="--svg",
            help="also render the curves to this SVG file"),
@@ -150,10 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for field, _ in _SCHEMAS[command].values():
             if field.flag and field.flag not in declared:  # --trials sets two fields
                 declared.add(field.flag)
-                if field.flag == "--trials":
-                    # the rows keep lo = 1 so that check_density_config names the
-                    # floor in its own error; the help states the range a value passes
-                    field = field._replace(lo=_MIN_DENSITY_TRIALS)
                 p.add_argument(field.flag, dest=field.flag, metavar=field.kind.upper(),
                                type=_KINDS[field.kind][0][0],
                                help=f"{field.help}: {_rule(field)}")
@@ -364,7 +361,6 @@ def cmd_verify(cfg: dict) -> int:
                                trials=cfg["mc.controller.trials"], seed=seed)
     density_cfg = SimConfig(spec=spec, budget=budget, blocks=cfg["mc.density.blocks"],
                             trials=cfg["mc.density.trials"], seed=seed)
-    check_density_config(density_cfg)
 
     controller = simulate_st_controller(controller_cfg, alpha=alpha)
     density = simulate_information_density(density_cfg)

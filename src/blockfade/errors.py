@@ -1,9 +1,5 @@
-"""Exception types shared across the package."""
+"""The package's one exception type."""
 
 
-class BlockfadeError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class InvalidParameterError(BlockfadeError, ValueError):
+class InvalidParameterError(ValueError):
     """A constructor or operation received parameters outside its contract."""

@@ -31,13 +31,15 @@ import numpy as np
 from .errors import InvalidParameterError
 from .fading import _INT_MAX, ChannelSpec
 from .specfun import std_normal_cdf
-from .waterfill import link_moments, link_terms, water_fill
+from .waterfill import link_moments, water_fill
 
 __all__ = ["SimConfig", "simulate_st_controller", "simulate_information_density"]
 
 _MASK64 = (1 << 64) - 1
 _CONTROLLER_STREAM = 1
 _DENSITY_STREAM = 11
+# The density simulation's trial floor, and the lo of the CLI's
+# mc.density.trials row.
 _MIN_DENSITY_TRIALS = 100
 # The density checks' fixed tolerances: the variance's relative error and
 # the KS distance. They do not widen with fewer trials.
@@ -49,7 +51,7 @@ _CONTROLLER_CHUNK = 4096
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Channel, budget and sampling plan for one simulation run."""
+    """Channel, budget and sampling plan for one run; blocks * spec.n_c is at most 2^53."""
 
     spec: ChannelSpec
     budget: float
@@ -66,6 +68,10 @@ class SimConfig:
             raise InvalidParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
             raise InvalidParameterError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        if self.blocks * self.spec.n_c > _INT_MAX:
+            raise InvalidParameterError(
+                f"codeword length blocks * n_c = {self.blocks * self.spec.n_c} exceeds "
+                f"2^53 = {_INT_MAX}, the largest integer a float holds exactly")
 
 
 def _delta_b(blocks: int, alpha: float, water_level: float) -> float:
@@ -158,16 +164,15 @@ def simulate_st_controller(cfg: SimConfig, *, alpha: float) -> dict:
             "binomial_slack": slack, "threshold": threshold, "pass": p_hat <= threshold}
 
 
-def _density_coefficients(spec: ChannelSpec, x: np.ndarray):
+def _density_coefficients(spec: ChannelSpec, x: np.ndarray, c: np.ndarray, l: np.ndarray):
     """Per-state coefficients of one block's log-likelihood increment.
 
     In state i (received power x_i) with block noise z (n_c uses) the
     increment is fixed_i + lin_i*sum(z) - quad_i*sum(z^2), where
     fixed = n_c*c + n_c*l/2, lin = sqrt(x)/(noise_var + x) and
-    quad = l/(2*noise_var), with c and l from link_terms.
+    quad = l/(2*noise_var), with c and l the link terms of x.
     """
     s2 = spec.noise_var
-    c, l, _ = link_terms(x, s2)
     return spec.n_c * c + spec.n_c * l / 2.0, np.sqrt(x) / (s2 + x), l / (2.0 * s2)
 
 
@@ -209,13 +214,6 @@ def _ks_distance(sorted_sample: np.ndarray) -> float:
     return max(d_plus, d_minus, 0.0)
 
 
-def check_density_config(cfg: SimConfig) -> None:
-    """Reject a config the density simulation cannot run: fewer than 100 trials."""
-    if cfg.trials < _MIN_DENSITY_TRIALS:
-        raise InvalidParameterError(
-            f"density simulation needs at least {_MIN_DENSITY_TRIALS} trials, got {cfg.trials}")
-
-
 def simulate_information_density(cfg: SimConfig) -> dict:
     """Sample the per-codeword log-likelihood sum and check its law.
 
@@ -235,15 +233,17 @@ def simulate_information_density(cfg: SimConfig) -> dict:
     within mean_tolerance = 3*sqrt(analytic_var/(trials*n)) of its
     target, n = blocks*n_c; the variance's relative error at most
     var_rel_tolerance; the KS distance at most ks_threshold); and pass,
-    all three.
+    all three. Fewer than 100 trials raise InvalidParameterError.
     """
-    check_density_config(cfg)
+    if cfg.trials < _MIN_DENSITY_TRIALS:
+        raise InvalidParameterError(
+            f"density simulation needs at least {_MIN_DENSITY_TRIALS} trials, got {cfg.trials}")
     spec = cfg.spec
     n_c = spec.n_c
     gains = np.asarray(spec.fading.gains, dtype=float)
     x = gains * gains * water_fill(spec, [cfg.budget])[1][0]
-    fixed, lin, quad = _density_coefficients(spec, x)
-    _, _, mean_c, var_c, _, mean_v = link_moments(spec, x[None, :])
+    c, l, mean_c, var_c, _, mean_v = link_moments(spec, x[None, :])
+    fixed, lin, quad = _density_coefficients(spec, x, c[0], l[0])
     analytic_mean = float(mean_c[0])
     analytic_var = float(mean_v[0] + n_c * var_c[0])
 

@@ -10,7 +10,9 @@ per-block sampler is kept here as a sampling reference. The density
 simulation's original per-trial loop is kept as its bit-for-bit
 reference. Two dispersions come from the literature in their published
 form, not from the library's decomposition: the real AWGN dispersion
-and the Polyanskiy-Verdu constant-power fading dispersion (mpmath).
+and the Polyanskiy-Verdu constant-power fading dispersion (mpmath). So
+does the water-filling capacity of continuous Rayleigh fading
+(Goldsmith-Varaiya, mpmath).
 """
 
 import math
@@ -137,6 +139,24 @@ def pv_constant_power_dispersion(gains, probs, noise_var, budget, n_c=1) -> floa
     var_c = mp.fsum(q * (c - mean_c) ** 2 for q, c in zip(qs, rates))
     mean_inv = mp.fsum(q / (1 + x) for q, x in zip(qs, gammas))
     return float(n_c * var_c + (1 - mean_inv ** 2) / 2)
+
+
+def rayleigh_waterfill_limit(budget, scale=1.0, noise_var=1.0) -> tuple[float, float]:
+    """Water level and capacity of water-filling on continuous Rayleigh fading, in mpmath.
+
+    The amplitude is Rayleigh with the given scale, so the power gain
+    g^2 is exponential with mean m = 2*scale^2. With the cutoff
+    a = noise_var/level, the level solves
+    level*exp(-a/m) - (noise_var/m)*E1(a/m) = budget, and the capacity
+    is E1(a/m)/2 nats per use: Goldsmith & Varaiya, "Capacity of fading
+    channels with channel side information", IEEE Trans. IT, 1997, for
+    the real channel.
+    """
+    m = 2 * mp.mpf(scale) ** 2
+    s2, target = mp.mpf(noise_var), mp.mpf(budget)
+    level = mp.findroot(lambda lv: lv * mp.exp(-s2 / lv / m) - s2 / m * mp.e1(s2 / lv / m)
+                        - target, target + s2)
+    return float(level), float(mp.e1(s2 / level / m) / 2)
 
 
 def oracle_dispersions_for_alloc(gains, probs, noise_var, n_c, powers, level, budget) -> dict:

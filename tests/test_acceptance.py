@@ -19,13 +19,13 @@ from blockfade import (
     make_distribution,
     simulate_information_density,
     simulate_st_controller,
-    std_normal_cdf,
-    std_normal_inv_cdf,
     sweep_dispersion_stats,
     water_fill,
 )
 from blockfade.cli import main, preset_fading
-from oracles import bisect_quantile, oracle_channel_quantities, pv_constant_power_dispersion
+from blockfade.specfun import std_normal_cdf, std_normal_inv_cdf
+from oracles import (bisect_quantile, oracle_channel_quantities, pv_constant_power_dispersion,
+                     rayleigh_waterfill_limit)
 
 # Capacity of the paper-rayleigh preset at 5 dB, to five digits.
 CAPACITY_ANCHOR = 0.74230
@@ -310,3 +310,37 @@ def test_criterion_9_constant_power_dispersion_anchor():
             f"worst relative gap {worst:.1e}, anchor error {anchor_err:.1e}")
     assert worst <= 1e-13
     assert anchor_err <= 5e-15
+
+
+def test_criterion_10_rayleigh_capacity_anchor():
+    # Goldsmith & Varaiya (1997): water-filling on continuous Rayleigh
+    # fading. discretize_rayleigh puts each interval's mass on its lower
+    # gain, so the library's capacity sits below the limit and its level
+    # above it, each by a constant times the grid step (about 0.277 and
+    # 1.23 at 5 dB). The check is that constant, on three grids whose
+    # steps differ 67-fold, not one grid's error.
+    level, capacity = rayleigh_waterfill_limit(PRESET_BUDGET)
+    anchor_err = max(abs(level - 4.4995025), abs(capacity - 0.8640047))
+    start = time.perf_counter()
+    cap_ratios, level_ratios = [], []
+    for count, hi in ((200, 6.0), (2000, 8.0), (20000, 9.0)):
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=discretize_rayleigh(1e-3, hi, count))
+        stats = sweep_dispersion_stats(spec, [PRESET_BUDGET])
+        step = (hi - 1e-3) / (count - 1)
+        cap_ratios.append((capacity - float(stats["capacity"][0])) / step)
+        level_ratios.append((float(stats["water_level"][0]) - level) / step)
+    elapsed = time.perf_counter() - start
+
+    def first_order(ratios):
+        return min(ratios) > 0.0 and max(ratios) <= 1.01 * min(ratios)
+
+    ok = (anchor_err <= 5e-8 and first_order(cap_ratios) and first_order(level_ratios)
+          and elapsed < 1.0)
+    _report(10, "Rayleigh water-filling capacity limit (Goldsmith-Varaiya)", ok,
+            f"limit C {capacity:.7f}, level {level:.7f}; capacity error / step "
+            f"{', '.join(f'{r:.4f}' for r in cap_ratios)}; level error / step "
+            f"{', '.join(f'{r:.4f}' for r in level_ratios)}, {elapsed:.2f}s")
+    assert anchor_err <= 5e-8
+    assert first_order(cap_ratios), cap_ratios
+    assert first_order(level_ratios), level_ratios
+    assert elapsed < 1.0

@@ -10,11 +10,11 @@ from blockfade import (
     bound_columns,
     discretize_rayleigh,
     make_distribution,
-    std_normal_inv_cdf,
     sweep_dispersion_stats,
     water_fill,
 )
 import blockfade.bounds as bounds
+from blockfade.specfun import std_normal_inv_cdf
 from blockfade.waterfill import link_moments
 from oracles import (
     TWO_STATE,
@@ -521,3 +521,60 @@ class TestInvariants:
         for name in one:
             if name.startswith(("log_m_", "rate_")):
                 assert three[name].tobytes() == one[name].tobytes(), name
+
+    @given(random_channels(), st.integers(1, 3), st.integers(0, 11))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_splitting_a_state_moves_only_the_state_count_term(self, params, n_c, index):
+        # State i (gain g, mass p) becomes two states, g and g(1+delta), with
+        # p/2 each. To first order in delta, at the water level lambda with
+        # l = 1 - (noise_var/g^2)/lambda in an active state: the level moves
+        # by mu = -(p/active mass)(1 - l_i)*delta relative, |mu| <= delta; per
+        # state, c moves by at most delta, l by 2*delta and v by 2*delta
+        # (c = log(lambda*g^2/noise_var)/2, dl = (1 - l)(dlog lambda + 2 dlog g),
+        # dv = (1 - l) dl); at constant power only the moved half moves,
+        # less. So capacity moves by (p/2)*l_i*delta <= delta/2 (envelope);
+        # E[V] by at most delta; Var X by at most 2*sd(X)*max|dX|, with
+        # n_c*sd(C) <= sqrt(n_c*v_bf) and sd(n_c*C - L/2) <= sqrt(v_bf_prime).
+        # Hence |d v_bf| <= 2(1 + sqrt(n_c*v_bf))*delta (nocsit_v alike),
+        # |d v_bf_prime| <= (1 + 2(n_c + 1)*sqrt(v_bf_prime))*delta, and a
+        # rate C + sqrt(V/n)*q moves by at most (1/2 + |q|*K_V/(2*sqrt(n*V)))
+        # *delta for |dV| <= K_V*delta. The upper bounds count states, so
+        # they move by log(n)/(2n) more, whatever delta; ub_lt's
+        # 1/(2*lambda*sqrt(n)) adds delta/(2*lambda*sqrt(n)). 1% covers the
+        # delta^2 terms.
+        gains, probs, noise_var, budget = params
+        fits = [j for j in range(len(gains)) if j + 1 == len(gains)
+                or gains[j] * 1.001 < gains[j + 1]]
+        i = fits[index % len(fits)]
+        n = [100 * n_c, 10 ** 4 * n_c]
+        nf = np.array(n, dtype=float)
+        q = abs(std_normal_inv_cdf(0.01))
+        base = bound_table(gains, probs, noise_var, budget, n_c, n)
+        v, v_prime, v_const, level = (base[name][0] for name in
+                                      ("v_bf", "v_bf_prime", "nocsit_v", "water_level"))
+        k_v = 2.0 * (1.0 + math.sqrt(n_c * v))
+        k_prime = 1.0 + 2.0 * (n_c + 1) * math.sqrt(v_prime)
+        k_const = 2.0 * (1.0 + math.sqrt(n_c * v_const))
+
+        def rate_constant(k, dispersion):
+            return 0.5 + q * k / (2.0 * np.sqrt(nf * dispersion))
+
+        state_term = np.log(nf) / (2.0 * nf)
+        # column: (first-order constant, the exact jump)
+        expected = {
+            "capacity": (0.5, 0.0), "nocsit_capacity": (0.5, 0.0),
+            "v_bf": (k_v, 0.0), "v_bf_prime": (k_prime, 0.0), "nocsit_v": (k_const, 0.0),
+            "rate_lb_st": (rate_constant(k_v, v), 0.0),
+            "rate_lb_lt": (rate_constant(k_v, v), 0.0),
+            "rate_nocsit": (rate_constant(k_const, v_const), 0.0),
+            "rate_ub_st": (rate_constant(k_prime, v_prime), state_term),
+            "rate_ub_lt": (rate_constant(k_prime, v_prime) + 1.0 / (2.0 * level * np.sqrt(nf)),
+                           state_term),
+        }
+        for delta in (1e-3, 1e-6):
+            split = bound_table(gains[:i + 1] + [gains[i] * (1.0 + delta)] + gains[i + 1:],
+                                probs[:i] + [probs[i] / 2.0] * 2 + probs[i + 1:],
+                                noise_var, budget, n_c, n)
+            for name, (k, jump) in expected.items():
+                moved = np.abs(split[name] - base[name] - jump)
+                assert np.all(moved <= 1.01 * k * delta), (name, delta, moved / delta)

@@ -383,11 +383,14 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv", [
         ["rate-vs-blocklength", "--nc", "1000000000000000", "--points", "3"],
         ["rate-vs-power", "--nc", str(2 ** 53), "--points", "3"],
+        ["verify", "--nc", "1000000000000000", "--trials", "100"],
+        ["verify", "--nc", str(2 ** 53), "--trials", "100"],
     ])
     def test_codeword_length_past_2_to_the_53_rejected(self, tmp_path, capsys, no_computation,
                                                       argv):
         # each n_c is accepted on its own; the lengths blocks * n_c are not,
-        # and bound_columns says so before it solves anything
+        # and bound_columns (sweeps) or SimConfig (verify) says so before
+        # any solve or simulation starts
         out = tmp_path / "o.csv"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -471,18 +474,20 @@ class TestVerify:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mc": {"density": {"trials": 50}}}))
         assert main(["verify", "--config", str(cfg)]) == 1
-        assert "100 trials" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'mc.density.trials'" in err and "[100, 9007199254740992]" in err
 
     def test_trials_help_states_the_density_floor(self, capsys):
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(["verify", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        assert "--trials INT trial count for both simulations (at least 100," in text
+        assert "--trials INT trial count for both simulations: an integer in [100," in text
         start = text.index("--trials INT trial count")
         trials_help = text[start:text.index("--out PATH", start)]
         assert re.findall(r"\[.*?\]", trials_help) == ["[100, 9007199254740992]"]
         assert main(["verify", "--trials", "99"]) == 1
-        assert "100 trials" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'mc.density.trials'" in err and "[100, 9007199254740992]" in err
         assert main(["verify", "--trials", "100"]) in (0, 3)  # a verdict, not a config error
 
     @pytest.mark.parametrize("alpha,message", [

@@ -12,6 +12,7 @@ from blockfade import (
     InvalidParameterError,
     SimConfig,
     discretize_rayleigh,
+    link_terms,
     make_distribution,
     simulate_information_density,
     simulate_st_controller,
@@ -19,6 +20,7 @@ from blockfade import (
     water_fill,
 )
 import blockfade.montecarlo as montecarlo
+import blockfade.waterfill as waterfill
 from blockfade.cli import main
 from blockfade.montecarlo import (_controller_spends, _delta_b, _density_coefficients,
                                   _density_totals, _ks_distance, _min_blocks_for_backoff)
@@ -277,7 +279,7 @@ class TestDensityMoments:
             spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
             g = np.asarray(gains)
             x = g * g * water_fill(spec, [budget])[1][0]
-            fixed, lin, quad = _density_coefficients(spec, x)
+            fixed, lin, quad = _density_coefficients(spec, x, *link_terms(x, noise_var)[:2])
             means = fixed - quad * (n_c * noise_var)
             variances = lin * lin * (n_c * noise_var) + 2.0 * quad * quad * (n_c * noise_var ** 2)
             for g2, m, v in zip(x, means, variances):
@@ -293,6 +295,20 @@ class TestDensitySimulation:
     def test_requires_enough_trials(self):
         with pytest.raises(InvalidParameterError):
             simulate_information_density(two_state_cfg(blocks=100, trials=99))
+
+    def test_one_kernel_call_per_run(self, monkeypatch):
+        # the coefficients and the analytic targets come from the same
+        # link_moments rows; montecarlo is patched too, so a direct call counts
+        shapes = []
+
+        def counting(x, noise_var):
+            shapes.append(np.shape(x))
+            return link_terms(x, noise_var)
+
+        monkeypatch.setattr(waterfill, "link_terms", counting)
+        monkeypatch.setattr(montecarlo, "link_terms", counting, raising=False)
+        simulate_information_density(two_state_cfg(blocks=100, trials=100))
+        assert shapes == [(1, 2)]
 
     @given(random_channels(), st.integers(1, 3))
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -385,7 +401,8 @@ def _ks_two_sample(a, b) -> float:
 
 def _engine_totals(spec, budget, blocks, trials, seed):
     gains = np.asarray(spec.fading.gains, dtype=float)
-    coefficients = _density_coefficients(spec, gains * gains * water_fill(spec, [budget])[1][0])
+    x = gains * gains * water_fill(spec, [budget])[1][0]
+    coefficients = _density_coefficients(spec, x, *link_terms(x, spec.noise_var)[:2])
     cfg = SimConfig(spec=spec, budget=budget, blocks=blocks, trials=trials, seed=seed)
     return _density_totals(cfg, *coefficients), coefficients
 
@@ -484,13 +501,13 @@ class TestDensityEngine:
 
 class TestKsHelper:
     def test_perfect_quantile_grid_scores_low(self):
-        from blockfade import std_normal_inv_cdf
+        from blockfade.specfun import std_normal_inv_cdf
         n = 2000
         sample = np.array([std_normal_inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
         assert _ks_distance(np.sort(sample)) <= 1.0 / n
 
     def test_shifted_sample_scores_high(self):
-        from blockfade import std_normal_inv_cdf
+        from blockfade.specfun import std_normal_inv_cdf
         n = 500
         sample = np.array([std_normal_inv_cdf((i - 0.5) / n) + 1.0 for i in range(1, n + 1)])
         assert _ks_distance(np.sort(sample)) > 0.3
@@ -565,3 +582,11 @@ class TestSimConfigValidation:
         base.update(kwargs)
         with pytest.raises(InvalidParameterError):
             SimConfig(**base)
+
+    def test_codeword_length_capped_at_2_to_the_53(self):
+        # blocks * n_c is the density run's codeword length, taken as a float
+        for n_c, blocks in ((1, 2 ** 53), (3, 2 ** 53 // 3)):
+            spec = ChannelSpec(noise_var=1.0, n_c=n_c, fading=TWO_STATE)
+            SimConfig(spec=spec, budget=1.0, blocks=blocks, trials=1, seed=1)
+            with pytest.raises(InvalidParameterError, match=r"exceeds 2\^53 = 9007199254740992"):
+                SimConfig(spec=spec, budget=1.0, blocks=blocks + 1, trials=1, seed=1)

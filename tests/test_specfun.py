@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blockfade import InvalidParameterError, std_normal_cdf, std_normal_inv_cdf
-from blockfade.specfun import _std_normal_pdf
+from blockfade import InvalidParameterError
+from blockfade.specfun import _std_normal_pdf, std_normal_cdf, std_normal_inv_cdf
 from oracles import bisect_quantile, mp_norm_cdf
 
 
