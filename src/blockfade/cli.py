@@ -288,7 +288,7 @@ def _blocklength_grid(cfg: dict) -> list[int]:
             value = math.exp(math.log(b_min) + frac * (math.log(b_max) - math.log(b_min)))
         else:
             value = b_min + frac * (b_max - b_min)
-        grid.append(max(1, int(round(value))))
+        grid.append(int(round(value)))
     grid[0], grid[-1] = b_min, b_max  # pin the endpoints against rounding
     return grid
 
@@ -393,7 +393,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _RUN[args.command](_resolve(args))
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

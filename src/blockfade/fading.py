@@ -8,7 +8,7 @@ threads.
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import InvalidParameterError
 
@@ -27,6 +27,8 @@ _RENORM_TOL = 1e-9
 # take codeword lengths and block counts as floats, so those counts, and
 # every integer config field by default, stop here.
 _INT_MAX = 2 ** 53
+# The keys of a fading profile's JSON form, each an array of numbers.
+_PROFILE_KEYS = ("gains", "probs")
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,18 @@ class FadingDistribution:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FadingDistribution":
-        try:
-            gains = data["gains"]
-            probs = data["probs"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidParameterError(
-                'fading profile must be an object with "gains" and "probs" arrays') from exc
-        return make_distribution(gains, probs)
+        """Build from exactly {"gains": [...], "probs": [...]}, each entry an int or float."""
+        if not isinstance(data, Mapping):
+            raise InvalidParameterError(f"fading profile must be an object, got {data!r}")
+        for key in (*data, *_PROFILE_KEYS):
+            if key not in _PROFILE_KEYS:
+                raise InvalidParameterError(f"fading profile field {key!r}: not a profile field")
+            values = data.get(key)  # None when the key is missing
+            if not isinstance(values, list) or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+                raise InvalidParameterError(
+                    f"fading profile field {key!r}: must be an array of numbers, got {values!r}")
+        return make_distribution(data["gains"], data["probs"])
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,18 @@
 """Monte Carlo checks for the power controller and the information density.
 
-Both simulations draw their randomness from counter-based substreams: a
-Philox generator keyed by (seed, purpose) whose 256-bit counter starts at
-index * 2^192. The density simulation takes one substream per trial. The
-controller needs only each trial's fading-state counts, which are
-Multinomial(blocks, probs), so it takes one substream per chunk of 4096
-trials and draws the chunk's counts in one call; the chunk size is part
-of the determinism contract. Either way trial t sees the same draws no
-matter how many trials run, in what order, or on how many workers, and
-aggregation is a plain order-independent reduction.
+Both simulations draw from one counter-based layout: one Philox
+generator per simulation, keyed by (seed, purpose), walks the trials in
+fixed-size chunks, and chunk c moves it to counter c * 2^192 and draws
+its trials' Multinomial(blocks, probs) fading-state counts in one call.
+The controller walks chunks of 4096 trials, the density simulation
+chunks of one; the sizes are part of the determinism contract. Trial t
+sees the same draws however many trials run, in whatever order or on
+however many workers, and aggregation is a plain reduction.
 
-A density trial draws sufficient statistics, not channel uses: its
-fading-state counts, then per state one normal for the sum of the
-noise and one gamma for the rest of its sum of squares. That is
-O(states) draws per trial, whatever the block count, and the totals
-have exactly the law they would have if every channel use were drawn;
-their bytes depend on numpy's multinomial, standard_normal and
-standard_gamma.
+A density trial draws sufficient statistics, not channel uses (see
+_density_totals): O(states) draws whatever the block count, with exactly
+the law of a per-use sampler; the bytes depend on numpy's multinomial,
+standard_normal and standard_gamma.
 
 Each simulation returns its own section of the ``verify`` report, a dict
 of plain floats, ints and bools: the measured values, the echoed block
@@ -45,8 +41,9 @@ _MIN_DENSITY_TRIALS = 100
 # the KS distance. They do not widen with fewer trials.
 _VAR_REL_TOLERANCE = 0.02
 _KS_THRESHOLD = 0.02
-# Trials per controller substream; changing it changes every result.
+# Trials per chunk of each simulation; changing either changes its results.
 _CONTROLLER_CHUNK = 4096
+_DENSITY_CHUNK = 1
 
 
 @dataclass(frozen=True)
@@ -100,25 +97,23 @@ def _min_blocks_for_backoff(budget: float, alpha: float, water_level: float) -> 
     return blocks
 
 
-def _substream(seed: int, stream: int, index: int) -> np.random.Generator:
-    # 128-bit Philox key (stream, seed); SimConfig keeps the seed below 2^64.
-    # The index in the top counter word gives every substream 2^192 draws.
-    return np.random.Generator(np.random.Philox(key=(stream << 64) | seed, counter=index << 192))
+def _chunks(cfg: SimConfig, stream: int, chunk: int):
+    """Yield (first trial, generator, counts) per chunk of ``chunk`` trials.
 
-
-def _controller_spends(cfg: SimConfig, powers: np.ndarray):
-    """Yield each chunk's per-trial total spends, chunk by chunk.
-
-    Chunk c holds trials c*4096 .. c*4096+4095 and draws their state
-    counts from its own Philox substream. The row sums reduce each trial
-    on its own, so a trial's spend does not depend on the chunk's fill.
+    One Philox keyed (stream, seed) serves the walk; SimConfig keeps the
+    seed below 2^64. Chunk c sets its counter to c * 2^192, which also
+    empties its buffer, so the chunk draws what a fresh Philox there
+    would: its (size, states) Multinomial(blocks, probs) counts, then what
+    the caller draws before the next chunk.
     """
     probs = np.asarray(cfg.spec.fading.probs, dtype=float)
-    for chunk, start in enumerate(range(0, cfg.trials, _CONTROLLER_CHUNK)):
-        rng = _substream(cfg.seed, _CONTROLLER_STREAM, chunk)
-        size = min(_CONTROLLER_CHUNK, cfg.trials - start)
-        counts = rng.multinomial(cfg.blocks, probs, size=size)
-        yield np.sum(counts * powers, axis=-1)
+    bit_generator = np.random.Philox(key=(stream << 64) | cfg.seed)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    for c, first in enumerate(range(0, cfg.trials, chunk)):
+        state["state"]["counter"][3] = c
+        bit_generator.state = state
+        yield first, rng, rng.multinomial(cfg.blocks, probs, size=min(chunk, cfg.trials - first))
 
 
 def simulate_st_controller(cfg: SimConfig, *, alpha: float) -> dict:
@@ -152,8 +147,8 @@ def simulate_st_controller(cfg: SimConfig, *, alpha: float) -> dict:
 
     levels, powers = water_fill(cfg.spec, [cfg.budget - backoff])
     cap_total = cfg.blocks * cfg.budget
-    violations = sum(int(np.count_nonzero(spends > cap_total))
-                     for spends in _controller_spends(cfg, powers[0]))
+    violations = sum(int(np.count_nonzero(np.sum(counts * powers[0], axis=-1) > cap_total))
+                     for _, _, counts in _chunks(cfg, _CONTROLLER_STREAM, _CONTROLLER_CHUNK))
 
     p_hat = violations / cfg.trials
     bound = math.exp(-cfg.blocks * backoff * backoff / (2.0 * full_level * full_level))
@@ -178,30 +173,27 @@ def _density_coefficients(spec: ChannelSpec, x: np.ndarray, c: np.ndarray, l: np
 
 def _density_totals(cfg: SimConfig, fixed: np.ndarray, lin: np.ndarray,
                     quad: np.ndarray) -> np.ndarray:
-    """Each trial's log-likelihood total, from its own substream.
+    """Each trial's log-likelihood total, walked one chunk of trials at a time.
 
     A total depends on the noise only through each state's sums S = sum(z)
     and Q = sum(z^2) over its m = k*n_c uses, k the state's block count
     (see _density_coefficients). Given k, S ~ N(0, m*s2), and by Cochran's
     theorem Q - S^2/m is s2 times a chi-square with m - 1 degrees of
-    freedom, independent of S. So trial t draws k ~ Multinomial(blocks,
-    probs), then one standard normal and one standard gamma per state,
-    and its total is sum(k*fixed + lin*S - quad*Q): exact in distribution,
-    and O(states) draws and memory per trial.
+    freedom, independent of S. So each chunk takes its trials' counts k
+    from _chunks, then one standard normal and one standard gamma per
+    trial and state, and a trial's total is sum(k*fixed + lin*S - quad*Q):
+    exact in distribution, and O(chunk * states) draws and memory.
     """
-    probs = np.asarray(cfg.spec.fading.probs, dtype=float)
     n_c, s2 = cfg.spec.n_c, cfg.spec.noise_var
     totals = np.empty(cfg.trials)
-    for trial in range(cfg.trials):
-        rng = _substream(cfg.seed, _DENSITY_STREAM, trial)
-        k = rng.multinomial(cfg.blocks, probs)
+    for first, rng, k in _chunks(cfg, _DENSITY_STREAM, _DENSITY_CHUNK):
         m = k * n_c
-        s = rng.standard_normal(len(k)) * np.sqrt(m * s2)
+        s = rng.standard_normal(m.shape) * np.sqrt(m * s2)
         # s2*chi2(nu) is 2*s2*gamma(nu/2): numpy's chisquare rejects the
         # nu = 0 of a state with one use or none, standard_gamma(0) is 0;
         # with no use S is 0, and max(m, 1) keeps S^2/m at 0
         q = s * s / np.maximum(m, 1) + 2.0 * s2 * rng.standard_gamma(np.maximum(m - 1, 0) / 2.0)
-        totals[trial] = float(np.sum(k * fixed + lin * s - quad * q))
+        totals[first:first + len(k)] = np.sum(k * fixed + lin * s - quad * q, axis=-1)
     return totals
 
 

@@ -18,9 +18,6 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 40, 56
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if not (hi > lo):
-        pad = 0.5 if lo == 0 else abs(lo) * 0.5
-        lo, hi = lo - pad, hi + pad
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -359,6 +359,26 @@ class TestConfigHandling:
         target = tmp_path / "missing-dir" / "o.csv"
         assert main(["rate-vs-blocklength", "--points", "1", "--out", str(target)]) == 1
 
+    @pytest.mark.parametrize("profile,field", [
+        ('{"gains": ["1", "2"], "probs": ["0.5", "0.5"]}', "gains"),
+        ('{"gains": [true, 2], "probs": [0.5, 0.5]}', "gains"),
+        ('{"gains": "12", "probs": [0.5, 0.5]}', "gains"),
+        ('{"gains": {"1": 0}, "probs": {"1": 0}}', "gains"),
+        ('{"gains": 1, "probs": 1}', "gains"),
+        ('{"gains": [1.0, 2.0], "probs": [0.5, 0.5], "scale": 1}', "scale"),
+    ], ids=["strings", "bool", "string", "objects", "scalars", "extra-key"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_malformed_channel_profile_names_the_field(self, tmp_path, capsys, no_computation,
+                                                       profile, field, where):
+        out, cfg = tmp_path / "o.csv", tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"channel": json.loads(profile)}))
+        argv = (["--channel", profile] if where == "flag" else ["--config", str(cfg)])
+        assert main(["rate-vs-blocklength", "--points", "1", "--out", str(out)] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fading profile field '{field}'")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_nonexistent_channel_path(self, tmp_path):
         assert main(["rate-vs-blocklength", "--channel", "no-such-preset",
                      "--points", "1", "--out", str(tmp_path / "o.csv")]) == 1
@@ -578,7 +598,7 @@ class TestSchema:
         def must_not_draw(*args, **kwargs):
             raise AssertionError("a simulation drew before the budget was rejected")
 
-        monkeypatch.setattr(montecarlo, "_substream", must_not_draw)
+        monkeypatch.setattr(montecarlo, "_chunks", must_not_draw)
         cfg, out = tmp_path / "cfg.json", tmp_path / "o"
         cfg.write_text(json.dumps(payload))
         with warnings.catch_warnings():

@@ -130,6 +130,29 @@ class TestJsonInterface:
         with pytest.raises(InvalidParameterError):
             FadingDistribution.from_json_dict({"gains": [1.0]})
 
+    @pytest.mark.parametrize("data,field", [
+        ({"gains": ["1", "2"], "probs": ["0.5", "0.5"]}, "gains"),
+        ({"gains": [1.0, 2.0], "probs": ["0.5", "0.5"]}, "probs"),
+        ({"gains": [True, 2], "probs": [0.5, 0.5]}, "gains"),
+        ({"gains": [1.0, 2.0], "probs": [0.5, False]}, "probs"),
+        ({"gains": "12", "probs": [0.5, 0.5]}, "gains"),
+        ({"gains": {"1": 0}, "probs": {"1": 0}}, "gains"),
+        ({"gains": 1, "probs": 1}, "gains"),
+        ({"gains": [1.0, 2.0], "probs": [0.5, 0.5], "scale": 1.0}, "scale"),
+        ({"gains": [1.0]}, "probs"),
+    ], ids=["string-entries", "string-probs", "bool-gain", "bool-prob", "string",
+            "objects", "scalars", "extra-key", "missing-key"])
+    def test_malformed_profile_names_the_field(self, data, field):
+        # a profile is exactly {"gains": [...], "probs": [...]} of JSON
+        # numbers; nothing is coerced and no key is ignored
+        with pytest.raises(InvalidParameterError, match=f"fading profile field '{field}'"):
+            FadingDistribution.from_json_dict(data)
+
+    @pytest.mark.parametrize("data", [[1.0, 2.0], "gains", None])
+    def test_profile_that_is_not_an_object_rejected(self, data):
+        with pytest.raises(InvalidParameterError, match="fading profile must be an object"):
+            FadingDistribution.from_json_dict(data)
+
 
 class TestChannelSpec:
     def test_valid(self):

@@ -22,8 +22,9 @@ from blockfade import (
 import blockfade.montecarlo as montecarlo
 import blockfade.waterfill as waterfill
 from blockfade.cli import main
-from blockfade.montecarlo import (_controller_spends, _delta_b, _density_coefficients,
-                                  _density_totals, _ks_distance, _min_blocks_for_backoff)
+from blockfade.montecarlo import (_CONTROLLER_CHUNK, _CONTROLLER_STREAM, _chunks, _delta_b,
+                                  _density_coefficients, _density_totals, _ks_distance,
+                                  _min_blocks_for_backoff)
 from oracles import (
     binomial_acceptance_region,
     controller_powers,
@@ -163,7 +164,7 @@ class TestController:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the controller solved or drew before it checked alpha")
 
-        for name in ("water_fill", "_substream"):
+        for name in ("water_fill", "_chunks"):
             monkeypatch.setattr(montecarlo, name, must_not_run)
         with pytest.raises(InvalidParameterError, match=r"alpha must lie strictly in \(0, 1\)"):
             simulate_st_controller(two_state_cfg(blocks=10, trials=10), alpha=alpha)
@@ -204,7 +205,8 @@ class TestController:
 
 
 def _violations(cfg, powers, cap):
-    return sum(np.count_nonzero(spends > cap) for spends in _controller_spends(cfg, powers))
+    return sum(np.count_nonzero(np.sum(counts * powers, axis=-1) > cap)
+               for _, _, counts in _chunks(cfg, _CONTROLLER_STREAM, _CONTROLLER_CHUNK))
 
 
 class TestControllerEngine:
@@ -252,18 +254,40 @@ class TestControllerEngine:
     @pytest.mark.parametrize("fading", [TWO_STATE, discretize_rayleigh(0.1, 4.1, 10, 1.0)],
                              ids=["two-state", "preset"])
     def test_trial_results_do_not_depend_on_chunk_boundaries(self, fading):
-        # one substream per 4096-trial chunk: runs that end inside, at or
-        # just past a chunk edge see the same spends for the trials they share
+        # one counter block per 4096-trial chunk: runs that end inside, at
+        # or just past a chunk edge see the same counts for the trials they
+        # share
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=fading)
-        powers = water_fill(spec, [0.9])[1][0]
-        spends = {}
+        counts = {}
         for trials in (4095, 4096, 4097, 8199):
             cfg = SimConfig(spec=spec, budget=1.0, blocks=50, trials=trials, seed=5)
-            spends[trials] = np.concatenate(list(_controller_spends(cfg, powers)))
-            assert spends[trials].shape == (trials,)
-        longest = spends[8199]
+            chunks = list(_chunks(cfg, _CONTROLLER_STREAM, _CONTROLLER_CHUNK))
+            assert [first for first, _, _ in chunks] == list(range(0, trials, _CONTROLLER_CHUNK))
+            counts[trials] = np.concatenate([rows for _, _, rows in chunks])
+            assert counts[trials].shape == (trials, fading.num_states)
+            assert np.all(counts[trials].sum(axis=1) == 50)
+        longest = counts[8199]
         for trials in (4095, 4096, 4097):
-            assert np.array_equal(spends[trials], longest[:trials])
+            assert np.array_equal(counts[trials], longest[:trials])
+
+
+class TestChunkWalker:
+    def test_each_chunk_draws_what_a_fresh_philox_at_its_counter_draws(self):
+        # after the counts, each chunk draws three uint32s, which leaves
+        # half a 64-bit word buffered; the next chunk must not see it
+        seed, stream = 2 ** 64 - 1, 7
+        cfg = two_state_cfg(blocks=30, trials=5, seed=seed)
+        walked = 0
+        for c, (first, rng, counts) in enumerate(_chunks(cfg, stream, 2)):
+            fresh = np.random.Generator(np.random.Philox(key=(stream << 64) | seed,
+                                                         counter=c << 192))
+            assert first == 2 * c
+            size = min(2, cfg.trials - first)
+            assert np.array_equal(counts, fresh.multinomial(30, TWO_STATE.probs, size=size))
+            assert np.array_equal(rng.integers(0, 2 ** 31, size=3, dtype=np.uint32),
+                                  fresh.integers(0, 2 ** 31, size=3, dtype=np.uint32))
+            walked += len(counts)
+        assert walked == cfg.trials
 
 
 class TestDensityMoments:
