@@ -5,9 +5,17 @@ log-scaled x axis and a legend. Output is a deterministic function of
 the inputs so repeated runs emit byte-identical files. Each distinct x
 is mapped to the plot once, however many series share it, and each
 polyline is written in one pass from a single "%.2f,%.2f " template.
+
+Ticks are the whole multiples of a nice step, or the whole decades on a
+log axis, taken from an index range, so their number is fixed before any
+is made. An axis with no span in plotted units (ends whose log10 is the
+same float, or linear ends less than the smallest normal float apart) is
+halved and doubled on a log axis and widened by max(0.5, ulp) at each
+end on a linear one.
 """
 
 import math
+import sys
 from typing import Sequence
 
 __all__ = ["render_line_chart"]
@@ -20,36 +28,33 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 40, 56
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        ticks.append(0.0 if abs(t) < step * 1e-9 else t)
-        t += step
-    return ticks
+    step = mag * next((mult for mult in (1.0, 2.0, 2.5, 5.0) if raw <= mult * mag), 10.0)
+    return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
-    ticks = []
-    d = math.floor(math.log10(lo))
-    while 10.0 ** d <= hi * (1 + 1e-12):
-        if 10.0 ** d >= lo * (1 - 1e-12):
-            ticks.append(10.0 ** d)
-        d += 1
-    if len(ticks) < 2:  # range inside one decade; fall back to linear ticks
+    decades = range(math.ceil(math.log10(lo) - 1e-12), math.floor(math.log10(hi) + 1e-12) + 1)
+    if len(decades) < 2:  # range inside one decade; fall back to linear ticks
         return _nice_ticks(lo, hi)
-    return ticks
+    return [10.0 ** d for d in decades]
+
+
+def _widen_empty(lo: float, hi: float, log: bool) -> tuple[float, float]:
+    if log:
+        if math.log10(lo) < math.log10(hi):
+            return lo, hi
+        return lo / 2.0, hi * 2.0
+    if hi - lo >= sys.float_info.min:
+        return lo, hi
+    return lo - max(0.5, math.ulp(lo)), hi + max(0.5, math.ulp(hi))
 
 
 def _fmt_tick(value: float) -> str:
     if value == 0:
         return "0"
     if abs(value) >= 10000 or abs(value) < 0.001:
-        return f"{value:.0e}".replace("e+0", "e").replace("e-0", "e-")
+        mantissa, exponent = f"{value:.0e}".split("e")
+        return f"{mantissa}e{int(exponent)}"
     return f"{value:g}"
 
 
@@ -70,16 +75,9 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
     y_lo, y_hi = min(ys_all), max(ys_all)
     if log_x and x_lo <= 0:
         raise ValueError("log-scaled x axis needs strictly positive x values")
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    else:
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    if x_hi == x_lo:
-        if log_x:
-            x_lo, x_hi = x_lo / 2.0, x_hi * 2.0
-        else:
-            x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    x_lo, x_hi = _widen_empty(x_lo, x_hi, log_x)
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = _widen_empty(y_lo - pad, y_hi + pad, False)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -101,6 +104,28 @@ class TestBlocklengthSweep:
         _, rows = read_csv(out)
         assert rows[0]["B"] == "123"
         assert rows[-1]["B"] == "4567"
+
+    @pytest.mark.parametrize("sweep", [
+        {"b_min": 2 ** 53, "b_max": 2 ** 53, "points": 1, "log_spaced": False},
+        {"b_min": 2 ** 52, "b_max": 2 ** 52 + 1, "points": 2, "log_spaced": False},
+        {"b_min": 2 ** 52, "b_max": 2 ** 52 + 1, "points": 2, "log_spaced": True},
+    ], ids=["one-point-at-2^53", "adjacent-lengths", "adjacent-lengths-log"])
+    def test_svg_of_sweep_at_float_resolution(self, tmp_path, sweep):
+        # x +- 0.5 rounds back to x here, and a tick step of 0.2 added to a
+        # tick near 2^52 rounds back to it; run in a child process with a time
+        # limit so that a tick loop that never ends fails instead of hanging
+        cfg, out, svg = tmp_path / "cfg.json", tmp_path / "r.csv", tmp_path / "r.svg"
+        cfg.write_text(json.dumps({"blocklength_sweep": sweep}))
+        src = Path(cli.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from blockfade.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "rate-vs-blocklength", "--config", str(cfg),
+             "--out", str(out), "--svg", str(svg)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        doc = svg.read_text()
+        assert doc.count("<polyline") == 6
+        assert re.search(r"\b(nan|inf)\b", doc) is None
 
 
 class TestPowerSweep:

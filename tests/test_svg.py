@@ -1,7 +1,9 @@
 import hashlib
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockfade.svg import render_line_chart
 
@@ -102,3 +104,67 @@ def test_each_distinct_x_is_mapped_once(monkeypatch):
     monkeypatch.setattr(math, "log10", lambda x: logged.append(x) or real_log10(x))
     assert render_line_chart(series, x_label="n", y_label="rate", log_x=True) == expected
     assert len(logged) < 2 * len(xs)
+
+
+def grid_lines(doc):
+    """(vertical, horizontal) counts of the grid lines: one per x tick and per y tick."""
+    ends = [tuple(re.search(f' {name}="([^"]+)"', line).group(1) for name in ("x1", "x2", "y1", "y2"))
+            for line in doc.splitlines() if line.startswith("<line") and "#dddddd" in line]
+    return sum(x1 == x2 for x1, x2, _, _ in ends), sum(y1 == y2 for _, _, y1, y2 in ends)
+
+
+def assert_drawable(doc, polylines):
+    assert doc.count("<polyline") == polylines
+    assert re.search(r"\b(nan|inf)\b", doc) is None
+    vertical, horizontal = grid_lines(doc)
+    assert 1 <= vertical <= 20 and 1 <= horizontal <= 20
+
+
+@pytest.mark.parametrize("ys", [[1e17, 1e17], [0.0, 5e-324]], ids=["flat-at-1e17", "subnormal-span"])
+def test_y_range_without_a_tick_step_is_widened(ys):
+    # y +- 0.5 rounds back to y at 1e17, so the range is widened by ulp(y);
+    # a subnormal span has no nonzero tick step, so it is widened like a flat one
+    doc = render_line_chart([("flat", [1.0, 2.0], ys)], x_label="x", y_label="y")
+    assert_drawable(doc, 1)
+    assert "72.00,262.00 836.00,262.00" in doc
+
+
+def test_log_axis_labels_share_one_exponent_style():
+    doc = render_line_chart([("a", [1e8, 1e12], [0.0, 1.0])], x_label="x", y_label="y",
+                            log_x=True)
+    for label in (">1e8<", ">1e9<", ">1e10<", ">1e11<", ">1e12<"):
+        assert label in doc
+    assert "e+" not in doc
+
+
+@st.composite
+def charts(draw):
+    """1 to 6 series with positive xs up to 2^53 and ys in [0, 1e300].
+
+    Some xs are a shared base nudged down by a few ulps, and some ys repeat
+    a shared value, so repeated and adjacent floats and flat series are drawn.
+    """
+    x_base, y_base = draw(st.floats(1.0, 2.0 ** 53)), draw(st.floats(0.0, 1e300))
+
+    def nudged(ulps):
+        x = x_base
+        for _ in range(ulps):
+            x = math.nextafter(x, 0.0)
+        return x
+
+    x_values = st.one_of(st.floats(1.0, 2.0 ** 53), st.integers(0, 3).map(nudged))
+    y_values = st.one_of(st.floats(0.0, 1e300), st.just(y_base))
+    series = []
+    for k in range(draw(st.integers(1, 6))):
+        xs = draw(st.lists(x_values, min_size=1, max_size=8))
+        ys = draw(st.lists(y_values, min_size=len(xs), max_size=len(xs)))
+        series.append((f"s{k}", xs, ys))
+    return series, draw(st.booleans())
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(charts())
+def test_any_sweep_range_renders_finite_bounded_axes(chart):
+    series, log_x = chart
+    doc = render_line_chart(series, x_label="x", y_label="y", log_x=log_x)
+    assert_drawable(doc, len(series))
