@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real
 from .fading import _INT_MAX, ChannelSpec
 from .specfun import std_normal_inv_cdf
 from .waterfill import _mean_and_var, link_moments, water_fill
@@ -57,8 +57,8 @@ def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
     must be finite, all but nocsit_capacity positive, and nocsit_capacity
     at most capacity + 1e-12; else InvalidParameterError names the field.
     """
+    levels, powers = water_fill(spec, budgets)  # checks the budgets
     budgets = np.asarray(budgets, dtype=float)
-    levels, powers = water_fill(spec, budgets)
     gains = np.asarray(spec.fading.gains, dtype=float)
     rows = len(budgets)
     # The water-filling rows, then the constant-power rows (the budget in
@@ -113,11 +113,8 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     if not n or not len(budgets) or (len(budgets) != len(n) and 1 not in (len(budgets), len(n))):
         raise InvalidParameterError(f"budgets and n need equal lengths or length 1, got "
                                     f"{len(budgets)} and {len(n)}")
-    if not (0.0 < epsilon < 0.5):
-        raise InvalidParameterError(
-            f"error probability must lie strictly in (0, 1/2), got {epsilon!r}")
-    if not (0.0 < beta < 1.0):
-        raise InvalidParameterError(f"beta must lie strictly in (0, 1), got {beta!r}")
+    epsilon = real("error probability", epsilon, 0.0, 0.5)
+    beta = real("beta", beta, 0.0, 1.0)
 
     stats = sweep_dispersion_stats(spec, budgets)
     cap, v_bf, v_bf_prime, level, nocsit_cap, nocsit_v = stats.values()

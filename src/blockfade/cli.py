@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import bound_columns
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real, whole
 from .fading import _INT_MAX, ChannelSpec, FadingDistribution, discretize_rayleigh
 from .montecarlo import (_MIN_DENSITY_TRIALS, SimConfig, simulate_information_density,
                          simulate_st_controller)
@@ -66,7 +66,8 @@ class _Field(NamedTuple):
 
 
 # Per kind: the JSON value types it accepts (the first also parses its
-# flag) and how error messages describe it. A bool is never a number.
+# flag) and how error messages describe it. Numbers follow errors.real
+# and errors.whole, so a bool is never a number.
 _KINDS = {
     "int": ((int,), "an integer"),
     "number": ((float, int), "a number"),
@@ -204,19 +205,17 @@ def _check(field: _Field, value):
         raise InvalidParameterError(f"invalid config field {field.path!r}: required "
                                     f"(set it in the file or with {field.flag})")
     kind = field.kind
-    ok = isinstance(value, _KINDS[kind][0]) and isinstance(value, bool) == (kind == "bool")
-    if ok and kind == "int":
-        ok = field.lo <= value <= (field.hi or _INT_MAX)
-    elif ok and kind in ("number", "db"):
-        try:
-            value = float(value)
-            ok = (math.isfinite(value) and (field.lo is None or value > field.lo)
-                  and (field.hi is None or value < field.hi)
-                  and (kind != "db" or _db_to_linear(value) > 0.0))
-        except OverflowError:  # an integer past the float range, or 10^(dB/10) past it
-            ok = False
-    elif ok and kind == "path":
-        ok = value != ""
+    try:
+        if kind == "int":
+            value = whole(field.path, value, field.lo, field.hi or _INT_MAX)
+        elif kind in ("number", "db"):
+            value = real(field.path, value, -math.inf if field.lo is None else field.lo,
+                         math.inf if field.hi is None else field.hi)
+            if kind == "db":
+                real(field.path, _db_to_linear(value))
+        ok = isinstance(value, _KINDS[kind][0]) and (kind != "path" or value != "")
+    except (InvalidParameterError, OverflowError):  # OverflowError: 10^(dB/10) past the range
+        ok = False
     if not ok:
         raise InvalidParameterError(f"invalid config field {field.path!r}: "
                                     f"must be {_rule(field)}, got {value!r}")

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real, whole
 
 __all__ = [
     "FadingDistribution",
@@ -24,8 +24,9 @@ _SUM_TOL = 1e-12
 # Looser input tolerance inside which make_distribution renormalizes.
 _RENORM_TOL = 1e-9
 # The largest integer a float holds exactly. The bounds and the simulations
-# take codeword lengths and block counts as floats, so those counts, and
-# every integer config field by default, stop here.
+# take codeword lengths and block counts as floats, so those counts, the
+# library's other count arguments, and every integer config field by
+# default, stop here.
 _INT_MAX = 2 ** 53
 # The keys of a fading profile's JSON form, each an array of numbers.
 _PROFILE_KEYS = ("gains", "probs")
@@ -37,27 +38,27 @@ class FadingDistribution:
 
     gains: strictly increasing positive finite channel amplitude gains.
     probs: matching strictly positive probabilities, sum 1 within 1e-12.
+    Any sequences of numbers are accepted; both are stored as float tuples.
     """
 
     gains: tuple[float, ...]
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.gains) != len(self.probs):
+        gains = tuple([real("gain", g) for g in self.gains])
+        probs = tuple([real("probability", q) for q in self.probs])
+        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "probs", probs)
+        if len(gains) != len(probs):
             raise InvalidParameterError(
-                f"gains and probs must have equal length, got {len(self.gains)} and {len(self.probs)}")
-        if len(self.gains) < 1:
+                f"gains and probs must have equal length, got {len(gains)} and {len(probs)}")
+        if not gains:
             raise InvalidParameterError("a fading distribution needs at least one state")
-        prev = 0.0
-        for g in self.gains:
-            if not (g > prev) or not math.isfinite(g):
-                raise InvalidParameterError("gains must be positive, finite and strictly "
-                                            f"increasing, offending value {g!r}")
-            prev = g
-        for q in self.probs:
-            if not (q > 0.0):
-                raise InvalidParameterError(f"probabilities must be strictly positive, got {q!r}")
-        total = math.fsum(self.probs)
+        for prev, g in zip(gains, gains[1:]):
+            if not g > prev:
+                raise InvalidParameterError(
+                    f"gains must be strictly increasing, offending value {g!r}")
+        total = math.fsum(probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidParameterError(
                 f"probabilities must sum to 1 within {_SUM_TOL:g}, got {total!r}")
@@ -90,8 +91,8 @@ class FadingDistribution:
 class ChannelSpec:
     """Block-fading AWGN channel: noise variance, block length, gain law.
 
-    noise_var: additive noise variance (power units), > 0.
-    n_c: channel uses per coherence block, >= 1.
+    noise_var: additive noise variance (power units), > 0, stored as a float.
+    n_c: channel uses per coherence block, an integer in [1, 2^53].
     Every state's floor noise_var / gain^2 must be positive and finite.
     """
 
@@ -100,10 +101,8 @@ class ChannelSpec:
     fading: FadingDistribution
 
     def __post_init__(self):
-        if not (self.noise_var > 0.0) or not math.isfinite(self.noise_var):
-            raise InvalidParameterError(f"noise_var must be positive and finite, got {self.noise_var!r}")
-        if not isinstance(self.n_c, int) or self.n_c < 1:
-            raise InvalidParameterError(f"n_c must be an integer >= 1, got {self.n_c!r}")
+        object.__setattr__(self, "noise_var", real("noise_var", self.noise_var))
+        object.__setattr__(self, "n_c", whole("n_c", self.n_c, 1, _INT_MAX))
         for g in self.fading.gains:
             # water-filling's floor for the state; in Python floats, so an
             # overflow or underflow here raises no numpy warning
@@ -115,31 +114,18 @@ class ChannelSpec:
                     f"noise_var / gain^2 = {floor!r} must be positive and finite")
 
 
-def _floats(what: str, values: Iterable[float]) -> tuple[float, ...]:
-    out = []
-    for value in values:
-        try:
-            out.append(float(value))
-        except OverflowError:  # an integer past the float range
-            raise InvalidParameterError(f"{what} {value!r} is too large for a float") from None
-    return tuple(out)
-
-
 def make_distribution(gains: Iterable[float], probs: Iterable[float]) -> FadingDistribution:
     """Validate and build a fading distribution from raw sequences.
 
     Probabilities whose sum deviates from 1 by at most 1e-9 are
     renormalized; larger deviations are rejected.
     """
-    gains = _floats("gain", gains)
-    probs = _floats("probability", probs)
+    probs = [real("probability", q) for q in probs]
     total = math.fsum(probs)
     if abs(total - 1.0) > _RENORM_TOL:
         raise InvalidParameterError(
             f"probabilities sum to {total!r}; deviation from 1 exceeds {_RENORM_TOL:g}")
-    if total != 1.0:
-        probs = tuple(q / total for q in probs)
-    return FadingDistribution(gains=gains, probs=probs)
+    return FadingDistribution(gains=gains, probs=tuple(q / total for q in probs))
 
 
 def rayleigh_tail(x: float, scale: float) -> float:
@@ -156,16 +142,10 @@ def discretize_rayleigh(eta_lo: float, eta_hi: float, count: int, scale: float =
     the first state and the mass at or above eta_hi into the last, so
     the result is a proper distribution.
     """
-    eta_lo = float(eta_lo)
-    eta_hi = float(eta_hi)
-    scale = float(scale)
-    if not isinstance(count, int) or count < 2:
-        raise InvalidParameterError(f"count must be an integer >= 2, got {count!r}")
-    if not (0.0 < eta_lo < eta_hi) or not math.isfinite(eta_hi):
-        raise InvalidParameterError(
-            f"need 0 < eta_lo < eta_hi, got eta_lo={eta_lo!r}, eta_hi={eta_hi!r}")
-    if not (scale > 0.0) or not math.isfinite(scale):
-        raise InvalidParameterError(f"scale must be positive and finite, got {scale!r}")
+    eta_lo = real("eta_lo", eta_lo)
+    eta_hi = real("eta_hi", eta_hi, eta_lo)
+    count = whole("count", count, 2, _INT_MAX)
+    scale = real("scale", scale)
 
     step = (eta_hi - eta_lo) / (count - 1)
     gains = [eta_lo + i * step for i in range(count)]
@@ -178,4 +158,4 @@ def discretize_rayleigh(eta_lo: float, eta_hi: float, count: int, scale: float =
         probs[i] = rayleigh_tail(gains[i], scale) - rayleigh_tail(gains[i + 1], scale)
     probs[count - 1] = rayleigh_tail(gains[count - 1], scale)
 
-    return FadingDistribution(gains=tuple(gains), probs=tuple(probs))
+    return FadingDistribution(gains=gains, probs=probs)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real, whole
 from .fading import _INT_MAX, ChannelSpec
 from .specfun import std_normal_cdf
 from .waterfill import link_moments, water_fill
@@ -48,7 +48,7 @@ _DENSITY_CHUNK = 1
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Channel, budget and sampling plan for one run; blocks * spec.n_c is at most 2^53."""
+    """Channel, budget (stored as a float) and sampling plan; blocks * spec.n_c <= 2^53."""
 
     spec: ChannelSpec
     budget: float
@@ -57,14 +57,10 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not (self.budget > 0.0) or not math.isfinite(self.budget):
-            raise InvalidParameterError(f"budget must be positive and finite, got {self.budget!r}")
-        if not isinstance(self.blocks, int) or self.blocks < 1:
-            raise InvalidParameterError(f"blocks must be an integer >= 1, got {self.blocks!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise InvalidParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
-            raise InvalidParameterError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        object.__setattr__(self, "budget", real("budget", self.budget))
+        whole("blocks", self.blocks, 1)
+        whole("trials", self.trials, 1, _INT_MAX)
+        whole("seed", self.seed, 0, _MASK64)
         if self.blocks * self.spec.n_c > _INT_MAX:
             raise InvalidParameterError(
                 f"codeword length blocks * n_c = {self.blocks * self.spec.n_c} exceeds "
@@ -135,8 +131,7 @@ def simulate_st_controller(cfg: SimConfig, *, alpha: float) -> dict:
     lambda_b; blocks and trials; the Wald slack 3*sqrt(p(1-p)/trials);
     the threshold, bound plus slack; and pass, empirical_prob <= threshold.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidParameterError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    alpha = real("alpha", alpha, 0.0, 1.0)
     full_level = float(water_fill(cfg.spec, [cfg.budget])[0][0])
     backoff = _delta_b(cfg.blocks, alpha, full_level)
     if cfg.budget <= backoff:

@@ -10,7 +10,7 @@ side.
 
 import math
 
-from .errors import InvalidParameterError
+from .errors import real
 
 __all__ = ["std_normal_cdf", "std_normal_inv_cdf"]
 
@@ -33,12 +33,9 @@ _P_LOW = 0.02425
 def std_normal_cdf(x: float) -> float:
     """Cumulative distribution function of a standard Gaussian.
 
-    Raises InvalidParameterError for NaN or infinite input.
+    Raises InvalidParameterError for anything but a finite number.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise InvalidParameterError(f"standard normal cdf needs a finite argument, got {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
+    return 0.5 * math.erfc(-real("standard normal cdf argument", x, -math.inf) / _SQRT2)
 
 
 def _std_normal_pdf(x: float) -> float:
@@ -67,9 +64,7 @@ def std_normal_inv_cdf(p: float) -> float:
 
     Rational approximation refined by one Newton step on the cdf.
     """
-    p = float(p)
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise InvalidParameterError(f"quantile argument must lie strictly in (0, 1), got {p!r}")
+    p = real("quantile argument", p, 0.0, 1.0)
     x = _acklam(p)
     density = _std_normal_pdf(x)
     if density > 0.0:

@@ -12,7 +12,7 @@ sums. Many budgets are solved in one array pass.
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real
 from .fading import ChannelSpec
 
 __all__ = ["link_terms", "water_fill"]
@@ -66,7 +66,7 @@ def _floors(spec: ChannelSpec) -> np.ndarray:
 def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     """Water levels and per-state powers (budgets x states) for a 1-D array.
 
-    Budgets must be positive and finite, and the level and the largest
+    Budgets must be positive and finite numbers, and the level and the largest
     received SNR, max(gain)^2 * level / noise_var, finite (else one
     InvalidParameterError, no warning). Row i equals the one-row call
     water_fill(spec, [budgets[i]]) bit for bit.
@@ -83,13 +83,10 @@ def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     power meets the budget to rounding (far inside 1e-9*max(1, budget))
     even when the floors dwarf the budget.
     """
-    budgets = np.asarray(budgets, dtype=float)
-    if budgets.ndim != 1:
-        raise InvalidParameterError(f"budgets must be a 1-D array, got shape {budgets.shape}")
-    bad = ~((budgets > 0.0) & np.isfinite(budgets))
-    if bad.any():
-        raise InvalidParameterError(
-            f"power budget must be positive and finite, got {float(budgets[bad][0])!r}")
+    values = np.asarray(budgets, dtype=object)  # the entries as given, or as Python scalars
+    if values.ndim != 1:
+        raise InvalidParameterError(f"budgets must be a 1-D array, got shape {values.shape}")
+    budgets = np.array([real("power budget", b) for b in values.tolist()], dtype=float)
 
     floors = _floors(spec)[::-1]
     probs = np.asarray(spec.fading.probs, dtype=float)[::-1]

@@ -1,10 +1,16 @@
 """The package's public names, and the oracles' independence from the library."""
 
 import ast
+import math
 from pathlib import Path
 
+import pytest
+
 import blockfade
-from blockfade import bounds, fading, montecarlo, specfun, waterfill
+from blockfade import (ChannelSpec, FadingDistribution, InvalidParameterError, SimConfig,
+                       bound_columns, bounds, discretize_rayleigh, fading, make_distribution,
+                       montecarlo, simulate_st_controller, specfun, sweep_dispersion_stats,
+                       water_fill, waterfill)
 
 ERROR_CLASSES = {"InvalidParameterError"}
 
@@ -51,7 +57,9 @@ def test_exports_are_the_submodules_exports():
 def test_every_raise_is_one_error_type():
     # a caller catches one class for every rejected input; svg.py is left
     # out: its renderer is not exported, and the CLI hands it only finite,
-    # clamped series
+    # clamped series. The scan sees explicit raises only; the implicit
+    # TypeError and OverflowError of a bad scalar are covered by
+    # test_bad_scalar_in_any_slot_raises_the_one_error_type.
     package = Path(blockfade.__file__).parent
     raised = {}
     for path in sorted(package.glob("*.py")):
@@ -76,3 +84,60 @@ def test_oracles_import_nothing_from_the_library():
             imported.append("." * node.level + (node.module or ""))
     assert imported, "no imports found; the scan is broken"
     assert [m for m in imported if m.split(".")[0] in ("blockfade", "")] == []
+
+
+def _spec():
+    return ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0, 2.0], [0.5, 0.5]))
+
+
+def _sim(**kwargs):
+    plan = dict(spec=_spec(), budget=1.0, blocks=10, trials=10, seed=1)
+    plan.update(kwargs)
+    return SimConfig(**plan)
+
+
+# Each public entry point with the value v in one scalar slot, the others valid.
+SCALAR_SLOTS = {
+    "ChannelSpec.noise_var": lambda v: ChannelSpec(noise_var=v, n_c=1, fading=_spec().fading),
+    "ChannelSpec.n_c": lambda v: ChannelSpec(noise_var=1.0, n_c=v, fading=_spec().fading),
+    "SimConfig.budget": lambda v: _sim(budget=v),
+    "SimConfig.blocks": lambda v: _sim(blocks=v),
+    "SimConfig.trials": lambda v: _sim(trials=v),
+    "SimConfig.seed": lambda v: _sim(seed=v),
+    "FadingDistribution.gains": lambda v: FadingDistribution(gains=(v,), probs=(1.0,)),
+    "FadingDistribution.probs": lambda v: FadingDistribution(gains=(1.0,), probs=(v,)),
+    "make_distribution.gains": lambda v: make_distribution([v], [1.0]),
+    "make_distribution.probs": lambda v: make_distribution([1.0], [v]),
+    "discretize_rayleigh.eta_lo": lambda v: discretize_rayleigh(v, 4.1, 10),
+    "discretize_rayleigh.eta_hi": lambda v: discretize_rayleigh(0.1, v, 10),
+    "discretize_rayleigh.count": lambda v: discretize_rayleigh(0.1, 4.1, v),
+    "discretize_rayleigh.scale": lambda v: discretize_rayleigh(0.1, 4.1, 10, v),
+    "simulate_st_controller.alpha": lambda v: simulate_st_controller(_sim(), alpha=v),
+    "water_fill.budgets": lambda v: water_fill(_spec(), [v]),
+    "sweep_dispersion_stats.budgets": lambda v: sweep_dispersion_stats(_spec(), [v]),
+    "bound_columns.budgets": lambda v: bound_columns(_spec(), [v], [100], 0.01),
+    "bound_columns.epsilon": lambda v: bound_columns(_spec(), [1.0], [100], v),
+    "bound_columns.beta": lambda v: bound_columns(_spec(), [1.0], [100], 0.01, beta=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, "1", 10 ** 400, math.nan, math.inf],
+                         ids=["bool", "str", "int-past-float", "nan", "inf"])
+@pytest.mark.parametrize("slot", SCALAR_SLOTS)
+def test_bad_scalar_in_any_slot_raises_the_one_error_type(slot, value):
+    # a bool or a string is never a number, and an integer past the float
+    # range is out of range: no TypeError, no OverflowError, nothing accepted
+    with pytest.raises(InvalidParameterError):
+        SCALAR_SLOTS[slot](value)
+
+
+def test_value_types_store_float_tuples_and_floats():
+    for dist in (FadingDistribution(gains=[1, 2.0], probs=[0.5, 0.5]),
+                 make_distribution([1, 2.0], [0.5, 0.5]), discretize_rayleigh(1, 3, 2)):
+        for values in (dist.gains, dist.probs):
+            assert type(values) is tuple and {type(v) for v in values} == {float}
+        hash(ChannelSpec(noise_var=1.0, n_c=1, fading=dist))
+    spec = ChannelSpec(noise_var=2, n_c=1, fading=make_distribution([1.0], [1.0]))
+    assert type(spec.noise_var) is float and spec.noise_var == 2.0
+    budget = SimConfig(spec=spec, budget=1, blocks=1, trials=1, seed=0).budget
+    assert type(budget) is float and budget == 1.0
