@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, real
+from .errors import InvalidParameterError, items, real
 from .fading import _INT_MAX, ChannelSpec
 from .specfun import std_normal_inv_cdf
 from .waterfill import _mean_and_var, link_moments, water_fill
@@ -43,7 +43,7 @@ def _checked_columns(columns) -> np.ndarray:
 
 
 def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
-    """Every bound ingredient for each budget of a 1-D sequence, in one array pass.
+    """Every bound ingredient for each budget (as for water_fill), in one array pass.
 
     Returns one float array per field: capacity, v_bf, v_bf_prime and
     water_level at the water-filling allocation, and nocsit_capacity and
@@ -81,8 +81,8 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
                   beta: float = 0.01) -> dict[str, np.ndarray]:
     """The normal-approximation bounds and the constant-power baseline, per row.
 
-    budgets is a 1-D sequence of power budgets; n is a 1-D sequence of
-    codeword lengths, each blocks*spec.n_c for an integer blocks >= 1 and
+    budgets and n (codeword lengths) are each a list, tuple, range or 1-D
+    array; each length is blocks*spec.n_c for an integer blocks >= 1 and
     at most 2^53 (the bounds take n as a float, exact only up to there).
     The two have equal lengths, or one has length 1 and serves every row.
     epsilon must lie strictly in (0, 1/2) and beta in (0, 1). All of this
@@ -102,7 +102,7 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     dispersions, the lower bounds and rate_nocsit by O(delta), but
     rate_ub_st and rate_ub_lt by log(n)/(2n) + O(delta), for any delta.
     """
-    n = list(n)
+    budgets, n = items("budgets", budgets), items("codeword lengths", n)
     for v in n:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v % spec.n_c or v < 1:
             raise InvalidParameterError(f"codeword length {v!r} is not a positive integer "

@@ -1,12 +1,14 @@
-"""The package's one exception type, and the one rule for a numeric argument.
+"""The package's one exception type, and one rule for each kind of argument.
 
-Every scalar check in the package goes through ``real`` or ``whole``: a
-bool, a str or any other type is not a number, an integer past the float
-range is out of range, and every rejection raises InvalidParameterError
-naming the argument and the offending value.
+A number is a numbers.Real (``real``) or numbers.Integral (``whole``), numpy
+scalars too, never a bool or a str; a sequence is a list, tuple, range or 1-D
+array (``items``). Rejections raise InvalidParameterError naming the argument and value.
 """
 
 import math
+import numbers
+
+import numpy as np
 
 
 class InvalidParameterError(ValueError):
@@ -15,7 +17,8 @@ class InvalidParameterError(ValueError):
 
 def real(what: str, value, lo: float = 0.0, hi: float = math.inf) -> float:
     """value as a float strictly inside (lo, hi), so finite; else InvalidParameterError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    # float and int are named first: they match before the slower ABC check
+    if isinstance(value, (float, int, numbers.Real)) and type(value) is not bool:
         try:
             x = float(value)
         except OverflowError:  # an integer past the float range
@@ -33,7 +36,16 @@ def real(what: str, value, lo: float = 0.0, hi: float = math.inf) -> float:
 
 def whole(what: str, value, lo: int, hi: float = math.inf) -> int:
     """value as an int in [lo, hi]; else InvalidParameterError."""
-    if isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi:
+    if isinstance(value, (int, numbers.Integral)) and type(value) is not bool and lo <= value <= hi:
         return int(value)
     rule = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
     raise InvalidParameterError(f"{what} must be an integer {rule}, got {value!r}")
+
+
+def items(what: str, values) -> list:
+    """The entries of a list, tuple, range or 1-D array as a list (an array's by tolist())."""
+    if isinstance(values, (list, tuple, range)):
+        return list(values)
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        return values.tolist()
+    raise InvalidParameterError(f"{what} must be a list, tuple, range or 1-D array, got {values!r}")

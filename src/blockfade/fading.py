@@ -8,9 +8,9 @@ threads.
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
-from .errors import InvalidParameterError, real, whole
+from .errors import InvalidParameterError, items, real, whole
 
 __all__ = [
     "FadingDistribution",
@@ -38,15 +38,15 @@ class FadingDistribution:
 
     gains: strictly increasing positive finite channel amplitude gains.
     probs: matching strictly positive probabilities, sum 1 within 1e-12.
-    Any sequences of numbers are accepted; both are stored as float tuples.
+    Each is a list, tuple, range or 1-D array of numbers, stored as a float tuple.
     """
 
     gains: tuple[float, ...]
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        gains = tuple([real("gain", g) for g in self.gains])
-        probs = tuple([real("probability", q) for q in self.probs])
+        gains = tuple([real("gain", g) for g in items("gains", self.gains)])
+        probs = tuple([real("probability", q) for q in items("probs", self.probs)])
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "probs", probs)
         if len(gains) != len(probs):
@@ -101,6 +101,8 @@ class ChannelSpec:
     fading: FadingDistribution
 
     def __post_init__(self):
+        if not isinstance(self.fading, FadingDistribution):
+            raise InvalidParameterError(f"fading must be a FadingDistribution, got {self.fading!r}")
         object.__setattr__(self, "noise_var", real("noise_var", self.noise_var))
         object.__setattr__(self, "n_c", whole("n_c", self.n_c, 1, _INT_MAX))
         for g in self.fading.gains:
@@ -114,23 +116,18 @@ class ChannelSpec:
                     f"noise_var / gain^2 = {floor!r} must be positive and finite")
 
 
-def make_distribution(gains: Iterable[float], probs: Iterable[float]) -> FadingDistribution:
-    """Validate and build a fading distribution from raw sequences.
+def make_distribution(gains: Sequence[float], probs: Sequence[float]) -> FadingDistribution:
+    """Validate and build a fading distribution; gains and probs as for FadingDistribution.
 
     Probabilities whose sum deviates from 1 by at most 1e-9 are
     renormalized; larger deviations are rejected.
     """
-    probs = [real("probability", q) for q in probs]
+    probs = [real("probability", q) for q in items("probs", probs)]
     total = math.fsum(probs)
     if abs(total - 1.0) > _RENORM_TOL:
         raise InvalidParameterError(
             f"probabilities sum to {total!r}; deviation from 1 exceeds {_RENORM_TOL:g}")
     return FadingDistribution(gains=gains, probs=tuple(q / total for q in probs))
-
-
-def rayleigh_tail(x: float, scale: float) -> float:
-    """P(H >= x) for a Rayleigh-distributed amplitude with the given scale."""
-    return math.exp(-x * x / (2.0 * scale * scale))
 
 
 def discretize_rayleigh(eta_lo: float, eta_hi: float, count: int, scale: float = 1.0) -> FadingDistribution:
@@ -151,11 +148,8 @@ def discretize_rayleigh(eta_lo: float, eta_hi: float, count: int, scale: float =
     gains = [eta_lo + i * step for i in range(count)]
     gains[-1] = eta_hi  # guard against rounding drift at the endpoint
 
-    probs = [0.0] * count
-    # 1 - tail(gains[1]) includes the below-grid mass P(H < eta_lo).
-    probs[0] = 1.0 - rayleigh_tail(gains[1], scale)
-    for i in range(1, count - 1):
-        probs[i] = rayleigh_tail(gains[i], scale) - rayleigh_tail(gains[i + 1], scale)
-    probs[count - 1] = rayleigh_tail(gains[count - 1], scale)
+    # tail[i] = P(H >= gains[i]); 1 - tail[1] includes the below-grid mass P(H < eta_lo).
+    tail = [math.exp(-g * g / (2.0 * scale * scale)) for g in gains]
+    probs = [1.0 - tail[1], *(a - b for a, b in zip(tail[1:-1], tail[2:])), tail[-1]]
 
     return FadingDistribution(gains=gains, probs=probs)

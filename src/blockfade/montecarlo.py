@@ -48,7 +48,7 @@ _DENSITY_CHUNK = 1
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Channel, budget (stored as a float) and sampling plan; blocks * spec.n_c <= 2^53."""
+    """Channel, float budget and int sampling plan; blocks * spec.n_c <= 2^53."""
 
     spec: ChannelSpec
     budget: float
@@ -57,10 +57,12 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.spec, ChannelSpec):
+            raise InvalidParameterError(f"spec must be a ChannelSpec, got {self.spec!r}")
         object.__setattr__(self, "budget", real("budget", self.budget))
-        whole("blocks", self.blocks, 1)
-        whole("trials", self.trials, 1, _INT_MAX)
-        whole("seed", self.seed, 0, _MASK64)
+        object.__setattr__(self, "blocks", whole("blocks", self.blocks, 1))
+        object.__setattr__(self, "trials", whole("trials", self.trials, 1, _INT_MAX))
+        object.__setattr__(self, "seed", whole("seed", self.seed, 0, _MASK64))
         if self.blocks * self.spec.n_c > _INT_MAX:
             raise InvalidParameterError(
                 f"codeword length blocks * n_c = {self.blocks * self.spec.n_c} exceeds "

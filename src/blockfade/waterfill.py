@@ -12,7 +12,7 @@ sums. Many budgets are solved in one array pass.
 
 import numpy as np
 
-from .errors import InvalidParameterError, real
+from .errors import InvalidParameterError, items, real
 from .fading import ChannelSpec
 
 __all__ = ["link_terms", "water_fill"]
@@ -64,12 +64,12 @@ def _floors(spec: ChannelSpec) -> np.ndarray:
 
 
 def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
-    """Water levels and per-state powers (budgets x states) for a 1-D array.
+    """Water levels and per-state powers (budgets x states), one row per budget.
 
-    Budgets must be positive and finite numbers, and the level and the largest
-    received SNR, max(gain)^2 * level / noise_var, finite (else one
-    InvalidParameterError, no warning). Row i equals the one-row call
-    water_fill(spec, [budgets[i]]) bit for bit.
+    budgets is a list, tuple, range or 1-D array of positive finite numbers
+    (numpy scalars too, never bools); the level and the largest received SNR,
+    max(gain)^2 * level / noise_var, must be finite (else one error, no
+    warning). Row i equals the one-row call on [budgets[i]] bit for bit.
 
     With the states reversed (floors f increasing, probabilities q),
     raising the water to f_k over the first k states costs
@@ -83,10 +83,7 @@ def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     power meets the budget to rounding (far inside 1e-9*max(1, budget))
     even when the floors dwarf the budget.
     """
-    values = np.asarray(budgets, dtype=object)  # the entries as given, or as Python scalars
-    if values.ndim != 1:
-        raise InvalidParameterError(f"budgets must be a 1-D array, got shape {values.shape}")
-    budgets = np.array([real("power budget", b) for b in values.tolist()], dtype=float)
+    budgets = np.array([real("power budget", b) for b in items("budgets", budgets)], dtype=float)
 
     floors = _floors(spec)[::-1]
     probs = np.asarray(spec.fading.probs, dtype=float)[::-1]

@@ -4,6 +4,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blockfade
@@ -59,7 +60,10 @@ def test_every_raise_is_one_error_type():
     # out: its renderer is not exported, and the CLI hands it only finite,
     # clamped series. The scan sees explicit raises only; the implicit
     # TypeError and OverflowError of a bad scalar are covered by
-    # test_bad_scalar_in_any_slot_raises_the_one_error_type.
+    # test_bad_scalar_in_any_slot_raises_the_one_error_type, and the
+    # TypeError and AttributeError of a bad sequence or value type by
+    # test_bad_sequence_in_any_slot_raises_the_one_error_type and
+    # test_value_type_fields_take_only_their_type.
     package = Path(blockfade.__file__).parent
     raised = {}
     for path in sorted(package.glob("*.py")):
@@ -141,3 +145,77 @@ def test_value_types_store_float_tuples_and_floats():
     assert type(spec.noise_var) is float and spec.noise_var == 2.0
     budget = SimConfig(spec=spec, budget=1, blocks=1, trials=1, seed=0).budget
     assert type(budget) is float and budget == 1.0
+
+
+# Each sequence slot with the value v, the others valid, and a range of
+# valid entries for it.
+SEQUENCE_SLOTS = {
+    "FadingDistribution.gains": (lambda v: FadingDistribution(gains=v, probs=(1.0,)), range(1, 2)),
+    "FadingDistribution.probs": (lambda v: FadingDistribution(gains=(1.0,), probs=v), range(1, 2)),
+    "make_distribution.gains": (lambda v: make_distribution(v, [1.0]), range(1, 2)),
+    "make_distribution.probs": (lambda v: make_distribution([1.0], v), range(1, 2)),
+    "water_fill.budgets": (lambda v: water_fill(_spec(), v), range(1, 4)),
+    "sweep_dispersion_stats.budgets": (lambda v: sweep_dispersion_stats(_spec(), v), range(1, 4)),
+    "bound_columns.budgets": (lambda v: bound_columns(_spec(), v, [100], 0.01), range(1, 4)),
+    "bound_columns.n": (lambda v: bound_columns(_spec(), [1.0], v, 0.01), range(100, 400, 100)),
+}
+
+
+@pytest.mark.parametrize("make", [lambda: 1.0, lambda: "12", lambda: {1.0: 1.0}, lambda: {1.0},
+                                  lambda: (v for v in [1.0]), lambda: [[1.0]]],
+                         ids=["scalar", "str", "dict", "set", "generator", "nested"])
+@pytest.mark.parametrize("slot", SEQUENCE_SLOTS)
+def test_bad_sequence_in_any_slot_raises_the_one_error_type(slot, make):
+    # only a list, tuple, range or 1-D array is a sequence: no TypeError,
+    # and no dict's keys or set read as entries
+    with pytest.raises(InvalidParameterError):
+        SEQUENCE_SLOTS[slot][0](make())
+
+
+@pytest.mark.parametrize("form", [list, tuple, np.array, lambda r: r],
+                         ids=["list", "tuple", "array", "range"])
+@pytest.mark.parametrize("slot", SEQUENCE_SLOTS)
+def test_list_tuple_range_and_array_are_sequences(slot, form):
+    call, valid = SEQUENCE_SLOTS[slot]
+    assert repr(call(form(valid))) == repr(call(list(valid)))
+
+
+def test_two_d_array_is_not_a_sequence():
+    for call, valid in SEQUENCE_SLOTS.values():
+        with pytest.raises(InvalidParameterError, match="1-D array"):
+            call(np.array([list(valid)]))
+
+
+def test_value_type_fields_take_only_their_type():
+    fading = _spec().fading
+    for bad in ({"gains": [1.0], "probs": [1.0]}, None):
+        with pytest.raises(InvalidParameterError, match="fading must be a FadingDistribution"):
+            ChannelSpec(noise_var=1.0, n_c=1, fading=bad)
+    for bad in (None, fading):
+        with pytest.raises(InvalidParameterError, match="spec must be a ChannelSpec"):
+            _sim(spec=bad)
+
+
+@pytest.mark.parametrize("slot", SCALAR_SLOTS)
+def test_numpy_bool_is_not_a_number(slot):
+    with pytest.raises(InvalidParameterError):
+        SCALAR_SLOTS[slot](np.True_)
+
+
+def test_numpy_scalars_are_numbers():
+    spec = _spec()
+    for got, want in ((water_fill(spec, [np.int64(1), np.float32(2.5)]), water_fill(spec, [1, 2.5])),
+                      (bound_columns(spec, [np.float64(1.0)], [np.int64(100)], np.float32(0.25),
+                                     beta=np.float16(0.5)),
+                       bound_columns(spec, [1.0], [100], float(np.float32(0.25)), beta=0.5))):
+        assert repr(got) == repr(want)
+    assert ChannelSpec(noise_var=np.float32(2.0), n_c=np.int64(3), fading=spec.fading) == \
+        ChannelSpec(noise_var=2.0, n_c=3, fading=spec.fading)
+    assert discretize_rayleigh(np.float64(0.5), np.float32(4.0), np.int8(5), np.int64(2)) == \
+        discretize_rayleigh(0.5, 4.0, 5, 2.0)
+    cfg = _sim(budget=np.float32(1.0), blocks=np.int64(2000), trials=np.int32(50),
+               seed=np.uint64(2 ** 64 - 1))
+    assert cfg == _sim(blocks=2000, trials=50, seed=2 ** 64 - 1)
+    assert {type(v) for v in (cfg.blocks, cfg.trials, cfg.seed)} == {int}
+    assert simulate_st_controller(cfg, alpha=0.5) == simulate_st_controller(
+        _sim(blocks=2000, trials=50, seed=2 ** 64 - 1), alpha=0.5)
