@@ -137,7 +137,8 @@ def discretize_rayleigh(eta_lo: float, eta_hi: float, count: int, scale: float =
     Each interior grid point carries the probability of the half-open
     interval up to the next point; the mass below eta_lo is folded into
     the first state and the mass at or above eta_hi into the last, so
-    the result is a proper distribution.
+    the result is a proper distribution. A state whose mass rounds to 0
+    raises InvalidParameterError naming the state, its gain and scale.
     """
     eta_lo = real("eta_lo", eta_lo)
     eta_hi = real("eta_hi", eta_hi, eta_lo)
@@ -151,5 +152,13 @@ def discretize_rayleigh(eta_lo: float, eta_hi: float, count: int, scale: float =
     # tail[i] = P(H >= gains[i]); 1 - tail[1] includes the below-grid mass P(H < eta_lo).
     tail = [math.exp(-g * g / (2.0 * scale * scale)) for g in gains]
     probs = [1.0 - tail[1], *(a - b for a, b in zip(tail[1:-1], tail[2:])), tail[-1]]
+    zero = next((i for i, q in enumerate(probs) if q == 0.0), None)
+    if zero is not None:
+        # far above scale the tail underflows; far below it, 1 - tail rounds to 0
+        fix = ("raise scale or lower eta_hi" if gains[zero] >= scale
+               else "lower scale or space the gains wider (a larger eta_hi or a smaller count)")
+        raise InvalidParameterError(
+            f"state {zero} (gain {gains[zero]!r}) has probability 0 at scale {scale!r}: "
+            f"its Rayleigh mass rounds to zero; {fix}")
 
     return FadingDistribution(gains=gains, probs=probs)

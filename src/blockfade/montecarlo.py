@@ -12,7 +12,10 @@ however many workers, and aggregation is a plain reduction.
 A density trial draws sufficient statistics, not channel uses (see
 _density_totals): O(states) draws whatever the block count, with exactly
 the law of a per-use sampler; the bytes depend on numpy's multinomial,
-standard_normal and standard_gamma.
+standard_normal and standard_gamma. The draws stay per trial, in the
+chunk-of-one order above; the arithmetic on them runs once per buffer of
+trials. The buffer size is not part of the determinism contract: it
+changes no byte of the results.
 
 Each simulation returns its own section of the ``verify`` report, a dict
 of plain floats, ints and bools: the measured values, the echoed block
@@ -21,12 +24,13 @@ and trial counts, each check's threshold or tolerance, and its verdict.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import InvalidParameterError, real, whole
 from .fading import _INT_MAX, ChannelSpec
-from .specfun import std_normal_cdf
+from .specfun import _SQRT2
 from .waterfill import link_moments, water_fill
 
 __all__ = ["SimConfig", "simulate_st_controller", "simulate_information_density"]
@@ -44,6 +48,13 @@ _KS_THRESHOLD = 0.02
 # Trials per chunk of each simulation; changing either changes its results.
 _CONTROLLER_CHUNK = 4096
 _DENSITY_CHUNK = 1
+# Elements (trials x states) per pass of the density arithmetic, at least
+# one trial; changing it changes no result.
+_DENSITY_BUFFER = 4096
+# Up to this many states a density trial draws its gammas one scalar call
+# per state: an array-shape standard_gamma call has a fixed cost of about
+# seven scalar calls.
+_SCALAR_GAMMA_STATES = 8
 
 
 @dataclass(frozen=True)
@@ -170,33 +181,55 @@ def _density_coefficients(spec: ChannelSpec, x: np.ndarray, c: np.ndarray, l: np
 
 def _density_totals(cfg: SimConfig, fixed: np.ndarray, lin: np.ndarray,
                     quad: np.ndarray) -> np.ndarray:
-    """Each trial's log-likelihood total, walked one chunk of trials at a time.
+    """Each trial's log-likelihood total: draws per trial, arithmetic per buffer.
 
     A total depends on the noise only through each state's sums S = sum(z)
     and Q = sum(z^2) over its m = k*n_c uses, k the state's block count
     (see _density_coefficients). Given k, S ~ N(0, m*s2), and by Cochran's
     theorem Q - S^2/m is s2 times a chi-square with m - 1 degrees of
-    freedom, independent of S. So each chunk takes its trials' counts k
-    from _chunks, then one standard normal and one standard gamma per
-    trial and state, and a trial's total is sum(k*fixed + lin*S - quad*Q):
-    exact in distribution, and O(chunk * states) draws and memory.
+    freedom, independent of S. So each trial takes its counts k from
+    _chunks, then one standard normal and one standard gamma per state,
+    and a trial's total is sum(k*fixed + lin*S - quad*Q): exact in
+    distribution.
+
+    The draws stay per trial and in that order; they fill a buffer of
+    _DENSITY_BUFFER // states trials (at least one), and S, Q and the
+    totals are computed once per buffer. Each total is the same
+    elementwise arithmetic and row sum as for a lone trial, so the buffer
+    size changes no byte; memory is O(buffer), not O(trials * states).
     """
     n_c, s2 = cfg.spec.n_c, cfg.spec.noise_var
+    states = len(fixed)
+    rows = max(1, _DENSITY_BUFFER // states)
+    k = np.empty((rows, states), dtype=np.int64)
+    z, g = np.empty((rows, states)), np.empty((rows, states))
+    scalar_gammas = states <= _SCALAR_GAMMA_STATES
     totals = np.empty(cfg.trials)
-    for first, rng, k in _chunks(cfg, _DENSITY_STREAM, _DENSITY_CHUNK):
-        m = k * n_c
-        s = rng.standard_normal(m.shape) * np.sqrt(m * s2)
-        # s2*chi2(nu) is 2*s2*gamma(nu/2): numpy's chisquare rejects the
-        # nu = 0 of a state with one use or none, standard_gamma(0) is 0;
+    walk = _chunks(cfg, _DENSITY_STREAM, _DENSITY_CHUNK)
+    for first in range(0, cfg.trials, rows):
+        size = min(rows, cfg.trials - first)
+        for row, (_, rng, counts) in enumerate(islice(walk, size)):
+            k[row] = counts[0]
+            rng.standard_normal(out=z[row])
+            # s2*chi2(nu) is 2*s2*gamma(nu/2): numpy's chisquare rejects the
+            # nu = 0 of a state with one use or none, standard_gamma(0) is 0
+            if scalar_gammas:
+                g[row] = [rng.standard_gamma(max(c * n_c - 1, 0) / 2.0) for c in counts[0].tolist()]
+            else:
+                rng.standard_gamma(np.maximum(counts[0] * n_c - 1, 0) / 2.0, out=g[row])
+        m = k[:size] * n_c
+        s = z[:size] * np.sqrt(m * s2)
         # with no use S is 0, and max(m, 1) keeps S^2/m at 0
-        q = s * s / np.maximum(m, 1) + 2.0 * s2 * rng.standard_gamma(np.maximum(m - 1, 0) / 2.0)
-        totals[first:first + len(k)] = np.sum(k * fixed + lin * s - quad * q, axis=-1)
+        q = s * s / np.maximum(m, 1) + 2.0 * s2 * g[:size]
+        totals[first:first + size] = np.sum(k[:size] * fixed + lin * s - quad * q, axis=-1)
     return totals
 
 
 def _ks_distance(sorted_sample: np.ndarray) -> float:
     n = len(sorted_sample)
-    cdf = np.array([std_normal_cdf(t) for t in sorted_sample])
+    # specfun.std_normal_cdf's 0.5*erfc(-t/sqrt(2)) without revalidating
+    # each finite point; -t/s is t/-s, and no list of n floats is built
+    cdf = 0.5 * np.fromiter(map(math.erfc, sorted_sample / -_SQRT2), float, n)
     steps = np.arange(1, n + 1) / n
     d_plus = float(np.max(steps - cdf))
     d_minus = float(np.max(cdf - (steps - 1.0 / n)))

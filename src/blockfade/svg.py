@@ -11,7 +11,9 @@ log axis, taken from an index range, so their number is fixed before any
 is made. An axis with no span in plotted units (ends whose log10 is the
 same float, or linear ends less than the smallest normal float apart) is
 halved and doubled on a log axis and widened by max(0.5, ulp) at each
-end on a linear one.
+end on a linear one. Spans are taken from halved ends and linear ends
+are clamped to the finite floats, so any finite data keeps a finite
+axis: ys at -1e308 and 1e308 have a span past the largest float.
 """
 
 import math
@@ -23,10 +25,16 @@ __all__ = ["render_line_chart"]
 _PALETTE = ("#1b6ca8", "#d1495b", "#2e933c", "#8f2d56", "#e09f3e", "#484f5c")
 _WIDTH, _HEIGHT = 860, 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 40, 56
+_FLOAT_MAX = sys.float_info.max
+
+
+def _half_span(lo: float, hi: float) -> float:
+    """(hi - lo) / 2, halved before the subtraction so that no finite ends overflow."""
+    return hi / 2.0 - lo / 2.0
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    raw = (hi - lo) / target
+    raw = _half_span(lo, hi) / (target / 2.0)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = mag * next((mult for mult in (1.0, 2.0, 2.5, 5.0) if raw <= mult * mag), 10.0)
     return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
@@ -44,9 +52,9 @@ def _widen_empty(lo: float, hi: float, log: bool) -> tuple[float, float]:
         if math.log10(lo) < math.log10(hi):
             return lo, hi
         return lo / 2.0, hi * 2.0
-    if hi - lo >= sys.float_info.min:
-        return lo, hi
-    return lo - max(0.5, math.ulp(lo)), hi + max(0.5, math.ulp(hi))
+    if not hi - lo >= sys.float_info.min:
+        lo, hi = lo - max(0.5, math.ulp(lo)), hi + max(0.5, math.ulp(hi))
+    return max(lo, -_FLOAT_MAX), min(hi, _FLOAT_MAX)
 
 
 def _fmt_tick(value: float) -> str:
@@ -76,23 +84,24 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
     if log_x and x_lo <= 0:
         raise ValueError("log-scaled x axis needs strictly positive x values")
     x_lo, x_hi = _widen_empty(x_lo, x_hi, log_x)
-    pad = 0.05 * (y_hi - y_lo)
+    pad = 0.1 * _half_span(y_lo, y_hi)  # 5% of the span
     y_lo, y_hi = _widen_empty(y_lo - pad, y_hi + pad, False)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    # The axis ends (their logs on a log axis) and spans are taken once per
-    # chart; px and py keep the per-point operations and their order.
-    x0 = math.log10(x_lo) if log_x else x_lo
-    x_span = (math.log10(x_hi) if log_x else x_hi) - x0
-    y_span = y_hi - y_lo
+    # The halved low ends (logs on a log axis) and half spans are taken once
+    # per chart; px and py map a point's halved offset from the low end.
+    x0 = (math.log10(x_lo) if log_x else x_lo) / 2.0
+    x_half = (math.log10(x_hi) if log_x else x_hi) / 2.0 - x0
+    y0 = y_lo / 2.0
+    y_half = y_hi / 2.0 - y0
 
     def px(x: float) -> float:
-        return _MARGIN_L + ((math.log10(x) if log_x else x) - x0) / x_span * plot_w
+        return _MARGIN_L + ((math.log10(x) if log_x else x) / 2.0 - x0) / x_half * plot_w
 
     def py(y: float) -> float:
-        return _MARGIN_T + (1.0 - (y - y_lo) / y_span) * plot_h
+        return _MARGIN_T + (1.0 - (y / 2.0 - y0) / y_half) * plot_h
 
     # The sweeps give every series the same xs, so each distinct x (its
     # log10 on a log axis) is mapped once, not once per series.

@@ -49,6 +49,18 @@ class TestDiscretizeRayleigh:
         with pytest.raises(InvalidParameterError):
             discretize_rayleigh(*args)
 
+    @pytest.mark.parametrize("args, state, fix", [
+        # exp(-4.1^2 / 0.02) underflows: the top state's tail is 0
+        ((0.1, 4.1, 10, 0.1), "state 9 (gain 4.1)", "raise scale or lower eta_hi"),
+        # exp(-(1.5e-9)^2 / 2) rounds to 1: the bottom state's mass is 0
+        ((1e-9, 2e-9, 3, 1.0), "state 0 (gain 1e-09)", "lower scale"),
+    ])
+    def test_state_with_no_mass_names_state_gain_and_scale(self, args, state, fix):
+        with pytest.raises(InvalidParameterError) as info:
+            discretize_rayleigh(*args)
+        message = str(info.value)
+        assert state in message and f"scale {args[3]!r}" in message and fix in message
+
     @given(eta_lo=st.floats(0.02, 2.0), width=st.floats(0.1, 5.0),
            count=st.integers(2, 64), scale=st.floats(0.25, 4.0))
     @settings(max_examples=80, derandomize=True)

@@ -512,6 +512,30 @@ class TestDensityEngine:
         longer, _ = _engine_totals(spec, 1.0, blocks=300, trials=150, seed=9)
         assert short.tobytes() == longer[:100].tobytes()
 
+    @pytest.mark.parametrize("name", ["two-state", "rayleigh-1000"])
+    def test_totals_do_not_depend_on_buffer_size(self, monkeypatch, name):
+        # The buffer holds the arithmetic, not the draws: buffers of one
+        # trial (also when one element is less than a trial), of three, and
+        # of seven, which does not divide 30, give the default's bytes.
+        fading, noise_var, n_c = self.CHANNELS[name]
+        spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=fading)
+        default, _ = _engine_totals(spec, 1.0, blocks=700, trials=30, seed=11)
+        for buffer in (1, 3 * fading.num_states, 7 * fading.num_states):
+            monkeypatch.setattr(montecarlo, "_DENSITY_BUFFER", buffer)
+            ours, _ = _engine_totals(spec, 1.0, blocks=700, trials=30, seed=11)
+            assert ours.tobytes() == default.tobytes(), buffer
+
+    @pytest.mark.parametrize("name", ["two-state", "paper-rayleigh"])
+    def test_scalar_and_array_gamma_draws_agree(self, monkeypatch, name):
+        # one standard_gamma call per state or one per trial: the same draws
+        fading, noise_var, n_c = self.CHANNELS[name]
+        spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=fading)
+        totals = []
+        for scalar_states in (0, fading.num_states):
+            monkeypatch.setattr(montecarlo, "_SCALAR_GAMMA_STATES", scalar_states)
+            totals.append(_engine_totals(spec, 1.0, blocks=700, trials=30, seed=11)[0].tobytes())
+        assert totals[0] == totals[1]
+
     @pytest.mark.parametrize("k", [7.0, 0.1])
     def test_totals_do_not_depend_on_units(self, k):
         # (k*s2, k*budget) is the same channel in other units: the same

@@ -120,6 +120,14 @@ def assert_drawable(doc, polylines):
     assert 1 <= vertical <= 20 and 1 <= horizontal <= 20
 
 
+@pytest.mark.parametrize("ys", [[-1e308, 1e308], [0.0, 1.7e308]])
+def test_y_range_past_the_largest_float_is_drawn(ys):
+    # the span of the ends overflows; the axis halves them before subtracting
+    doc = render_line_chart([("wide", [1.0, 2.0], ys)], x_label="x", y_label="y")
+    assert_drawable(doc, 1)
+    assert "72.00,463.82 836.00,60.18" in doc
+
+
 @pytest.mark.parametrize("ys", [[1e17, 1e17], [0.0, 5e-324]], ids=["flat-at-1e17", "subnormal-span"])
 def test_y_range_without_a_tick_step_is_widened(ys):
     # y +- 0.5 rounds back to y at 1e17, so the range is widened by ulp(y);
@@ -139,12 +147,14 @@ def test_log_axis_labels_share_one_exponent_style():
 
 @st.composite
 def charts(draw):
-    """1 to 6 series with positive xs up to 2^53 and ys in [0, 1e300].
+    """1 to 6 series with positive xs up to 2^53 and ys in [-1.7e308, 1.7e308].
 
     Some xs are a shared base nudged down by a few ulps, and some ys repeat
     a shared value, so repeated and adjacent floats and flat series are drawn.
+    Ys near both ends have a span past the largest float.
     """
-    x_base, y_base = draw(st.floats(1.0, 2.0 ** 53)), draw(st.floats(0.0, 1e300))
+    y_range = st.floats(-1.7e308, 1.7e308)
+    x_base, y_base = draw(st.floats(1.0, 2.0 ** 53)), draw(y_range)
 
     def nudged(ulps):
         x = x_base
@@ -153,7 +163,7 @@ def charts(draw):
         return x
 
     x_values = st.one_of(st.floats(1.0, 2.0 ** 53), st.integers(0, 3).map(nudged))
-    y_values = st.one_of(st.floats(0.0, 1e300), st.just(y_base))
+    y_values = st.one_of(y_range, st.just(y_base))
     series = []
     for k in range(draw(st.integers(1, 6))):
         xs = draw(st.lists(x_values, min_size=1, max_size=8))
