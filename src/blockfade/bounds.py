@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, items, real
-from .fading import _INT_MAX, ChannelSpec
+from .errors import InvalidParameterError, items, real, whole
+from .fading import ChannelSpec, _codeword_length
 from .specfun import std_normal_inv_cdf
 from .waterfill import _mean_and_var, link_moments, water_fill
 
@@ -104,12 +104,9 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     """
     budgets, n = items("budgets", budgets), items("codeword lengths", n)
     for v in n:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v % spec.n_c or v < 1:
-            raise InvalidParameterError(f"codeword length {v!r} is not a positive integer "
-                                        f"multiple of the block length {spec.n_c}")
-        if v > _INT_MAX:
-            raise InvalidParameterError(f"codeword length {v!r} exceeds 2^53 = {_INT_MAX}, the "
-                                        "largest integer a float holds exactly")
+        if _codeword_length(whole("codeword length", v, 1)) % spec.n_c:
+            raise InvalidParameterError(f"codeword length {v!r} is not a multiple of the block "
+                                        f"length {spec.n_c}")
     if not n or not len(budgets) or (len(budgets) != len(n) and 1 not in (len(budgets), len(n))):
         raise InvalidParameterError(f"budgets and n need equal lengths or length 1, got "
                                     f"{len(budgets)} and {len(n)}")

@@ -123,6 +123,9 @@ _SCHEMAS = {command: {f.path: (f, f.defaults[i]) for f in _FIELDS if f.defaults[
 
 # The two forms of one budget: a source that sets either replaces both.
 _BUDGET_FORMS = ("power_db", "power_linear")
+# The (low, high) ends of each sweep range; high may not lie below low.
+_RANGES = (("blocklength_sweep.b_min", "blocklength_sweep.b_max"),
+           ("power_sweep.p_min_db", "power_sweep.p_max_db"))
 
 
 def preset_fading() -> FadingDistribution:
@@ -226,9 +229,10 @@ def _resolve(args) -> dict:
     """The checked config of ``args.command``, keyed by field path.
 
     Merges the defaults, the ``--config`` file and the flags; rejects any
-    field the command does not read; type- and range-checks every field;
-    then adds the channel ("spec") and, where the command reads one, the
-    linear budget ("budget"). Runs no solver and no simulation.
+    field the command does not read; type- and range-checks every field,
+    then the budget forms and the order of the sweep ranges' ends; then
+    adds the channel ("spec") and, where the command reads one, the linear
+    budget ("budget"). Runs no solver and no simulation.
     """
     schema = _SCHEMAS[args.command]
     flags = vars(args)
@@ -243,6 +247,10 @@ def _resolve(args) -> dict:
     if all(form in cfg for form in _BUDGET_FORMS):
         raise InvalidParameterError(
             "invalid config: exactly one of power_db and power_linear may be set")
+    for low, high in _RANGES:
+        if low in cfg and cfg[high] < cfg[low]:
+            raise InvalidParameterError(f"invalid config field {high!r}: "
+                                        f"must be >= {low.rpartition('.')[2]}")
 
     cfg["spec"] = ChannelSpec(noise_var=cfg["noise_var"], n_c=cfg["n_c"],
                               fading=_resolve_channel(cfg["channel"]))
@@ -275,9 +283,6 @@ def _parse_json(text: str, source: str):
 def _blocklength_grid(cfg: dict) -> list[int]:
     b_min, b_max = cfg["blocklength_sweep.b_min"], cfg["blocklength_sweep.b_max"]
     points, log_spaced = cfg["blocklength_sweep.points"], cfg["blocklength_sweep.log_spaced"]
-    if b_max < b_min:
-        raise InvalidParameterError(
-            "invalid config field 'blocklength_sweep.b_max': must be >= b_min")
     if points == 1:
         return [b_min]
     grid = []
@@ -295,9 +300,6 @@ def _blocklength_grid(cfg: dict) -> list[int]:
 def _power_grid_db(cfg: dict) -> list[float]:
     points = cfg["power_sweep.points"]
     p_min, p_max = cfg["power_sweep.p_min_db"], cfg["power_sweep.p_max_db"]
-    if p_max < p_min:
-        raise InvalidParameterError(
-            "invalid config field 'power_sweep.p_max_db': must be >= p_min_db")
     if points == 1:
         return [p_min]
     return [p_min + (p_max - p_min) * i / (points - 1) for i in range(points)]
@@ -375,7 +377,8 @@ def cmd_verify(cfg: dict) -> int:
         "density": density,
         "pass": all_pass,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # allow_nan=False: a NaN or an infinity is an error, never part of a report
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     out = cfg.get("out")
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -32,6 +32,14 @@ _INT_MAX = 2 ** 53
 _PROFILE_KEYS = ("gains", "probs")
 
 
+def _codeword_length(n: int) -> int:
+    """n, a codeword length; InvalidParameterError past _INT_MAX."""
+    if n > _INT_MAX:
+        raise InvalidParameterError(f"codeword length {n!r} exceeds 2^53 = {_INT_MAX}, the "
+                                    "largest integer a float holds exactly")
+    return n
+
+
 @dataclass(frozen=True)
 class FadingDistribution:
     """Amplitude gains and their probabilities, strictly validated.
@@ -73,18 +81,18 @@ class FadingDistribution:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FadingDistribution":
-        """Build from exactly {"gains": [...], "probs": [...]}, each entry an int or float."""
+        """Build from exactly {"gains": [...], "probs": [...]} of positive finite numbers."""
         if not isinstance(data, Mapping):
             raise InvalidParameterError(f"fading profile must be an object, got {data!r}")
-        for key in (*data, *_PROFILE_KEYS):
+        for key in data:
             if key not in _PROFILE_KEYS:
                 raise InvalidParameterError(f"fading profile field {key!r}: not a profile field")
-            values = data.get(key)  # None when the key is missing
-            if not isinstance(values, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-                raise InvalidParameterError(
-                    f"fading profile field {key!r}: must be an array of numbers, got {values!r}")
-        return make_distribution(data["gains"], data["probs"])
+        columns = []
+        for key in _PROFILE_KEYS:
+            what = f"fading profile field {key!r}"
+            # data.get gives None for a missing key, which items rejects
+            columns.append([real(what, v) for v in items(what, data.get(key))])
+        return make_distribution(*columns)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InvalidParameterError, real, whole
-from .fading import _INT_MAX, ChannelSpec
+from .fading import _INT_MAX, ChannelSpec, _codeword_length
 from .specfun import _SQRT2
 from .waterfill import link_moments, water_fill
 
@@ -74,10 +74,7 @@ class SimConfig:
         object.__setattr__(self, "blocks", whole("blocks", self.blocks, 1))
         object.__setattr__(self, "trials", whole("trials", self.trials, 1, _INT_MAX))
         object.__setattr__(self, "seed", whole("seed", self.seed, 0, _MASK64))
-        if self.blocks * self.spec.n_c > _INT_MAX:
-            raise InvalidParameterError(
-                f"codeword length blocks * n_c = {self.blocks * self.spec.n_c} exceeds "
-                f"2^53 = {_INT_MAX}, the largest integer a float holds exactly")
+        _codeword_length(self.blocks * self.spec.n_c)
 
 
 def _delta_b(blocks: int, alpha: float, water_level: float) -> float:
@@ -129,8 +126,9 @@ def simulate_st_controller(cfg: SimConfig, *, alpha: float) -> dict:
     """Sample the backed-off power controller and check its violation rate.
 
     alpha, the back-off exponent, must lie strictly in (0, 1); it is
-    checked before any solve. Per trial, a fading sequence of length
-    ``blocks`` is drawn and the controller allocates water-filling power
+    checked before any solve. A budget whose 2 * level^2 overflows a
+    float is rejected before any draw. Per trial, a fading sequence of
+    length ``blocks`` is drawn and the controller allocates water-filling power
     against the reduced budget (budget - delta_b). With unit-energy
     reference symbols the running energy constraint can only be breached
     at the full sum, which depends on the sequence only through its state
@@ -146,6 +144,11 @@ def simulate_st_controller(cfg: SimConfig, *, alpha: float) -> dict:
     """
     alpha = real("alpha", alpha, 0.0, 1.0)
     full_level = float(water_fill(cfg.spec, [cfg.budget])[0][0])
+    # the Hoeffding exponent divides by 2 * level^2, which must not reach inf
+    if not math.isfinite(2.0 * full_level * full_level):
+        raise InvalidParameterError(
+            f"power budget {cfg.budget!r} is too large for the controller: 2 * level^2 "
+            f"overflows a float at its water level {full_level!r}")
     backoff = _delta_b(cfg.blocks, alpha, full_level)
     if cfg.budget <= backoff:
         needed = _min_blocks_for_backoff(cfg.budget, alpha, full_level)
@@ -193,14 +196,14 @@ def _density_totals(cfg: SimConfig, fixed: np.ndarray, lin: np.ndarray,
     distribution.
 
     The draws stay per trial and in that order; they fill a buffer of
-    _DENSITY_BUFFER // states trials (at least one), and S, Q and the
-    totals are computed once per buffer. Each total is the same
+    _DENSITY_BUFFER // states trials (at least one, at most the run's),
+    and S, Q and the totals are computed once per buffer. Each total is the same
     elementwise arithmetic and row sum as for a lone trial, so the buffer
     size changes no byte; memory is O(buffer), not O(trials * states).
     """
     n_c, s2 = cfg.spec.n_c, cfg.spec.noise_var
     states = len(fixed)
-    rows = max(1, _DENSITY_BUFFER // states)
+    rows = min(max(1, _DENSITY_BUFFER // states), cfg.trials)
     k = np.empty((rows, states), dtype=np.int64)
     z, g = np.empty((rows, states)), np.empty((rows, states))
     scalar_gammas = states <= _SCALAR_GAMMA_STATES

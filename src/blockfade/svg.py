@@ -26,6 +26,7 @@ _PALETTE = ("#1b6ca8", "#d1495b", "#2e933c", "#8f2d56", "#e09f3e", "#484f5c")
 _WIDTH, _HEIGHT = 860, 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 40, 56
 _FLOAT_MAX = sys.float_info.max
+_FLOAT_TINY = math.ulp(0.0)  # the smallest positive float, 5e-324
 
 
 def _half_span(lo: float, hi: float) -> float:
@@ -34,24 +35,28 @@ def _half_span(lo: float, hi: float) -> float:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    raw = _half_span(lo, hi) / (target / 2.0)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    # a subnormal span's step stops at the smallest positive float, not at 0
+    raw = max(_half_span(lo, hi) / (target / 2.0), _FLOAT_TINY)
+    mag = max(10.0 ** math.floor(math.log10(raw)), _FLOAT_TINY)
     step = mag * next((mult for mult in (1.0, 2.0, 2.5, 5.0) if raw <= mult * mag), 10.0)
     return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
-    decades = range(math.ceil(math.log10(lo) - 1e-12), math.floor(math.log10(hi) + 1e-12) + 1)
-    if len(decades) < 2:  # range inside one decade; fall back to linear ticks
+    first, last = math.ceil(math.log10(lo) - 1e-12), math.floor(math.log10(hi) + 1e-12)
+    if last <= first:  # range inside one decade; fall back to linear ticks
         return _nice_ticks(lo, hi)
-    return [10.0 ** d for d in decades]
+    # every step-th decade, step the first that keeps at most 20 of them
+    step = next(k for k in (1, 2, 5, 10, 20, 50) if last - first <= 19 * k)
+    return [10.0 ** d for d in range(math.ceil(first / step) * step, last + 1, step)]
 
 
 def _widen_empty(lo: float, hi: float, log: bool) -> tuple[float, float]:
     if log:
         if math.log10(lo) < math.log10(hi):
             return lo, hi
-        return lo / 2.0, hi * 2.0
+        # halved and doubled, but not past the positive floats
+        return lo / 2.0 or lo, min(hi * 2.0, _FLOAT_MAX)
     if not hi - lo >= sys.float_info.min:
         lo, hi = lo - max(0.5, math.ulp(lo)), hi + max(0.5, math.ulp(hi))
     return max(lo, -_FLOAT_MAX), min(hi, _FLOAT_MAX)

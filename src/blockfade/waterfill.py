@@ -67,9 +67,10 @@ def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     """Water levels and per-state powers (budgets x states), one row per budget.
 
     budgets is a list, tuple, range or 1-D array of positive finite numbers
-    (numpy scalars too, never bools); the level and the largest received SNR,
-    max(gain)^2 * level / noise_var, must be finite (else one error, no
-    warning). Row i equals the one-row call on [budgets[i]] bit for bit.
+    (numpy scalars too, never bools); the level, the largest received power
+    max(gain)^2 * level, noise_var plus it and its SNR must be finite (else
+    one error, no warning). Row i equals the one-row call on [budgets[i]]
+    bit for bit.
 
     With the states reversed (floors f increasing, probabilities q),
     raising the water to f_k over the first k states costs
@@ -96,12 +97,14 @@ def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
         top = np.count_nonzero(above > 0.0, axis=1) - 1
         depth = above[np.arange(len(budgets)), top]
         levels = floors[top] + depth
-        # floors[0] = noise_var / max(gain)^2: the largest received SNR per row
-        bad = ~np.isfinite(levels / floors[0])
+        # The largest received power per row. The link terms form it, noise_var
+        # plus it and its SNR; the quotient below is finite only if all are.
+        peak = levels * (spec.fading.gains[-1] * spec.fading.gains[-1])
+        bad = ~np.isfinite((spec.noise_var + peak) / min(spec.noise_var, 1.0))
     if bad.any():
         raise InvalidParameterError(
-            f"power budget {float(budgets[bad][0])!r} is too large: the water level or "
-            "max(gain)^2 * level / noise_var overflows a float")
+            f"power budget {float(budgets[bad][0])!r} is too large: the water level, the "
+            "received power max(gain)^2 * level or its SNR overflows a float")
     powers = np.maximum(0.0, (floors[top][:, None] - floors) + depth[:, None])
     return levels, powers[:, ::-1]
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -391,6 +392,14 @@ class TestBoundColumns:
         # rows is the budget count; each fault is found before any solve
         with pytest.raises(InvalidParameterError):
             bound_columns(two_state_spec(n_c), [1.0] * rows, n, 0.01)
+
+    @pytest.mark.parametrize("n", [200.0, True, 0, np.float64(100.0)])
+    def test_length_that_is_not_a_whole_number_follows_the_integer_rule(self, n):
+        # errors.whole decides what a codeword length is, as for every count
+        message = f"codeword length must be an integer >= 1, got {n!r}"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            bound_columns(two_state_spec(), [1.0], [100, n], 0.01)
+        assert bound_columns(two_state_spec(), [1.0], [np.int64(100)], 0.01)["n"].tolist() == [100]
 
     def test_non_multiple_is_named(self):
         with pytest.raises(InvalidParameterError, match="31"):

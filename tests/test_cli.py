@@ -616,6 +616,11 @@ class TestSchema:
         ("rate-vs-blocklength", {}, ["--power-db", "3082"]),
         ("rate-vs-power", {"power_sweep": {"p_max_db": 3082}}, []),
         ("verify", {}, ["--power-db", "3082", "--trials", "100"]),
+        # at noise_var 1e300 the SNR 4 * level / noise_var is finite, but the
+        # received power 4 * level, which the link terms form, is not
+        ("rate-vs-blocklength", {"noise_var": 1e300}, ["--power-db", "3082", "--points", "2"]),
+        ("rate-vs-power", {"noise_var": 1e300, "power_sweep": {"p_max_db": 3082}}, []),
+        ("verify", {"noise_var": 1e300}, ["--power-db", "3082", "--trials", "100"]),
     ])
     def test_budget_that_overflows_the_water_level_rejected(self, tmp_path, capsys, monkeypatch,
                                                             command, payload, flags):
@@ -631,6 +636,58 @@ class TestSchema:
             assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: power budget 1.584893192461") and "too large" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--power-db", "1545"],
+        ["--channel", '{"gains": [0.5, 1.0], "probs": [0.5, 0.5]}', "--power-db", "3070"],
+    ], ids=["1545-dB", "3070-dB"])
+    def test_budget_whose_controller_bound_overflows_rejected(self, tmp_path, capsys,
+                                                             monkeypatch, flags):
+        # the water level is finite, but 2 * level^2 in the Hoeffding bound is
+        # not: one error line, not a report built from NaN
+        def must_not_draw(*args, **kwargs):
+            raise AssertionError("a simulation drew before the budget was rejected")
+
+        monkeypatch.setattr(montecarlo, "_chunks", must_not_draw)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: power budget ") and "too large for the controller" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_report_never_holds_a_nan(self, tmp_path, capsys, monkeypatch):
+        # whatever a section holds, a non-finite float is an error, not JSON's NaN
+        monkeypatch.setattr(cli, "simulate_st_controller",
+                            lambda cfg, alpha: {"hoeffding_bound": math.nan, "pass": False})
+        out = tmp_path / "r.json"
+        assert main(["verify", "--trials", "100", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,sweep,field", [
+        ("rate-vs-blocklength", {"blocklength_sweep": {"b_min": 200, "b_max": 100}},
+         "blocklength_sweep.b_max"),
+        ("rate-vs-power", {"power_sweep": {"p_min_db": 10.0, "p_max_db": 5.0}},
+         "power_sweep.p_max_db"),
+    ])
+    def test_reversed_sweep_range_rejected_by_resolve(self, tmp_path, capsys, no_computation,
+                                                      command, sweep, field):
+        # _resolve checks the order of the range's ends with the rest of the
+        # config, so the grid builders only ever see a checked range
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(sweep))
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        with pytest.raises(InvalidParameterError, match=re.escape(repr(field))):
+            cli._resolve(cli._build_parser().parse_args(argv))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config field {field!r}: must be >= ")
         assert err.count("\n") == 1
         assert not out.exists()
 

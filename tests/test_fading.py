@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,13 +153,21 @@ class TestJsonInterface:
         ({"gains": 1, "probs": 1}, "gains"),
         ({"gains": [1.0, 2.0], "probs": [0.5, 0.5], "scale": 1.0}, "scale"),
         ({"gains": [1.0]}, "probs"),
+        ({"gains": [1.0, math.nan], "probs": [0.5, 0.5]}, "gains"),
+        ({"gains": [1.0, 2.0], "probs": [1.5, -0.5]}, "probs"),
     ], ids=["string-entries", "string-probs", "bool-gain", "bool-prob", "string",
-            "objects", "scalars", "extra-key", "missing-key"])
+            "objects", "scalars", "extra-key", "missing-key", "nan-gain", "negative-prob"])
     def test_malformed_profile_names_the_field(self, data, field):
         # a profile is exactly {"gains": [...], "probs": [...]} of JSON
         # numbers; nothing is coerced and no key is ignored
         with pytest.raises(InvalidParameterError, match=f"fading profile field '{field}'"):
             FadingDistribution.from_json_dict(data)
+
+    def test_profile_entries_follow_the_number_rule(self):
+        # errors.items and errors.real: numpy arrays and scalars are numbers too
+        profile = {"gains": np.array([1, 2]), "probs": (np.float32(0.5), 0.5)}
+        assert FadingDistribution.from_json_dict(profile) == make_distribution([1.0, 2.0],
+                                                                               [0.5, 0.5])
 
     @pytest.mark.parametrize("data", [[1.0, 2.0], "gains", None])
     def test_profile_that_is_not_an_object_rejected(self, data):

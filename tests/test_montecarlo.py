@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -11,6 +13,7 @@ from blockfade import (
     ChannelSpec,
     InvalidParameterError,
     SimConfig,
+    bound_columns,
     discretize_rayleigh,
     link_terms,
     make_distribution,
@@ -177,6 +180,31 @@ class TestController:
         cfg = two_state_cfg(blocks=1, trials=10)
         with pytest.raises(InvalidParameterError, match="28"):
             simulate_st_controller(cfg, alpha=0.5)
+
+    @pytest.mark.parametrize("gains,budget", [([1.0, 2.0], 10 ** 154.5), ([0.5, 1.0], 1e307)],
+                             ids=["1545-dB", "3070-dB"])
+    def test_budget_whose_level_squared_overflows_rejected_before_any_draw(
+            self, monkeypatch, gains, budget):
+        # 2 * level^2 is the Hoeffding exponent's denominator: past the float
+        # range the bound would be inf / inf, and counts * powers could overflow
+        def must_not_draw(*args, **kwargs):
+            raise AssertionError("the controller drew before it checked the budget")
+
+        monkeypatch.setattr(montecarlo, "_chunks", must_not_draw)
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution(gains, [0.5, 0.5]))
+        cfg = SimConfig(spec=spec, budget=budget, blocks=1000, trials=10, seed=1)
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"power budget {budget!r} is too large for the "
+                                           "controller")):
+            simulate_st_controller(cfg, alpha=0.1)
+
+    def test_budget_whose_level_squared_is_finite_gives_a_finite_report(self):
+        # 1530 dB: level^2 is about 1e306, so every field stays finite
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=TWO_STATE)
+        cfg = SimConfig(spec=spec, budget=1e153, blocks=1000, trials=10, seed=1)
+        report = simulate_st_controller(cfg, alpha=0.1)
+        assert all(math.isfinite(value) for value in report.values())
+        assert report["pass"] is True
 
     def test_rare_violations_are_counted(self):
         # widely spread gains with a tiny back-off exponent put the exact
@@ -525,6 +553,19 @@ class TestDensityEngine:
             ours, _ = _engine_totals(spec, 1.0, blocks=700, trials=30, seed=11)
             assert ours.tobytes() == default.tobytes(), buffer
 
+    def test_buffer_rows_stop_at_the_trial_count(self):
+        # a 100-trial two-state run needs 100 buffer rows, 4.8 KB, not the
+        # 2048 rows (98 KB) of a full _DENSITY_BUFFER
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=TWO_STATE)
+        _engine_totals(spec, 1.0, blocks=1000, trials=100, seed=1)  # imports, caches
+        tracemalloc.start()
+        try:
+            _engine_totals(spec, 1.0, blocks=1000, trials=100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000
+
     @pytest.mark.parametrize("name", ["two-state", "paper-rayleigh"])
     def test_scalar_and_array_gamma_draws_agree(self, monkeypatch, name):
         # one standard_gamma call per state or one per trial: the same draws
@@ -638,3 +679,17 @@ class TestSimConfigValidation:
             SimConfig(spec=spec, budget=1.0, blocks=blocks, trials=1, seed=1)
             with pytest.raises(InvalidParameterError, match=r"exceeds 2\^53 = 9007199254740992"):
                 SimConfig(spec=spec, budget=1.0, blocks=blocks + 1, trials=1, seed=1)
+
+    def test_codeword_cap_has_the_wording_of_bound_columns(self):
+        # one check, fading._codeword_length, raises the cap for both
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=TWO_STATE)
+        messages = []
+        for build in (lambda: SimConfig(spec=spec, budget=1.0, blocks=2 ** 53 + 1, trials=1,
+                                        seed=1),
+                      lambda: bound_columns(spec, [1.0], [2 ** 53 + 1], 0.01)):
+            with pytest.raises(InvalidParameterError) as info:
+                build()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == (
+            "codeword length 9007199254740993 exceeds 2^53 = 9007199254740992, the largest "
+            "integer a float holds exactly")

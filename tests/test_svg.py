@@ -178,3 +178,56 @@ def test_any_sweep_range_renders_finite_bounded_axes(chart):
     series, log_x = chart
     doc = render_line_chart(series, x_label="x", y_label="y", log_x=log_x)
     assert_drawable(doc, len(series))
+
+
+TINY, HUGE = 5e-324, 1.7e308
+
+
+@pytest.mark.parametrize("xs", [[TINY], [HUGE], [TINY, 1e-323], [TINY, HUGE], [1e-300, 1.0],
+                                [2.2e-308, math.nextafter(2.2e-308, 1.0)]],
+                         ids=["smallest", "largest", "two-smallest", "whole-range", "300-decades",
+                              "one-ulp-near-the-normal-floor"])
+def test_log_axis_at_the_ends_of_the_float_range(xs):
+    # a one-value axis is halved and doubled only inside the positive floats,
+    # and a subnormal span still has a nonzero tick step
+    doc = render_line_chart([("a", xs, [1.0] * len(xs))], x_label="x", y_label="y", log_x=True)
+    assert_drawable(doc, 1)
+
+
+def test_decade_ticks_are_thinned_to_twenty():
+    # 301 decades: every 20th, from 1e-300 up to 1
+    doc = render_line_chart([("a", [1e-300, 1.0], [0.0, 1.0])], x_label="x", y_label="y",
+                            log_x=True)
+    labels = re.findall(r'text-anchor="middle">(1e-?\d+|1)<', doc)
+    assert labels == [f"1e-{d}" for d in range(300, 0, -20)] + ["1"]
+
+
+@st.composite
+def log_charts(draw):
+    """1 to 3 series on a log axis, xs anywhere in [5e-324, 1.7e308].
+
+    Some xs are a shared base nudged up by a few ulps, so one-value axes and
+    spans of a few ulps are drawn at every magnitude, subnormals included.
+    """
+    x_range = st.floats(TINY, HUGE)
+    x_base = draw(x_range)
+
+    def nudged(ulps):
+        x = x_base
+        for _ in range(ulps):
+            x = math.nextafter(x, math.inf)
+        return min(x, HUGE)
+
+    x_values = st.one_of(x_range, st.integers(0, 3).map(nudged))
+    series = []
+    for k in range(draw(st.integers(1, 3))):
+        xs = draw(st.lists(x_values, min_size=1, max_size=6))
+        series.append((f"s{k}", xs, [float(i) for i in range(len(xs))]))
+    return series
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(log_charts())
+def test_any_positive_xs_render_a_finite_bounded_log_axis(series):
+    doc = render_line_chart(series, x_label="x", y_label="y", log_x=True)
+    assert_drawable(doc, len(series))

@@ -244,6 +244,19 @@ class TestWaterLevels:
                                    match=re.escape(f"power budget {budget!r} is too large")):
                     water_fill(spec, [1.0, budget])
 
+    def test_budget_that_overflows_the_largest_received_power_rejected(self):
+        # at noise_var 1e300 the SNR 4 * level / noise_var stays near 6e8, but
+        # the received power 4 * level, which the link terms form, overflows
+        spec = channel([1.0, 2.0], [0.5, 0.5], noise_var=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = sweep_dispersion_stats(spec, [1e307])
+            assert all(np.isfinite(column).all() for column in stats.values())
+            for budget in (1e308, 10 ** 308.2):
+                with pytest.raises(InvalidParameterError,
+                                   match=re.escape(f"power budget {budget!r} is too large")):
+                    water_fill(spec, [1.0, budget])
+
 
 class TestCapacity:
     def test_two_state_value(self):
