@@ -1,30 +1,24 @@
 """Monte Carlo checks for the power controller and the information density.
 
-Both simulations draw from one counter-based layout: one Philox
-generator per simulation, keyed by (seed, purpose), walks the trials in
-fixed-size chunks, and chunk c moves it to counter c * 2^192 and draws
-its trials' Multinomial(blocks, probs) fading-state counts in one call.
-The controller walks chunks of 4096 trials, the density simulation
-chunks of one; the sizes are part of the determinism contract. Trial t
-sees the same draws however many trials run, in whatever order or on
-however many workers, and aggregation is a plain reduction.
+Both simulations draw from one counter-based layout: each builds one
+Philox generator, keyed by (seed, stream), and seeks it (_seeker) to
+counter c * 2^192 with an empty buffer at the start of chunk c. The
+controller seeks once per chunk of 4096 trials and draws their
+Multinomial(blocks, probs) fading-state counts in one call; the density
+simulation seeks once per trial. The chunk sizes are part of the
+determinism contract: trial t sees the same draws however many trials
+run, in whatever order or on however many workers.
 
 A density trial draws sufficient statistics, not channel uses (see
-_density_totals): O(states) draws whatever the block count, with exactly
-the law of a per-use sampler; the bytes depend on numpy's multinomial,
-standard_normal and standard_gamma. The draws stay per trial, in the
-chunk-of-one order above; the arithmetic on them runs once per buffer of
-trials. The buffer size is not part of the determinism contract: it
-changes no byte of the results.
-
-Each simulation returns its own section of the ``verify`` report, a dict
-of plain floats, ints and bools: the measured values, the echoed block
-and trial counts, each check's threshold or tolerance, and its verdict.
+_density_totals), with exactly the law of a per-use sampler; the bytes
+depend on numpy's multinomial, standard_normal and standard_gamma. The
+arithmetic on the draws runs once per buffer of trials, and the buffer
+size changes no byte. Each simulation returns its own section of the
+``verify`` report, a dict of plain floats, ints and bools.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -45,9 +39,9 @@ _MIN_DENSITY_TRIALS = 100
 # the KS distance. They do not widen with fewer trials.
 _VAR_REL_TOLERANCE = 0.02
 _KS_THRESHOLD = 0.02
-# Trials per chunk of each simulation; changing either changes its results.
+# Trials per controller chunk (a density chunk is one trial); changing it
+# changes the controller's results.
 _CONTROLLER_CHUNK = 4096
-_DENSITY_CHUNK = 1
 # Elements (trials x states) per pass of the density arithmetic, at least
 # one trial; changing it changes no result.
 _DENSITY_BUFFER = 4096
@@ -103,23 +97,22 @@ def _min_blocks_for_backoff(budget: float, alpha: float, water_level: float) -> 
     return blocks
 
 
-def _chunks(cfg: SimConfig, stream: int, chunk: int):
-    """Yield (first trial, generator, counts) per chunk of ``chunk`` trials.
-
-    One Philox keyed (stream, seed) serves the walk; SimConfig keeps the
-    seed below 2^64. Chunk c sets its counter to c * 2^192, which also
-    empties its buffer, so the chunk draws what a fresh Philox there
-    would: its (size, states) Multinomial(blocks, probs) counts, then what
-    the caller draws before the next chunk.
+def _seeker(seed: int, stream: int):
+    """(seek, rng): seek(c) moves rng's Philox, keyed (stream, seed), to
+    counter c * 2^192 with an empty buffer, so rng then draws what a fresh
+    Philox(key=(stream << 64) | seed, counter=c << 192) would. The state
+    is plain ints in lists, the form numpy's state setter takes fastest.
     """
-    probs = np.asarray(cfg.spec.fading.probs, dtype=float)
-    bit_generator = np.random.Philox(key=(stream << 64) | cfg.seed)
-    rng = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    for c, first in enumerate(range(0, cfg.trials, chunk)):
-        state["state"]["counter"][3] = c
+    bit_generator = np.random.Philox(key=(stream << 64) | seed)
+    counter = [0, 0, 0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": [seed, stream]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def seek(c: int) -> None:
+        counter[3] = c
         bit_generator.state = state
-        yield first, rng, rng.multinomial(cfg.blocks, probs, size=min(chunk, cfg.trials - first))
+
+    return seek, np.random.Generator(bit_generator)
 
 
 def simulate_st_controller(cfg: SimConfig, *, alpha: float) -> dict:
@@ -158,8 +151,13 @@ def simulate_st_controller(cfg: SimConfig, *, alpha: float) -> dict:
 
     levels, powers = water_fill(cfg.spec, [cfg.budget - backoff])
     cap_total = cfg.blocks * cfg.budget
-    violations = sum(int(np.count_nonzero(np.sum(counts * powers[0], axis=-1) > cap_total))
-                     for _, _, counts in _chunks(cfg, _CONTROLLER_STREAM, _CONTROLLER_CHUNK))
+    seek, rng = _seeker(cfg.seed, _CONTROLLER_STREAM)
+    violations = 0
+    for c, first in enumerate(range(0, cfg.trials, _CONTROLLER_CHUNK)):
+        seek(c)
+        counts = rng.multinomial(cfg.blocks, cfg.spec.fading.probs,
+                                 size=min(_CONTROLLER_CHUNK, cfg.trials - first))
+        violations += int(np.count_nonzero(np.sum(counts * powers[0], axis=-1) > cap_total))
 
     p_hat = violations / cfg.trials
     bound = math.exp(-cfg.blocks * backoff * backoff / (2.0 * full_level * full_level))
@@ -170,15 +168,18 @@ def simulate_st_controller(cfg: SimConfig, *, alpha: float) -> dict:
             "binomial_slack": slack, "threshold": threshold, "pass": p_hat <= threshold}
 
 
-def _density_coefficients(spec: ChannelSpec, x: np.ndarray, c: np.ndarray, l: np.ndarray):
+def _density_coefficients(spec: ChannelSpec, x: np.ndarray):
     """Per-state coefficients of one block's log-likelihood increment.
 
     In state i (received power x_i) with block noise z (n_c uses) the
     increment is fixed_i + lin_i*sum(z) - quad_i*sum(z^2), where
     fixed = n_c*c + n_c*l/2, lin = sqrt(x)/(noise_var + x) and
-    quad = l/(2*noise_var), with c and l the link terms of x.
+    quad = l/(2*noise_var), with c and l the link terms of x. They are
+    formed here, not taken from link_terms: the totals check the targets
+    link_terms builds, and a check must not share code with what it checks.
     """
     s2 = spec.noise_var
+    c, l = 0.5 * np.log1p(x / s2), x / (s2 + x)
     return spec.n_c * c + spec.n_c * l / 2.0, np.sqrt(x) / (s2 + x), l / (2.0 * s2)
 
 
@@ -190,36 +191,36 @@ def _density_totals(cfg: SimConfig, fixed: np.ndarray, lin: np.ndarray,
     and Q = sum(z^2) over its m = k*n_c uses, k the state's block count
     (see _density_coefficients). Given k, S ~ N(0, m*s2), and by Cochran's
     theorem Q - S^2/m is s2 times a chi-square with m - 1 degrees of
-    freedom, independent of S. So each trial takes its counts k from
-    _chunks, then one standard normal and one standard gamma per state,
-    and a trial's total is sum(k*fixed + lin*S - quad*Q): exact in
-    distribution.
+    freedom, independent of S. So trial t seeks to substream t, draws its
+    counts k, then one standard normal and one standard gamma per state,
+    and its total is sum(k*fixed + lin*S - quad*Q): exact in distribution.
 
-    The draws stay per trial and in that order; they fill a buffer of
+    The draws stay per trial and in that order. They fill a buffer of
     _DENSITY_BUFFER // states trials (at least one, at most the run's),
-    and S, Q and the totals are computed once per buffer. Each total is the same
+    and S, Q and the totals are computed once per buffer with the same
     elementwise arithmetic and row sum as for a lone trial, so the buffer
     size changes no byte; memory is O(buffer), not O(trials * states).
     """
-    n_c, s2 = cfg.spec.n_c, cfg.spec.noise_var
+    n_c, s2, blocks = cfg.spec.n_c, cfg.spec.noise_var, cfg.blocks
+    probs = np.asarray(cfg.spec.fading.probs, dtype=float)
     states = len(fixed)
     rows = min(max(1, _DENSITY_BUFFER // states), cfg.trials)
     k = np.empty((rows, states), dtype=np.int64)
     z, g = np.empty((rows, states)), np.empty((rows, states))
-    scalar_gammas = states <= _SCALAR_GAMMA_STATES
     totals = np.empty(cfg.trials)
-    walk = _chunks(cfg, _DENSITY_STREAM, _DENSITY_CHUNK)
+    seek, rng = _seeker(cfg.seed, _DENSITY_STREAM)
+    multinomial, normal, gamma = rng.multinomial, rng.standard_normal, rng.standard_gamma
     for first in range(0, cfg.trials, rows):
         size = min(rows, cfg.trials - first)
-        for row, (_, rng, counts) in enumerate(islice(walk, size)):
-            k[row] = counts[0]
-            rng.standard_normal(out=z[row])
-            # s2*chi2(nu) is 2*s2*gamma(nu/2): numpy's chisquare rejects the
-            # nu = 0 of a state with one use or none, standard_gamma(0) is 0
-            if scalar_gammas:
-                g[row] = [rng.standard_gamma(max(c * n_c - 1, 0) / 2.0) for c in counts[0].tolist()]
-            else:
-                rng.standard_gamma(np.maximum(counts[0] * n_c - 1, 0) / 2.0, out=g[row])
+        for row in range(size):
+            seek(first + row)
+            k[row] = counts = multinomial(blocks, probs)
+            normal(out=z[row])
+            # s2*chi2(nu) is 2*s2*gamma(nu/2), nu = max(m - 1, 0): numpy's
+            # chisquare rejects the nu = 0 of a state with one use or none,
+            # standard_gamma(0) is 0
+            shapes = [(c * n_c - 1) / 2.0 if c else 0.0 for c in counts.tolist()]
+            g[row] = list(map(gamma, shapes)) if states <= _SCALAR_GAMMA_STATES else gamma(shapes)
         m = k[:size] * n_c
         s = z[:size] * np.sqrt(m * s2)
         # with no use S is 0, and max(m, 1) keeps S^2/m at 0
@@ -267,8 +268,8 @@ def simulate_information_density(cfg: SimConfig) -> dict:
     n_c = spec.n_c
     gains = np.asarray(spec.fading.gains, dtype=float)
     x = gains * gains * water_fill(spec, [cfg.budget])[1][0]
-    c, l, mean_c, var_c, _, mean_v = link_moments(spec, x[None, :])
-    fixed, lin, quad = _density_coefficients(spec, x, c[0], l[0])
+    _, _, mean_c, var_c, _, mean_v = link_moments(spec, x[None, :])
+    fixed, lin, quad = _density_coefficients(spec, x)
     analytic_mean = float(mean_c[0])
     analytic_var = float(mean_v[0] + n_c * var_c[0])
 

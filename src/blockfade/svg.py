@@ -62,13 +62,26 @@ def _widen_empty(lo: float, hi: float, log: bool) -> tuple[float, float]:
     return max(lo, -_FLOAT_MAX), min(hi, _FLOAT_MAX)
 
 
-def _fmt_tick(value: float) -> str:
+def _fmt_tick(value: float, digits: int = 0) -> str:
+    """%g, or one-digit scientific outside [0.001, 10000); digits asks for
+    up to that many significant digits, with trailing zeros dropped."""
     if value == 0:
         return "0"
     if abs(value) >= 10000 or abs(value) < 0.001:
-        mantissa, exponent = f"{value:.0e}".split("e")
-        return f"{mantissa}e{int(exponent)}"
-    return f"{value:g}"
+        mantissa, exponent = f"{value:.{max(digits - 1, 0)}e}".split("e")
+        return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
+    return f"{value:.{max(digits, 6)}g}"
+
+
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """_fmt_tick's labels, widened to the tick step's precision when two
+    distinct ticks would share one (17 digits tell any two floats apart)."""
+    labels = [_fmt_tick(t) for t in ticks]
+    if len(set(labels)) < len(set(ticks)):
+        step = min(b - a for a, b in zip(ticks, ticks[1:]) if b > a)
+        digits = math.floor(math.log10(max(map(abs, ticks)))) - math.floor(math.log10(step)) + 2
+        labels = [_fmt_tick(t, min(digits, 17)) for t in ticks]
+    return labels
 
 
 def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
@@ -119,18 +132,18 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
 
     x_ticks = _log_ticks(x_lo, x_hi) if log_x else _nice_ticks(x_lo, x_hi)
     y_ticks = _nice_ticks(y_lo, y_hi)
-    for t in x_ticks:
+    for t, label in zip(x_ticks, _tick_labels(x_ticks)):
         x = px(t)
         out.append(f'<line x1="{x:.2f}" y1="{_MARGIN_T}" x2="{x:.2f}" '
                    f'y2="{_MARGIN_T + plot_h}" stroke="#dddddd"/>')
         out.append(f'<text x="{x:.2f}" y="{_MARGIN_T + plot_h + 18}" '
-                   f'text-anchor="middle">{_fmt_tick(t)}</text>')
-    for t in y_ticks:
+                   f'text-anchor="middle">{label}</text>')
+    for t, label in zip(y_ticks, _tick_labels(y_ticks)):
         y = py(t)
         out.append(f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_MARGIN_L + plot_w}" '
                    f'y2="{y:.2f}" stroke="#dddddd"/>')
         out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" '
-                   f'text-anchor="end">{_fmt_tick(t)}</text>')
+                   f'text-anchor="end">{label}</text>')
 
     # axes on top of the grid
     out.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '

@@ -628,7 +628,7 @@ class TestSchema:
         def must_not_draw(*args, **kwargs):
             raise AssertionError("a simulation drew before the budget was rejected")
 
-        monkeypatch.setattr(montecarlo, "_chunks", must_not_draw)
+        monkeypatch.setattr(montecarlo, "_seeker", must_not_draw)
         cfg, out = tmp_path / "cfg.json", tmp_path / "o"
         cfg.write_text(json.dumps(payload))
         with warnings.catch_warnings():
@@ -650,7 +650,7 @@ class TestSchema:
         def must_not_draw(*args, **kwargs):
             raise AssertionError("a simulation drew before the budget was rejected")
 
-        monkeypatch.setattr(montecarlo, "_chunks", must_not_draw)
+        monkeypatch.setattr(montecarlo, "_seeker", must_not_draw)
         out = tmp_path / "r.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -25,9 +25,9 @@ from blockfade import (
 import blockfade.montecarlo as montecarlo
 import blockfade.waterfill as waterfill
 from blockfade.cli import main
-from blockfade.montecarlo import (_CONTROLLER_CHUNK, _CONTROLLER_STREAM, _chunks, _delta_b,
-                                  _density_coefficients, _density_totals, _ks_distance,
-                                  _min_blocks_for_backoff)
+from blockfade.montecarlo import (_CONTROLLER_CHUNK, _CONTROLLER_STREAM, _DENSITY_STREAM,
+                                  _delta_b, _density_coefficients, _density_totals,
+                                  _ks_distance, _min_blocks_for_backoff, _seeker)
 from oracles import (
     binomial_acceptance_region,
     controller_powers,
@@ -167,7 +167,7 @@ class TestController:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the controller solved or drew before it checked alpha")
 
-        for name in ("water_fill", "_chunks"):
+        for name in ("water_fill", "_seeker"):
             monkeypatch.setattr(montecarlo, name, must_not_run)
         with pytest.raises(InvalidParameterError, match=r"alpha must lie strictly in \(0, 1\)"):
             simulate_st_controller(two_state_cfg(blocks=10, trials=10), alpha=alpha)
@@ -190,7 +190,7 @@ class TestController:
         def must_not_draw(*args, **kwargs):
             raise AssertionError("the controller drew before it checked the budget")
 
-        monkeypatch.setattr(montecarlo, "_chunks", must_not_draw)
+        monkeypatch.setattr(montecarlo, "_seeker", must_not_draw)
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution(gains, [0.5, 0.5]))
         cfg = SimConfig(spec=spec, budget=budget, blocks=1000, trials=10, seed=1)
         with pytest.raises(InvalidParameterError,
@@ -232,9 +232,18 @@ class TestController:
         assert exact < report["hoeffding_bound"]
 
 
+def _controller_chunks(cfg):
+    """(first trial, counts) per 4096-trial chunk, drawn as the controller draws them."""
+    seek, rng = _seeker(cfg.seed, _CONTROLLER_STREAM)
+    for c, first in enumerate(range(0, cfg.trials, _CONTROLLER_CHUNK)):
+        seek(c)
+        yield first, rng.multinomial(cfg.blocks, cfg.spec.fading.probs,
+                                     size=min(_CONTROLLER_CHUNK, cfg.trials - first))
+
+
 def _violations(cfg, powers, cap):
     return sum(np.count_nonzero(np.sum(counts * powers, axis=-1) > cap)
-               for _, _, counts in _chunks(cfg, _CONTROLLER_STREAM, _CONTROLLER_CHUNK))
+               for _, counts in _controller_chunks(cfg))
 
 
 class TestControllerEngine:
@@ -267,6 +276,19 @@ class TestControllerEngine:
         z_crit = NormalDist().inv_cdf(1.0 - self.FALSE_ALARM / 2.0)
         assert abs(new / cfg.trials - old / old_trials) <= z_crit * se
 
+    def test_engine_counts_what_the_chunk_walk_draws(self):
+        # the walk above is the controller's: at the engine's backed-off
+        # powers it counts the engine's violations (about 28 of 50,000)
+        gains, probs, blocks, alpha = [0.18, 30.0], [0.5, 0.5], 1000, 0.01
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution(gains, probs))
+        cfg = SimConfig(spec=spec, budget=1.0, blocks=blocks, trials=50_000, seed=42)
+        backoff = _delta_b(blocks, alpha, float(water_fill(spec, [1.0])[0][0]))
+        powers = water_fill(spec, [1.0 - backoff])[1][0]
+        violations = _violations(cfg, powers, blocks * 1.0)
+        assert violations > 0
+        report = simulate_st_controller(cfg, alpha=alpha)
+        assert report["empirical_prob"] == violations / cfg.trials
+
     def test_three_state_agrees_with_multinomial_enumeration(self):
         gains, probs = [0.5, 1.0, 2.0], [0.2, 0.3, 0.5]
         blocks, cap = 30, 30.0
@@ -289,9 +311,9 @@ class TestControllerEngine:
         counts = {}
         for trials in (4095, 4096, 4097, 8199):
             cfg = SimConfig(spec=spec, budget=1.0, blocks=50, trials=trials, seed=5)
-            chunks = list(_chunks(cfg, _CONTROLLER_STREAM, _CONTROLLER_CHUNK))
-            assert [first for first, _, _ in chunks] == list(range(0, trials, _CONTROLLER_CHUNK))
-            counts[trials] = np.concatenate([rows for _, _, rows in chunks])
+            chunks = list(_controller_chunks(cfg))
+            assert [first for first, _ in chunks] == list(range(0, trials, _CONTROLLER_CHUNK))
+            counts[trials] = np.concatenate([rows for _, rows in chunks])
             assert counts[trials].shape == (trials, fading.num_states)
             assert np.all(counts[trials].sum(axis=1) == 50)
         longest = counts[8199]
@@ -299,23 +321,43 @@ class TestControllerEngine:
             assert np.array_equal(counts[trials], longest[:trials])
 
 
+def _fresh(seed, stream, c):
+    return np.random.Generator(np.random.Philox(key=(stream << 64) | seed, counter=c << 192))
+
+
 class TestChunkWalker:
     def test_each_chunk_draws_what_a_fresh_philox_at_its_counter_draws(self):
         # after the counts, each chunk draws three uint32s, which leaves
         # half a 64-bit word buffered; the next chunk must not see it
-        seed, stream = 2 ** 64 - 1, 7
-        cfg = two_state_cfg(blocks=30, trials=5, seed=seed)
+        seed, stream, trials = 2 ** 64 - 1, 7, 5
+        seek, rng = _seeker(seed, stream)
         walked = 0
-        for c, (first, rng, counts) in enumerate(_chunks(cfg, stream, 2)):
-            fresh = np.random.Generator(np.random.Philox(key=(stream << 64) | seed,
-                                                         counter=c << 192))
-            assert first == 2 * c
-            size = min(2, cfg.trials - first)
+        for c, first in enumerate(range(0, trials, 2)):
+            seek(c)
+            fresh = _fresh(seed, stream, c)
+            size = min(2, trials - first)
+            counts = rng.multinomial(30, TWO_STATE.probs, size=size)
             assert np.array_equal(counts, fresh.multinomial(30, TWO_STATE.probs, size=size))
             assert np.array_equal(rng.integers(0, 2 ** 31, size=3, dtype=np.uint32),
                                   fresh.integers(0, 2 ** 31, size=3, dtype=np.uint32))
             walked += len(counts)
-        assert walked == cfg.trials
+        assert walked == trials
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    @pytest.mark.parametrize("c", [0, 1, 2 ** 53 - 1], ids=["0", "1", "last-trial"])
+    def test_seek_at_the_edges_of_its_keys(self, seed, c):
+        # the extreme seeds, and 2^53 - 1, the last trial index SimConfig
+        # allows; the seek follows draws that left the buffer half used
+        seek, rng = _seeker(seed, _DENSITY_STREAM)
+        seek(5)
+        rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+        rng.standard_normal(3)
+        seek(c)
+        fresh = _fresh(seed, _DENSITY_STREAM, c)
+        for draw in (lambda g: g.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+                     lambda g: g.multinomial(700, [0.3, 0.3, 0.4]),
+                     lambda g: g.standard_normal(4), lambda g: g.standard_gamma(2.5, 3)):
+            assert draw(rng).tobytes() == draw(fresh).tobytes()
 
 
 class TestDensityMoments:
@@ -331,7 +373,7 @@ class TestDensityMoments:
             spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
             g = np.asarray(gains)
             x = g * g * water_fill(spec, [budget])[1][0]
-            fixed, lin, quad = _density_coefficients(spec, x, *link_terms(x, noise_var)[:2])
+            fixed, lin, quad = _density_coefficients(spec, x)
             means = fixed - quad * (n_c * noise_var)
             variances = lin * lin * (n_c * noise_var) + 2.0 * quad * quad * (n_c * noise_var ** 2)
             for g2, m, v in zip(x, means, variances):
@@ -349,8 +391,9 @@ class TestDensitySimulation:
             simulate_information_density(two_state_cfg(blocks=100, trials=99))
 
     def test_one_kernel_call_per_run(self, monkeypatch):
-        # the coefficients and the analytic targets come from the same
-        # link_moments rows; montecarlo is patched too, so a direct call counts
+        # the analytic targets come from one link_moments call, and the
+        # coefficients form their own link terms; montecarlo is patched too,
+        # so a direct call counts
         shapes = []
 
         def counting(x, noise_var):
@@ -361,6 +404,23 @@ class TestDensitySimulation:
         monkeypatch.setattr(montecarlo, "link_terms", counting, raising=False)
         simulate_information_density(two_state_cfg(blocks=100, trials=100))
         assert shapes == [(1, 2)]
+
+    @pytest.mark.parametrize("flags", [[], ["--channel", "paper-rayleigh"], ["--nc", "3"]],
+                             ids=["defaults", "paper-rayleigh", "nc3"])
+    def test_a_wrong_link_rate_fails_verify(self, tmp_path, monkeypatch, flags):
+        # The totals build their model from the channel, not from
+        # link_terms, so a rate 10% high in link_terms moves the analytic
+        # targets and not the sample: verify at seed 0, which passes
+        # unplanted, reports a failed check.
+        def planted(x, noise_var):
+            c, l, v = link_terms(x, noise_var)
+            return 1.1 * c, l, v
+
+        out = tmp_path / "report.json"
+        assert main(["verify", "--seed", "0", "--out", str(out)] + flags) == 0
+        monkeypatch.setattr(waterfill, "link_terms", planted)
+        assert main(["verify", "--seed", "0", "--out", str(out)] + flags) == 3
+        assert json.loads(out.read_text())["density"]["mean_pass"] is False
 
     @given(random_channels(), st.integers(1, 3))
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -454,7 +514,7 @@ def _ks_two_sample(a, b) -> float:
 def _engine_totals(spec, budget, blocks, trials, seed):
     gains = np.asarray(spec.fading.gains, dtype=float)
     x = gains * gains * water_fill(spec, [budget])[1][0]
-    coefficients = _density_coefficients(spec, x, *link_terms(x, spec.noise_var)[:2])
+    coefficients = _density_coefficients(spec, x)
     cfg = SimConfig(spec=spec, budget=budget, blocks=blocks, trials=trials, seed=seed)
     return _density_totals(cfg, *coefficients), coefficients
 

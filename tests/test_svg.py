@@ -113,11 +113,44 @@ def grid_lines(doc):
     return sum(x1 == x2 for x1, x2, _, _ in ends), sum(y1 == y2 for _, _, y1, y2 in ends)
 
 
+def tick_labels(doc):
+    """(x ticks, y ticks) as lists of (position, label)."""
+    return (re.findall(r'<text x="([-\d.]+)" y="502" text-anchor="middle">([^<]*)<', doc),
+            re.findall(r'<text x="64" y="([-\d.]+)" text-anchor="end">([^<]*)<', doc))
+
+
+def assert_labels_tell_ticks_apart(doc):
+    # ticks drawn at different positions never share a label
+    for ticks in tick_labels(doc):
+        positions = {}
+        for position, label in ticks:
+            positions.setdefault(label, set()).add(position)
+        assert all(len(at) == 1 for at in positions.values()), ticks
+
+
 def assert_drawable(doc, polylines):
     assert doc.count("<polyline") == polylines
     assert re.search(r"\b(nan|inf)\b", doc) is None
     vertical, horizontal = grid_lines(doc)
     assert 1 <= vertical <= 20 and 1 <= horizontal <= 20
+    assert_labels_tell_ticks_apart(doc)
+
+
+@pytest.mark.parametrize("xs,ys,axis,labels", [
+    ([1.0, 1.0000000000000002], [0.0, 1.0], 0, {"1", "1.0000000000000002"}),
+    ([0.0, 1.0], [10000.0, 10000.5], 1, {"1e4", "1.00001e4", "1.00005e4"}),
+    ([0.0, 1.0], [20000.0, 30000.0], 1, {"2e4", "2.2e4", "3e4"}),
+    ([0.0, 1.0], [0.0, 25000.0], 1, {"0", "5000", "1e4", "1.5e4", "2.5e4"}),
+], ids=["x-one-ulp-apart", "y-at-1e4", "y-one-digit-scientific", "y-both-styles"])
+def test_colliding_tick_labels_are_widened_to_the_step(xs, ys, axis, labels):
+    # at their default precision these ticks would all read 1, 1e4, or
+    # 2e4 and 3e4 for five different values; 15000 and 25000 would read
+    # 2e4 next to 20000, and widening keeps 5000 out of the e+03 style
+    doc = render_line_chart([("a", xs, ys)], x_label="x", y_label="y")
+    assert_drawable(doc, 1)
+    assert labels <= {label for _, label in tick_labels(doc)[axis]}
+    assert "e+" not in doc
+
 
 
 @pytest.mark.parametrize("ys", [[-1e308, 1e308], [0.0, 1.7e308]])
