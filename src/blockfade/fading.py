@@ -28,6 +28,8 @@ _RENORM_TOL = 1e-9
 # library's other count arguments, and every integer config field by
 # default, stop here.
 _INT_MAX = 2 ** 53
+# The most states discretize_rayleigh builds; its docstring says why.
+_MAX_STATES = 2 ** 16
 # The keys of a fading profile's JSON form, each an array of numbers.
 _PROFILE_KEYS = ("gains", "probs")
 
@@ -147,10 +149,15 @@ def discretize_rayleigh(eta_lo: float, eta_hi: float, count: int, scale: float =
     the first state and the mass at or above eta_hi into the last, so
     the result is a proper distribution. A state whose mass rounds to 0
     raises InvalidParameterError naming the state, its gain and scale.
+    count is an integer in [2, 2^16], checked before any list is built.
+    It is a size: the kernels hold states x budgets arrays, 21 MB each for
+    2^16 states on a 41-budget sweep, while a count of 10^9 would build two
+    lists of a billion floats. 2^16 leaves ample room above the 1000-state
+    grids the tests build.
     """
     eta_lo = real("eta_lo", eta_lo)
     eta_hi = real("eta_hi", eta_hi, eta_lo)
-    count = whole("count", count, 2, _INT_MAX)
+    count = whole("count", count, 2, _MAX_STATES)
     scale = real("scale", scale)
 
     step = (eta_hi - eta_lo) / (count - 1)

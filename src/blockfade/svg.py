@@ -8,10 +8,13 @@ polyline is written in one pass from a single "%.2f,%.2f " template.
 
 Ticks are the whole multiples of a nice step, or the whole decades on a
 log axis, taken from an index range, so their number is fixed before any
-is made. An axis with no span in plotted units (ends whose log10 is the
-same float, or linear ends less than the smallest normal float apart) is
-halved and doubled on a log axis and widened by max(0.5, ulp) at each
-end on a linear one. Spans are taken from halved ends and linear ends
+is made. A tick is drawn only where its printed position lies inside the
+plot area, and once per printed position: at float resolution a multiple
+of the step can round outside the axis or onto its neighbour. An axis
+with no span in plotted units (ends whose log10 is the same float, or
+linear ends less than the smallest normal float apart) is halved and
+doubled on a log axis and widened by max(0.5, ulp) at each end on a
+linear one. Spans are taken from halved ends and linear ends
 are clamped to the finite floats, so any finite data keeps a finite
 axis: ys at -1e308 and 1e308 have a span past the largest float.
 """
@@ -49,6 +52,18 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     # every step-th decade, step the first that keeps at most 20 of them
     step = next(k for k in (1, 2, 5, 10, 20, 50) if last - first <= 19 * k)
     return [10.0 ** d for d in range(math.ceil(first / step) * step, last + 1, step)]
+
+
+def _on_plot(ticks: list[float], place, low: float, high: float) -> list[tuple[float, float]]:
+    """(tick, position) for each tick whose position, rounded to the printed
+    0.01 px, lies in [low, high]; the first tick at each rounded position."""
+    kept = {}
+    for t in ticks:
+        at = place(t)
+        printed = round(at, 2)  # the value "%.2f" prints: both round the exact binary value
+        if low <= printed <= high and printed not in kept:
+            kept[printed] = (t, at)
+    return list(kept.values())
 
 
 def _widen_empty(lo: float, hi: float, log: bool) -> tuple[float, float]:
@@ -130,16 +145,15 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
                f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">')
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
 
-    x_ticks = _log_ticks(x_lo, x_hi) if log_x else _nice_ticks(x_lo, x_hi)
-    y_ticks = _nice_ticks(y_lo, y_hi)
-    for t, label in zip(x_ticks, _tick_labels(x_ticks)):
-        x = px(t)
+    x_ticks = _on_plot(_log_ticks(x_lo, x_hi) if log_x else _nice_ticks(x_lo, x_hi), px,
+                       _MARGIN_L, _MARGIN_L + plot_w)
+    y_ticks = _on_plot(_nice_ticks(y_lo, y_hi), py, _MARGIN_T, _MARGIN_T + plot_h)
+    for (_, x), label in zip(x_ticks, _tick_labels([t for t, _ in x_ticks])):
         out.append(f'<line x1="{x:.2f}" y1="{_MARGIN_T}" x2="{x:.2f}" '
                    f'y2="{_MARGIN_T + plot_h}" stroke="#dddddd"/>')
         out.append(f'<text x="{x:.2f}" y="{_MARGIN_T + plot_h + 18}" '
                    f'text-anchor="middle">{label}</text>')
-    for t, label in zip(y_ticks, _tick_labels(y_ticks)):
-        y = py(t)
+    for (_, y), label in zip(y_ticks, _tick_labels([t for t, _ in y_ticks])):
         out.append(f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_MARGIN_L + plot_w}" '
                    f'y2="{y:.2f}" stroke="#dddddd"/>')
         out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" '

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's code paths: the
 quantile oracle bisects a high-precision series cdf (mpmath), the
 water-level oracle enumerates active sets in closed form instead of
 bisecting, and moment accumulation uses fsum over reversed state order
-with the uncentered variance formula. The controller's violation
+with the uncentered variance formula. The four finite-blocklength bounds
+and the constant-power baseline (oracle_bounds) are summed in mpmath from
+those ingredients and the bisected quantile. The controller's violation
 probability is summed exactly over the state counts, and its original
 per-block sampler is kept here as a sampling reference. The density
 simulation's original per-trial loop is kept as its bit-for-bit
@@ -16,6 +18,7 @@ does the water-filling capacity of continuous Rayleigh fading
 """
 
 import math
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -29,8 +32,9 @@ def mp_norm_cdf(x: float) -> float:
     return float(mp.ncdf(x))
 
 
+@lru_cache(maxsize=None)
 def bisect_quantile(p: float, lo: float = -12.0, hi: float = 12.0) -> float:
-    """Quantile by plain bisection on the mpmath cdf."""
+    """Quantile by plain bisection on the mpmath cdf (cached: the bound oracles reuse a few)."""
     target = mp.mpf(p)
     a, b = mp.mpf(lo), mp.mpf(hi)
     for _ in range(120):
@@ -82,34 +86,130 @@ def oracle_link_v(x, noise_var):
     return 0.5 * l * (2.0 - l)
 
 
-def oracle_channel_quantities(gains, probs, noise_var, n_c, budget) -> dict:
-    """All bound ingredients from the closed-form level and fsum moments."""
-    level = closed_form_water_level(gains, probs, noise_var, budget)
-    powers = [max(0.0, level - noise_var / (g * g)) for g in gains]
+def _allocation_moments(gains, probs, noise_var, powers):
+    """C and L per state at the received powers gain^2 * power, and the fsum moments.
+
+    Returns (c_vals, l_vals, capacity, var_c, mean_v, var_l).
+    """
     g2 = [g * g * p for g, p in zip(gains, powers)]
     c_vals = [oracle_link_c(x, noise_var) for x in g2]
     l_vals = [oracle_link_l(x, noise_var) for x in g2]
-    v_vals = [oracle_link_v(x, noise_var) for x in g2]
     cap, var_c = fsum_mean_var(c_vals, probs)
-    mean_v, _ = fsum_mean_var(v_vals, probs)
+    mean_v, _ = fsum_mean_var([oracle_link_v(x, noise_var) for x in g2], probs)
     _, var_l = fsum_mean_var(l_vals, probs)
+    return c_vals, l_vals, cap, var_c, mean_v, var_l
+
+
+def oracle_dispersions_for_alloc(gains, probs, noise_var, n_c, powers, level, budget) -> dict:
+    """Dispersions V_bf and V' at a given allocation, fsum/uncentered accumulation.
+
+    V_bf = E[V] + n_c*Var C + Var L/2 and V' = E[V] + Var(n_c*C +
+    budget/(2*level) - L/2). This is the oracles' one copy of both:
+    oracle_channel_quantities takes V_bf and V' at the water-filling
+    powers, and nocsit_v as V_bf at constant power, from here.
+    """
+    c_vals, l_vals, _, var_c, mean_v, var_l = _allocation_moments(gains, probs, noise_var, powers)
     composite = [n_c * c + budget / (2.0 * level) - 0.5 * l for c, l in zip(c_vals, l_vals)]
     _, var_comp = fsum_mean_var(composite, probs)
-    g2_const = [g * g * budget for g in gains]
-    cap_n, var_cn = fsum_mean_var([oracle_link_c(x, noise_var) for x in g2_const], probs)
-    mean_vn, _ = fsum_mean_var([oracle_link_v(x, noise_var) for x in g2_const], probs)
-    _, var_ln = fsum_mean_var([oracle_link_l(x, noise_var) for x in g2_const], probs)
+    return {
+        "v_bf": mean_v + n_c * var_c + 0.5 * var_l,
+        "v_bf_prime": mean_v + var_comp,
+    }
+
+
+def oracle_channel_quantities(gains, probs, noise_var, n_c, budget) -> dict:
+    """All bound ingredients from the closed-form level and fsum moments.
+
+    The nocsit pair is capacity and V_bf with the budget in every state.
+    """
+    level = closed_form_water_level(gains, probs, noise_var, budget)
+    powers = [max(0.0, level - noise_var / (g * g)) for g in gains]
+    const = [budget] * len(gains)
+    _, _, cap, var_c, mean_v, var_l = _allocation_moments(gains, probs, noise_var, powers)
     return {
         "level": level,
         "powers": powers,
         "capacity": cap,
-        "v_bf": mean_v + n_c * var_c + 0.5 * var_l,
-        "v_bf_prime": mean_v + var_comp,
+        **oracle_dispersions_for_alloc(gains, probs, noise_var, n_c, powers, level, budget),
         "var_c": var_c,
         "mean_v": mean_v,
         "var_l": var_l,
-        "nocsit_capacity": cap_n,
-        "nocsit_v": mean_vn + n_c * var_cn + 0.5 * var_ln,
+        "nocsit_capacity": _allocation_moments(gains, probs, noise_var, const)[2],
+        "nocsit_v": oracle_dispersions_for_alloc(gains, probs, noise_var, n_c, const, level,
+                                                 budget)["v_bf"],
+    }
+
+
+def oracle_bound_terms(gains, probs, noise_var, n_c, budget, n, epsilon, beta) -> dict:
+    """Every term of the normal-approximation bounds at one budget and length n, in mpmath.
+
+    The ingredients come from oracle_channel_quantities and the quantile
+    z = Phi^-1(epsilon) = -Q^-1(epsilon) from bisect_quantile, so nothing
+    here runs the library's code. Each value is an mpf:
+
+    - capacity, dispersion: n*C and sqrt(n*V_bf)*z at water-filling;
+    - converse_dispersion: sqrt(n*V')*z;
+    - log_n: log(n)/2, and state_log_n: num_states*log(n)/2;
+    - backoff: n^((1 - beta)/2), the achievability back-off;
+    - per_codeword_cost: sqrt(n/2), the price of a per-codeword power
+      constraint in the achievability bound;
+    - long_term_excess: sqrt(n)/(2*level), what a long-term power
+      constraint adds to the converse;
+    - nocsit_capacity, nocsit_dispersion: n*C and sqrt(n*V) at constant
+      power.
+    """
+    q = oracle_channel_quantities(gains, probs, noise_var, n_c, budget)
+    n = mp.mpf(n)
+    z = mp.mpf(bisect_quantile(epsilon))
+    return {
+        "capacity": n * q["capacity"],
+        "dispersion": mp.sqrt(n * q["v_bf"]) * z,
+        "converse_dispersion": mp.sqrt(n * q["v_bf_prime"]) * z,
+        "log_n": mp.log(n) / 2,
+        "state_log_n": len(gains) * mp.log(n) / 2,
+        "backoff": n ** ((1 - mp.mpf(beta)) / 2),
+        "per_codeword_cost": mp.sqrt(n / 2),
+        "long_term_excess": mp.sqrt(n) / (2 * q["level"]),
+        "nocsit_capacity": n * q["nocsit_capacity"],
+        "nocsit_dispersion": mp.sqrt(n * q["nocsit_v"]) * z,
+    }
+
+
+def oracle_bounds(gains, probs, noise_var, n_c, budget, n, epsilon, beta) -> dict:
+    """The bounds of bound_columns at one budget and codeword length n, in mpmath.
+
+    The normal approximations, in the form of Polyanskiy, Poor & Verdu,
+    "Channel coding rate in the finite blocklength regime", IEEE Trans. IT
+    2010, that bound_columns documents, summed from the terms of
+    oracle_bound_terms:
+
+    - achievability under a long-term (average) power constraint, at
+      water-filling: log_m_lb_lt = n*C + sqrt(n*V_bf)*z + log(n)/2 - backoff;
+    - achievability under a per-codeword power constraint:
+      log_m_lb_st = log_m_lb_lt - sqrt(n/2);
+    - the per-codeword converse:
+      log_m_ub_st = n*C + sqrt(n*V')*z + num_states*log(n)/2;
+    - the long-term converse: log_m_ub_lt = log_m_ub_st + sqrt(n)/(2*level);
+    - the constant-power baseline (no CSI at the transmitter): the
+      achievability expression at constant power, as rate_nocsit.
+
+    Returns the log_m_* fields, the rate_* fields (log_m over n) and
+    rate_nocsit, as floats.
+    """
+    t = oracle_bound_terms(gains, probs, noise_var, n_c, budget, n, epsilon, beta)
+    achievability = t["capacity"] + t["dispersion"] + t["log_n"] - t["backoff"]
+    per_codeword_converse = t["capacity"] + t["converse_dispersion"] + t["state_log_n"]
+    log_m = {
+        "lb_st": achievability - t["per_codeword_cost"],
+        "lb_lt": achievability,
+        "ub_st": per_codeword_converse,
+        "ub_lt": per_codeword_converse + t["long_term_excess"],
+    }
+    baseline = t["nocsit_capacity"] + t["nocsit_dispersion"] + t["log_n"] - t["backoff"]
+    return {
+        **{f"log_m_{name}": float(value) for name, value in log_m.items()},
+        **{f"rate_{name}": float(value / n) for name, value in log_m.items()},
+        "rate_nocsit": float(baseline / n),
     }
 
 
@@ -157,23 +257,6 @@ def rayleigh_waterfill_limit(budget, scale=1.0, noise_var=1.0) -> tuple[float, f
     level = mp.findroot(lambda lv: lv * mp.exp(-s2 / lv / m) - s2 / m * mp.e1(s2 / lv / m)
                         - target, target + s2)
     return float(level), float(mp.e1(s2 / level / m) / 2)
-
-
-def oracle_dispersions_for_alloc(gains, probs, noise_var, n_c, powers, level, budget) -> dict:
-    """Dispersions for a given allocation, fsum/uncentered accumulation."""
-    g2 = [g * g * p for g, p in zip(gains, powers)]
-    c_vals = [oracle_link_c(x, noise_var) for x in g2]
-    l_vals = [oracle_link_l(x, noise_var) for x in g2]
-    v_vals = [oracle_link_v(x, noise_var) for x in g2]
-    _, var_c = fsum_mean_var(c_vals, probs)
-    mean_v, _ = fsum_mean_var(v_vals, probs)
-    _, var_l = fsum_mean_var(l_vals, probs)
-    composite = [n_c * c + budget / (2.0 * level) - 0.5 * l for c, l in zip(c_vals, l_vals)]
-    _, var_comp = fsum_mean_var(composite, probs)
-    return {
-        "v_bf": mean_v + n_c * var_c + 0.5 * var_l,
-        "v_bf_prime": mean_v + var_comp,
-    }
 
 
 def waterfill_powers(gains, probs, noise_var, budget) -> list[float]:

@@ -24,7 +24,7 @@ from blockfade import (
 )
 from blockfade.cli import main, preset_fading
 from blockfade.specfun import std_normal_cdf, std_normal_inv_cdf
-from oracles import (bisect_quantile, oracle_channel_quantities, pv_constant_power_dispersion,
+from oracles import (oracle_bounds, oracle_channel_quantities, pv_constant_power_dispersion,
                      rayleigh_waterfill_limit)
 
 # Capacity of the paper-rayleigh preset at 5 dB, to five digits.
@@ -151,36 +151,24 @@ def test_criterion_3_two_state_oracle_equivalence():
     assert abs(oracle["v_bf_prime"] - 0.4529) <= 5e-5
 
 
-def expected_rate_offsets(n: int, epsilon: float, beta: float) -> tuple[float, ...]:
-    """Each bound's rate minus capacity on the preset, from the oracle.
-
-    The normal-approximation terms at codeword length n (n_c = 1, ten
-    states), built from the oracle's V, V' and water level and the mpmath
-    quantile; order lb_st, lb_lt, ub_st, ub_lt.
-    """
-    gains, probs = readme_preset_grid()
-    oracle = oracle_channel_quantities(gains, probs, 1.0, 1, PRESET_BUDGET)
-    quantile = bisect_quantile(epsilon)
-    lb_lt = (math.sqrt(oracle["v_bf"] / n) * quantile + 0.5 * math.log(n) / n
-             - n ** ((1.0 - beta) / 2.0) / n)
-    ub_st = math.sqrt(oracle["v_bf_prime"] / n) * quantile + 0.5 * 10 * math.log(n) / n
-    return (lb_lt - math.sqrt(1.0 / (2.0 * n)), lb_lt,
-            ub_st, ub_st + 1.0 / (2.0 * oracle["level"] * math.sqrt(n)))
+RATE_BOUNDS = ("rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt")
 
 
 def test_criterion_4_bound_ordering_and_convergence():
     # Each n = 4000 rate must sit at CAPACITY_ANCHOR plus its own oracle
-    # back-off, within the anchor's rounding (5e-6, as in criterion 1)
-    # plus 1e-9 for the arithmetic.
-    offsets = expected_rate_offsets(4000, 0.01, 0.01)
+    # back-off (oracle_bounds' rate minus the oracle capacity), within the
+    # anchor's rounding (5e-6, as in criterion 1) plus 1e-9 for the arithmetic.
+    gains, probs = readme_preset_grid()
+    capacity = oracle_channel_quantities(gains, probs, 1.0, 1, PRESET_BUDGET)["capacity"]
+    oracle = oracle_bounds(gains, probs, 1.0, 1, PRESET_BUDGET, 4000, 0.01, 0.01)
+    offsets = [oracle[name] - capacity for name in RATE_BOUNDS]
     start = time.perf_counter()
     spec = preset_spec()
 
     def rates(lengths):
         # per n, the rates lb_st, lb_lt, ub_st, ub_lt
         bp = bound_columns(spec, [PRESET_BUDGET], lengths, 0.01)
-        return list(zip(*(bp[name].tolist() for name in
-                          ("rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt"))))
+        return list(zip(*(bp[name].tolist() for name in RATE_BOUNDS)))
 
     grid = sorted({int(round(v)) for v in np.geomspace(1_000, 1_000_000, 25)})
     ordering_ok = all(lb_st < lb_lt < ub_st < ub_lt for lb_st, lb_lt, ub_st, ub_lt in rates(grid))

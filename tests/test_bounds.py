@@ -20,6 +20,8 @@ from blockfade.waterfill import link_moments
 from oracles import (
     TWO_STATE,
     awgn_dispersion,
+    oracle_bound_terms,
+    oracle_bounds,
     oracle_channel_quantities,
     oracle_dispersions_for_alloc,
 )
@@ -206,23 +208,14 @@ class TestDispersionStats:
 class TestBoundPoint:
     def setup_method(self):
         self.spec = two_state_spec()
-        self.stats = stats_at(self.spec, 1.0)
 
     def test_two_state_reference_point(self):
         bp = bounds_at(self.spec, 1.0, 10_000, 0.01, 0.01)
-        # recompose every term independently of the library expression
-        n = 10_000
-        q = std_normal_inv_cdf(0.01)
-        lb_lt = (n * self.stats["capacity"] + math.sqrt(n * self.stats["v_bf"]) * q
-                 + 0.5 * math.log(n) - n ** 0.495)
-        lb_st = lb_lt - math.sqrt(n / 2.0)
-        ub_st = (n * self.stats["capacity"] + math.sqrt(n * self.stats["v_bf_prime"]) * q
-                 + 1.0 * math.log(n))
-        ub_lt = ub_st + math.sqrt(n) / (2.0 * self.stats["water_level"])
-        assert bp["log_m_lb_lt"] == pytest.approx(lb_lt, abs=1e-9)
-        assert bp["log_m_lb_st"] == pytest.approx(lb_st, abs=1e-9)
-        assert bp["log_m_ub_st"] == pytest.approx(ub_st, abs=1e-9)
-        assert bp["log_m_ub_lt"] == pytest.approx(ub_lt, abs=1e-9)
+        # every term from the independent oracle, not the library expression
+        oracle = oracle_bounds(TWO_STATE["gains"], TWO_STATE["probs"], 1.0, 1, 1.0,
+                               10_000, 0.01, 0.01)
+        for name in ("log_m_lb_lt", "log_m_lb_st", "log_m_ub_st", "log_m_ub_lt"):
+            assert bp[name] == pytest.approx(oracle[name], abs=1e-9), name
         # coarse benchmark values
         assert bp["log_m_lb_lt"] == pytest.approx(5630.5, abs=0.15)
         assert bp["log_m_lb_st"] == pytest.approx(5559.8, abs=0.15)
@@ -373,6 +366,23 @@ class TestBoundColumns:
         expected = [scalar_bound_point(self.stats, v, 2, 0.01, 0.01) for v in n]
         for name in expected[0]:
             assert columns[name].tolist() == [row[name] for row in expected], name
+
+    @given(random_channels(), st.integers(1, 5),
+           st.floats(1.0, 6.0).map(lambda e: round(10.0 ** e)),
+           st.sampled_from([1e-3, 1e-2, 0.1]), st.floats(0.001, 0.999))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_columns_match_the_independent_oracle(self, params, n_c, blocks, epsilon, beta):
+        # scalar_bound_point repeats the library's expressions, so it cannot
+        # catch a slip it shares; oracle_bounds shares no code with them
+        gains, probs, noise_var, budget = params
+        spec = ChannelSpec(noise_var=noise_var, n_c=n_c, fading=make_distribution(gains, probs))
+        n = blocks * n_c
+        args = (spec.fading.gains, spec.fading.probs, noise_var, n_c, budget, n, epsilon, beta)
+        tol = 1e-12 * float(max(abs(term) for term in oracle_bound_terms(*args).values()))
+        columns = bound_columns(spec, [budget], [n], epsilon, beta)
+        for name, expected in oracle_bounds(*args).items():
+            scale = tol if name.startswith("log_m_") else tol / n
+            assert abs(columns[name][0] - expected) <= scale, name
 
     def test_numpy_integers_accepted(self):
         spec = two_state_spec(n_c=3)
@@ -559,8 +569,7 @@ class TestInvariants:
         nf = np.array(n, dtype=float)
         q = abs(std_normal_inv_cdf(0.01))
         base = bound_table(gains, probs, noise_var, budget, n_c, n)
-        v, v_prime, v_const, level = (base[name][0] for name in
-                                      ("v_bf", "v_bf_prime", "nocsit_v", "water_level"))
+        v, v_prime, v_const = (base[name][0] for name in ("v_bf", "v_bf_prime", "nocsit_v"))
         k_v = 2.0 * (1.0 + math.sqrt(n_c * v))
         k_prime = 1.0 + 2.0 * (n_c + 1) * math.sqrt(v_prime)
         k_const = 2.0 * (1.0 + math.sqrt(n_c * v_const))
@@ -577,8 +586,9 @@ class TestInvariants:
             "rate_lb_lt": (rate_constant(k_v, v), 0.0),
             "rate_nocsit": (rate_constant(k_const, v_const), 0.0),
             "rate_ub_st": (rate_constant(k_prime, v_prime), state_term),
-            "rate_ub_lt": (rate_constant(k_prime, v_prime) + 1.0 / (2.0 * level * np.sqrt(nf)),
-                           state_term),
+            # ub_lt - ub_st is the 1/(2*lambda*sqrt(n)) term, per use
+            "rate_ub_lt": (rate_constant(k_prime, v_prime)
+                           + (base["log_m_ub_lt"] - base["log_m_ub_st"]) / nf, state_term),
         }
         for delta in (1e-3, 1e-6):
             split = bound_table(gains[:i + 1] + [gains[i] * (1.0 + delta)] + gains[i + 1:],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockfade import ChannelSpec, FadingDistribution, InvalidParameterError, discretize_rayleigh, make_distribution
+import blockfade.fading as fading
 
 
 def rayleigh_tail(x, scale=1.0):
@@ -49,6 +50,15 @@ class TestDiscretizeRayleigh:
     def test_invalid_parameters(self, args):
         with pytest.raises(InvalidParameterError):
             discretize_rayleigh(*args)
+
+    def test_count_is_capped_at_the_state_limit(self):
+        # a count is a size: one past the cap is rejected, the cap named
+        cap = fading._MAX_STATES
+        assert cap == 2 ** 16
+        with pytest.raises(InvalidParameterError, match=re.escape(f"count must be an integer "
+                                                                  f"in [2, {cap}], got {cap + 1}")):
+            discretize_rayleigh(0.1, 4.1, cap + 1)
+        assert discretize_rayleigh(0.1, 4.1, cap).num_states == cap
 
     @pytest.mark.parametrize("args, state, fix", [
         # exp(-4.1^2 / 0.02) underflows: the top state's tail is 0

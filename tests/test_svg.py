@@ -106,11 +106,11 @@ def test_each_distinct_x_is_mapped_once(monkeypatch):
     assert len(logged) < 2 * len(xs)
 
 
-def grid_lines(doc):
-    """(vertical, horizontal) counts of the grid lines: one per x tick and per y tick."""
-    ends = [tuple(re.search(f' {name}="([^"]+)"', line).group(1) for name in ("x1", "x2", "y1", "y2"))
+def grid_ends(doc):
+    """(x1, x2, y1, y2) of each grid line, as printed: one line per x tick and per y tick."""
+    return [tuple(float(re.search(f' {name}="([^"]+)"', line).group(1))
+                  for name in ("x1", "x2", "y1", "y2"))
             for line in doc.splitlines() if line.startswith("<line") and "#dddddd" in line]
-    return sum(x1 == x2 for x1, x2, _, _ in ends), sum(y1 == y2 for _, _, y1, y2 in ends)
 
 
 def tick_labels(doc):
@@ -131,8 +131,14 @@ def assert_labels_tell_ticks_apart(doc):
 def assert_drawable(doc, polylines):
     assert doc.count("<polyline") == polylines
     assert re.search(r"\b(nan|inf)\b", doc) is None
-    vertical, horizontal = grid_lines(doc)
+    ends = grid_ends(doc)
+    vertical = sum(x1 == x2 for x1, x2, _, _ in ends)
+    horizontal = sum(y1 == y2 for _, _, y1, y2 in ends)
     assert 1 <= vertical <= 20 and 1 <= horizontal <= 20
+    # every grid line lies on the plot area, [72, 836] x [40, 484]
+    for x1, x2, y1, y2 in ends:
+        assert 72.0 <= min(x1, x2) and max(x1, x2) <= 836.0, (x1, x2)
+        assert 40.0 <= min(y1, y2) and max(y1, y2) <= 484.0, (y1, y2)
     assert_labels_tell_ticks_apart(doc)
 
 
