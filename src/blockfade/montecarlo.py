@@ -7,17 +7,26 @@ controller seeks once per chunk of 4096 trials and draws their
 Multinomial(blocks, probs) fading-state counts in one call; the density
 simulation seeks once per trial. The chunk sizes are part of the
 determinism contract: trial t sees the same draws however many trials
-run, in whatever order or on however many workers.
+run, in whatever order or in however many processes.
 
 A density trial draws sufficient statistics, not channel uses (see
 _density_totals), with exactly the law of a per-use sampler; the bytes
 depend on numpy's multinomial, standard_normal and standard_gamma. The
 arithmetic on the draws runs once per buffer of trials, and the buffer
-size changes no byte. Each simulation returns its own section of the
-``verify`` report, a dict of plain floats, ints and bools.
+size changes no byte. The density trials split into contiguous ranges,
+one per usable CPU, each range at least _MIN_PART_TRIALS trials; the
+parent runs the first and a forked child each other (_in_parts). The
+run stays in one process below that floor, on one CPU, beside other
+Python threads, or where os has no fork or sched_getaffinity. A split
+changes neither the layout nor a byte. The controller always runs in
+one process. Each simulation returns its own section of the ``verify``
+report, a dict of plain floats, ints and bools.
 """
 
 import math
+import mmap
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +58,12 @@ _DENSITY_BUFFER = 4096
 # per state: an array-shape standard_gamma call has a fixed cost of about
 # seven scalar calls.
 _SCALAR_GAMMA_STATES = 8
+# The fewest density trials a forked process takes: about 10 ms of draws,
+# against about 2.5 ms to fork a child and wait for it. Changing it changes
+# no result.
+_MIN_PART_TRIALS = 1000
+# POSIX fixes SIGKILL at 9; the signal module is not otherwise imported.
+_SIGKILL = 9
 
 
 @dataclass(frozen=True)
@@ -183,6 +198,84 @@ def _density_coefficients(spec: ChannelSpec, x: np.ndarray):
     return spec.n_c * c + spec.n_c * l / 2.0, np.sqrt(x) / (s2 + x), l / (2.0 * s2)
 
 
+def _pin(cpus) -> None:
+    """Bind the calling process to cpus where the OS allows; else leave it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _reap(pid: int, kill: bool = False) -> int:
+    """Wait for child pid, killed first if kill: its wait status, or -1 if
+    something else reaped it (as where SIGCHLD is ignored).
+    """
+    try:
+        if kill:
+            os.kill(pid, _SIGKILL)
+        return os.waitpid(pid, 0)[1]
+    except (ChildProcessError, ProcessLookupError):
+        return -1
+
+
+def _in_parts(count: int, work) -> np.ndarray:
+    """work(0, count), computed in contiguous ranges, one process per range.
+
+    work(lo, hi) returns the float results of items lo..hi-1, and its
+    bytes must not depend on where a range starts or ends. There is one
+    range per CPU in the process's affinity mask, as many as give each at
+    least _MIN_PART_TRIALS items. work runs serially with one range, where
+    os has no fork or sched_getaffinity, or beside other Python threads.
+    The parent computes the first range. Each other range goes to a
+    forked child, which writes it into a shared anonymous mapping and
+    leaves by os._exit, so it neither flushes the stdio buffers nor runs
+    the exit handlers it inherited. Each process is bound to its own CPU
+    while the ranges run: a child forked onto its parent's CPU can stay
+    there for its whole range. The parent computes a range itself when its
+    fork raises OSError or its child exits nonzero. Before it returns or
+    raises, it restores its CPU mask and kills and reaps every child left.
+    """
+    # a forked child would not have the parent's other Python threads
+    serial = (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+              or threading.active_count() > 1)
+    cpus = [] if serial else sorted(os.sched_getaffinity(0))
+    parts = min(len(cpus), count // _MIN_PART_TRIALS)
+    if parts < 2:
+        return work(0, count)
+    edges = [count * part // parts for part in range(parts + 1)]
+    out = np.frombuffer(mmap.mmap(-1, 8 * count), dtype=np.float64)
+    children, left = {}, []
+    _pin(cpus[:1])
+    try:
+        for cpu, lo, hi in zip(cpus[1:], edges[1:-1], edges[2:]):
+            try:
+                pid = os.fork()
+            except OSError:
+                left.append((lo, hi))
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    _pin([cpu])
+                    out[lo:hi] = work(lo, hi)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = (lo, hi)
+        out[:edges[1]] = work(0, edges[1])
+        for pid, span in list(children.items()):
+            if _reap(pid):
+                left.append(span)
+            del children[pid]
+        for lo, hi in left:
+            out[lo:hi] = work(lo, hi)
+    finally:
+        _pin(cpus)
+        for pid in children:
+            _reap(pid, kill=True)
+    return out
+
+
 def _density_totals(cfg: SimConfig, fixed: np.ndarray, lin: np.ndarray,
                     quad: np.ndarray) -> np.ndarray:
     """Each trial's log-likelihood total: draws per trial, arithmetic per buffer.
@@ -196,37 +289,44 @@ def _density_totals(cfg: SimConfig, fixed: np.ndarray, lin: np.ndarray,
     and its total is sum(k*fixed + lin*S - quad*Q): exact in distribution.
 
     The draws stay per trial and in that order. They fill a buffer of
-    _DENSITY_BUFFER // states trials (at least one, at most the run's),
+    _DENSITY_BUFFER // states trials (at least one, at most the range's),
     and S, Q and the totals are computed once per buffer with the same
     elementwise arithmetic and row sum as for a lone trial, so the buffer
     size changes no byte; memory is O(buffer), not O(trials * states).
+    For the same reason the trials split into ranges across processes
+    (_in_parts) with the same bytes as in one.
     """
     n_c, s2, blocks = cfg.spec.n_c, cfg.spec.noise_var, cfg.blocks
     probs = np.asarray(cfg.spec.fading.probs, dtype=float)
     states = len(fixed)
-    rows = min(max(1, _DENSITY_BUFFER // states), cfg.trials)
-    k = np.empty((rows, states), dtype=np.int64)
-    z, g = np.empty((rows, states)), np.empty((rows, states))
-    totals = np.empty(cfg.trials)
-    seek, rng = _seeker(cfg.seed, _DENSITY_STREAM)
-    multinomial, normal, gamma = rng.multinomial, rng.standard_normal, rng.standard_gamma
-    for first in range(0, cfg.trials, rows):
-        size = min(rows, cfg.trials - first)
-        for row in range(size):
-            seek(first + row)
-            k[row] = counts = multinomial(blocks, probs)
-            normal(out=z[row])
-            # s2*chi2(nu) is 2*s2*gamma(nu/2), nu = max(m - 1, 0): numpy's
-            # chisquare rejects the nu = 0 of a state with one use or none,
-            # standard_gamma(0) is 0
-            shapes = [(c * n_c - 1) / 2.0 if c else 0.0 for c in counts.tolist()]
-            g[row] = list(map(gamma, shapes)) if states <= _SCALAR_GAMMA_STATES else gamma(shapes)
-        m = k[:size] * n_c
-        s = z[:size] * np.sqrt(m * s2)
-        # with no use S is 0, and max(m, 1) keeps S^2/m at 0
-        q = s * s / np.maximum(m, 1) + 2.0 * s2 * g[:size]
-        totals[first:first + size] = np.sum(k[:size] * fixed + lin * s - quad * q, axis=-1)
-    return totals
+    scalar_gamma = states <= _SCALAR_GAMMA_STATES
+
+    def totals_of(lo: int, hi: int) -> np.ndarray:
+        rows = min(max(1, _DENSITY_BUFFER // states), hi - lo)
+        k = np.empty((rows, states), dtype=np.int64)
+        z, g = np.empty((rows, states)), np.empty((rows, states))
+        totals = np.empty(hi - lo)
+        seek, rng = _seeker(cfg.seed, _DENSITY_STREAM)
+        multinomial, normal, gamma = rng.multinomial, rng.standard_normal, rng.standard_gamma
+        for at in range(0, hi - lo, rows):
+            size = min(rows, hi - lo - at)
+            for row in range(size):
+                seek(lo + at + row)
+                k[row] = counts = multinomial(blocks, probs)
+                normal(out=z[row])
+                # s2*chi2(nu) is 2*s2*gamma(nu/2), nu = max(m - 1, 0): numpy's
+                # chisquare rejects the nu = 0 of a state with one use or none,
+                # standard_gamma(0) is 0
+                shapes = [(c * n_c - 1) / 2.0 if c else 0.0 for c in counts.tolist()]
+                g[row] = list(map(gamma, shapes)) if scalar_gamma else gamma(shapes)
+            m = k[:size] * n_c
+            s = z[:size] * np.sqrt(m * s2)
+            # with no use S is 0, and max(m, 1) keeps S^2/m at 0
+            q = s * s / np.maximum(m, 1) + 2.0 * s2 * g[:size]
+            totals[at:at + size] = np.sum(k[:size] * fixed + lin * s - quad * q, axis=-1)
+        return totals
+
+    return _in_parts(cfg.trials, totals_of)
 
 
 def _ks_distance(sorted_sample: np.ndarray) -> float:

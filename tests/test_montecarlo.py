@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import threading
+import time
 import tracemalloc
 from statistics import NormalDist
 
@@ -26,8 +29,9 @@ import blockfade.montecarlo as montecarlo
 import blockfade.waterfill as waterfill
 from blockfade.cli import main
 from blockfade.montecarlo import (_CONTROLLER_CHUNK, _CONTROLLER_STREAM, _DENSITY_STREAM,
-                                  _delta_b, _density_coefficients, _density_totals,
-                                  _ks_distance, _min_blocks_for_backoff, _seeker)
+                                  _MIN_PART_TRIALS, _delta_b, _density_coefficients,
+                                  _density_totals, _in_parts, _ks_distance,
+                                  _min_blocks_for_backoff, _seeker)
 from oracles import (
     binomial_acceptance_region,
     controller_powers,
@@ -40,6 +44,7 @@ from oracles import (
     sufficient_statistic_density_totals,
     waterfill_powers,
 )
+from test_cli import GOLDEN_VERIFY_SHA256, verify_report_digest
 from test_waterfill import random_channels
 
 TWO_STATE = make_distribution([1.0, 2.0], [0.5, 0.5])
@@ -647,6 +652,170 @@ class TestDensityEngine:
                                    blocks=500, trials=200, seed=5)
         assert np.max(np.abs(scaled - base) / np.abs(base)) <= 1e-12
 
+
+def _no_child_left():
+    # the calling process has no child, running or a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(count): the density split sees count usable CPUs. Forks are
+    counted and affinity calls recorded, not made, so no count asks for a
+    CPU the machine lacks and the suite's own mask never changes."""
+    calls = {"forks": 0, "pins": []}
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        calls["forks"] += pid != 0
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls["pins"].append(sorted(mask)))
+
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        calls["forks"], calls["pins"] = 0, []
+        return calls
+
+    return use
+
+
+class TestDensityParts:
+    # The trials split into contiguous ranges, one process each (_in_parts):
+    # every part count gives the serial bytes, failures fall back to the
+    # parent, and no child outlives a call.
+    CHANNELS = {
+        "two-state": (TWO_STATE, 1),
+        "paper-rayleigh": (discretize_rayleigh(0.1, 4.1, 10, 1.0), 1),  # array gammas
+        "nc2": (TWO_STATE, 2),
+    }
+    UNEVEN = (2 * _MIN_PART_TRIALS + 1, 4097)
+
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    @pytest.mark.parametrize("trials", UNEVEN)
+    def test_totals_do_not_depend_on_part_count(self, cpus, name, trials):
+        fading, n_c = self.CHANNELS[name]
+        spec = ChannelSpec(noise_var=1.0, n_c=n_c, fading=fading)
+        totals = {}
+        for count in (1, 2, 3):
+            calls = cpus(count)
+            totals[count] = _engine_totals(spec, 1.0, blocks=700, trials=trials, seed=13)[0].tobytes()
+            parts = min(count, trials // _MIN_PART_TRIALS)
+            assert calls["forks"] == parts - 1
+            # the parent is bound to the first CPU while the parts run, then released
+            assert calls["pins"] == ([[0], list(range(count))] if parts > 1 else [])
+            _no_child_left()
+        assert totals[1] == totals[2] == totals[3]
+
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    def test_split_totals_equal_the_per_trial_oracle_bit_for_bit(self, cpus, name):
+        # TestDensityEngine's oracle check on a run that crosses a part boundary
+        fading, n_c = self.CHANNELS[name]
+        spec = ChannelSpec(noise_var=1.0, n_c=n_c, fading=fading)
+        trials = self.UNEVEN[0]
+        calls = cpus(2)
+        ours, coefficients = _engine_totals(spec, 1.0, blocks=700, trials=trials, seed=2 ** 64 - 1)
+        assert calls["forks"] == 1
+        theirs = sufficient_statistic_density_totals(*coefficients, fading.probs, 1.0, n_c,
+                                                     blocks=700, trials=trials, seed=2 ** 64 - 1)
+        assert ours.tobytes() == theirs.tobytes()
+
+    def test_verify_reports_do_not_depend_on_part_count(self, tmp_path, cpus):
+        for count in (1, 2, 3):
+            calls = cpus(count)
+            digest, _ = verify_report_digest(tmp_path, "default")
+            assert digest == GOLDEN_VERIFY_SHA256["default"][2], count
+            assert calls["forks"] == count - 1
+            _no_child_left()
+
+    def test_failed_fork_falls_back_to_the_parent(self, tmp_path, cpus, monkeypatch):
+        cpus(2)
+
+        def fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        digest, _ = verify_report_digest(tmp_path, "default")
+        assert digest == GOLDEN_VERIFY_SHA256["default"][2]
+        _no_child_left()
+
+    @pytest.mark.parametrize("failure", ["exit", "raise"])
+    def test_failed_child_falls_back_to_the_parent(self, tmp_path, cpus, monkeypatch, failure):
+        calls = cpus(2)
+        parent = os.getpid()
+
+        def planted(count, work):
+            def child_fails(lo, hi):
+                if os.getpid() != parent:
+                    if failure == "exit":
+                        os._exit(1)
+                    raise ValueError("planted")
+                return work(lo, hi)
+            return _in_parts(count, child_fails)
+
+        monkeypatch.setattr(montecarlo, "_in_parts", planted)
+        digest, _ = verify_report_digest(tmp_path, "default")
+        assert digest == GOLDEN_VERIFY_SHA256["default"][2]
+        assert calls["forks"] == 1
+        _no_child_left()
+
+    def test_parent_failure_kills_and_reaps_its_children(self, cpus):
+        cpus(3)
+        parent = os.getpid()
+
+        def work(lo, hi):
+            if os.getpid() != parent:
+                time.sleep(60)
+                os._exit(0)
+            raise KeyboardInterrupt
+
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _in_parts(3 * _MIN_PART_TRIALS, work)
+        assert time.perf_counter() - start < 10.0
+        _no_child_left()
+
+    def test_serial_below_the_floor_beside_threads_and_without_fork(self, cpus, monkeypatch):
+        calls = cpus(2)
+
+        def work(lo, hi):
+            return np.arange(lo, hi, dtype=float)
+
+        # one part would get fewer than _MIN_PART_TRIALS trials
+        assert _in_parts(2 * _MIN_PART_TRIALS - 1, work).tobytes() == \
+            np.arange(2 * _MIN_PART_TRIALS - 1, dtype=float).tobytes()
+        assert calls["forks"] == 0
+        # another Python thread runs, which a forked child would not have
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            _in_parts(4 * _MIN_PART_TRIALS, work)
+        finally:
+            release.set()
+            thread.join()
+        assert calls["forks"] == 0
+        # no fork on this platform
+        monkeypatch.delattr(os, "fork")
+        assert _in_parts(4 * _MIN_PART_TRIALS, work).tobytes() == \
+            np.arange(4 * _MIN_PART_TRIALS, dtype=float).tobytes()
+        assert calls["pins"] == []
+
+    def test_real_split_keeps_bytes_and_restores_the_cpu_mask(self, monkeypatch):
+        # no stubs: where this process may run on two CPUs or more, 4097
+        # trials split for real, binding and then releasing the parent; on
+        # one CPU they run serially
+        mask = os.sched_getaffinity(0)
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=TWO_STATE)
+        ours, _ = _engine_totals(spec, 1.0, blocks=700, trials=4097, seed=13)
+        assert os.sched_getaffinity(0) == mask
+        _no_child_left()
+        monkeypatch.setattr(montecarlo, "_MIN_PART_TRIALS", 10 ** 9)
+        alone, _ = _engine_totals(spec, 1.0, blocks=700, trials=4097, seed=13)
+        assert ours.tobytes() == alone.tobytes()
 
 class TestKsHelper:
     def test_perfect_quantile_grid_scores_low(self):
