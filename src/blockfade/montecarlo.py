@@ -59,8 +59,8 @@ _DENSITY_BUFFER = 4096
 # seven scalar calls.
 _SCALAR_GAMMA_STATES = 8
 # The fewest density trials a forked process takes: about 10 ms of draws,
-# against about 2.5 ms to fork a child and wait for it. Changing it changes
-# no result.
+# against about 1.5 ms to fork a child and reap it. Changing it changes no
+# result.
 _MIN_PART_TRIALS = 1000
 # POSIX fixes SIGKILL at 9; the signal module is not otherwise imported.
 _SIGKILL = 9
@@ -198,14 +198,6 @@ def _density_coefficients(spec: ChannelSpec, x: np.ndarray):
     return spec.n_c * c + spec.n_c * l / 2.0, np.sqrt(x) / (s2 + x), l / (2.0 * s2)
 
 
-def _pin(cpus) -> None:
-    """Bind the calling process to cpus where the OS allows; else leave it."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
 def _reap(pid: int, kill: bool = False) -> int:
     """Wait for child pid, killed first if kill: its wait status, or -1 if
     something else reaped it (as where SIGCHLD is ignored).
@@ -229,25 +221,23 @@ def _in_parts(count: int, work) -> np.ndarray:
     The parent computes the first range. Each other range goes to a
     forked child, which writes it into a shared anonymous mapping and
     leaves by os._exit, so it neither flushes the stdio buffers nor runs
-    the exit handlers it inherited. Each process is bound to its own CPU
-    while the ranges run: a child forked onto its parent's CPU can stay
-    there for its whole range. The parent computes a range itself when its
-    fork raises OSError or its child exits nonzero. Before it returns or
-    raises, it restores its CPU mask and kills and reaps every child left.
+    the exit handlers it inherited. The kernel places the processes. The
+    parent computes a range itself when its fork raises OSError or its
+    child exits nonzero. Before it returns or raises, it kills and reaps
+    every child left.
     """
     # a forked child would not have the parent's other Python threads
     serial = (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
               or threading.active_count() > 1)
-    cpus = [] if serial else sorted(os.sched_getaffinity(0))
-    parts = min(len(cpus), count // _MIN_PART_TRIALS)
+    cpus = 1 if serial else len(os.sched_getaffinity(0))
+    parts = min(cpus, count // _MIN_PART_TRIALS)
     if parts < 2:
         return work(0, count)
     edges = [count * part // parts for part in range(parts + 1)]
     out = np.frombuffer(mmap.mmap(-1, 8 * count), dtype=np.float64)
     children, left = {}, []
-    _pin(cpus[:1])
     try:
-        for cpu, lo, hi in zip(cpus[1:], edges[1:-1], edges[2:]):
+        for lo, hi in zip(edges[1:-1], edges[2:]):
             try:
                 pid = os.fork()
             except OSError:
@@ -256,7 +246,6 @@ def _in_parts(count: int, work) -> np.ndarray:
             if pid == 0:
                 code = 1
                 try:
-                    _pin([cpu])
                     out[lo:hi] = work(lo, hi)
                     code = 0
                 finally:
@@ -270,7 +259,6 @@ def _in_parts(count: int, work) -> np.ndarray:
         for lo, hi in left:
             out[lo:hi] = work(lo, hi)
     finally:
-        _pin(cpus)
         for pid in children:
             _reap(pid, kill=True)
     return out

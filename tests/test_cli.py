@@ -461,7 +461,6 @@ class TestVerify:
         }
     }
 
-    @pytest.mark.slow
     def test_small_verify_passes_and_is_deterministic(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.SMALL_MC))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import mmap
 import os
 import re
 import threading
@@ -662,9 +663,12 @@ def _no_child_left():
 @pytest.fixture
 def cpus(monkeypatch):
     """cpus(count): the density split sees count usable CPUs. Forks are
-    counted and affinity calls recorded, not made, so no count asks for a
-    CPU the machine lacks and the suite's own mask never changes."""
-    calls = {"forks": 0, "pins": []}
+    counted, and a call that would write the CPU mask, in the parent or in
+    a forked child, fails the test: the split reads how many CPUs it may
+    use, never which, and leaves the kernel to place its processes."""
+    calls = {"forks": 0}
+    # shared with forked children, whose failures the parent only recomputes
+    mask_written = mmap.mmap(-1, 1)
     real_fork = os.fork
 
     def fork():
@@ -672,15 +676,20 @@ def cpus(monkeypatch):
         calls["forks"] += pid != 0
         return pid
 
+    def set_mask(pid, mask):
+        mask_written[0] = 1
+        pytest.fail(f"the split wrote the CPU mask: sched_setaffinity({pid}, {sorted(mask)})")
+
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls["pins"].append(sorted(mask)))
+    monkeypatch.setattr(os, "sched_setaffinity", set_mask)
 
     def use(count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-        calls["forks"], calls["pins"] = 0, []
+        calls["forks"] = 0
         return calls
 
-    return use
+    yield use
+    assert mask_written[0] == 0, "the split wrote the CPU mask"
 
 
 class TestDensityParts:
@@ -705,8 +714,6 @@ class TestDensityParts:
             totals[count] = _engine_totals(spec, 1.0, blocks=700, trials=trials, seed=13)[0].tobytes()
             parts = min(count, trials // _MIN_PART_TRIALS)
             assert calls["forks"] == parts - 1
-            # the parent is bound to the first CPU while the parts run, then released
-            assert calls["pins"] == ([[0], list(range(count))] if parts > 1 else [])
             _no_child_left()
         assert totals[1] == totals[2] == totals[3]
 
@@ -802,11 +809,10 @@ class TestDensityParts:
         monkeypatch.delattr(os, "fork")
         assert _in_parts(4 * _MIN_PART_TRIALS, work).tobytes() == \
             np.arange(4 * _MIN_PART_TRIALS, dtype=float).tobytes()
-        assert calls["pins"] == []
 
-    def test_real_split_keeps_bytes_and_restores_the_cpu_mask(self, monkeypatch):
+    def test_real_split_keeps_bytes_and_leaves_the_cpu_mask(self, monkeypatch):
         # no stubs: where this process may run on two CPUs or more, 4097
-        # trials split for real, binding and then releasing the parent; on
+        # trials split for real and the process's mask stays as it was; on
         # one CPU they run serially
         mask = os.sched_getaffinity(0)
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=TWO_STATE)
