@@ -93,8 +93,10 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     (each log_m over n), rate_nocsit, and the six columns of
     sweep_dispersion_stats. The residual terms of order n^beta and
     smaller are excluded; log-codebook sizes may be negative at small n
-    and are reported as computed. Row i equals the one-row call on
-    budgets[i] and n[i] bit for bit, whatever the other rows.
+    and are reported as computed, but are always finite: a row where one
+    overflows raises InvalidParameterError naming the column, n and
+    budget. Row i equals the one-row call on budgets[i] and n[i] bit for
+    bit, whatever the other rows.
 
     The upper bounds' num_states*log(n)/2 term counts the states; it
     does not read the law. Splitting one state into gains g and
@@ -131,10 +133,18 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     lb_st = lb_lt - np.sqrt(nf / 2.0)
     ub_st = (nf * cap + np.sqrt(nf * v_bf_prime) * quantile
              + 0.5 * spec.fading.num_states * log_n)
-    ub_lt = ub_st + np.sqrt(nf) / level * 0.5  # not / (2 * level), which can overflow
+    # not / (2 * level), which can overflow; a tiny level still overflows
+    # the quotient, and such rows are rejected below, so no warning
+    with np.errstate(over="ignore"):
+        ub_lt = ub_st + np.sqrt(nf) / level * 0.5
     nocsit_log_m = achievability(nocsit_cap, nocsit_v)
 
     log_m = (lb_st, lb_lt, ub_st, ub_lt)
+    if not np.isfinite(log_m).all():
+        field, row = np.argwhere(~np.isfinite(log_m))[0]
+        budget = float(budgets[row % len(budgets)])
+        raise InvalidParameterError(f"{_BOUND_FIELDS[4 + field]} overflows a float at n "
+                                    f"{ints[row]} and power budget {budget!r}")
     columns = dict(zip(_BOUND_FIELDS, (ints.copy(), ints // spec.n_c, np.full(rows, epsilon),
                                        np.full(rows, beta), *log_m, *(x / nf for x in log_m),
                                        nocsit_log_m / nf)))

@@ -313,8 +313,8 @@ _SERIES = (("capacity", "capacity"),
            ("rate_nocsit", "no transmitter side info"))
 
 
-def _clamped_rate_series(columns: dict, xs: list[float]):
-    return [(label, xs, np.maximum(columns[key], 0.0).tolist()) for key, label in _SERIES]
+def _clamped_rate_series(columns: dict) -> list[tuple[str, list[float]]]:
+    return [(label, np.maximum(columns[key], 0.0).tolist()) for key, label in _SERIES]
 
 
 def _write_sweep(cfg: dict, budgets: list[float], n: list[int], xs: list[float],
@@ -332,7 +332,7 @@ def _write_sweep(cfg: dict, budgets: list[float], n: list[int], xs: list[float],
     with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\n" + row * rows % values)
     if cfg.get("svg"):
-        chart = render_line_chart(_clamped_rate_series(columns, xs), x_label=x_label,
+        chart = render_line_chart(xs, _clamped_rate_series(columns), x_label=x_label,
                                   y_label="rate (nats per channel use)", log_x=log_x)
         with open(cfg["svg"], "w", encoding="utf-8", newline="") as fh:
             fh.write(chart)

@@ -2,9 +2,11 @@
 
 Produces a fixed-size chart with axes, tick labels, an optional
 log-scaled x axis and a legend. Output is a deterministic function of
-the inputs so repeated runs emit byte-identical files. Each distinct x
-is mapped to the plot once, however many series share it, and each
-polyline is written in one pass from a single "%.2f,%.2f " template.
+the inputs so repeated runs emit byte-identical files. The input is what
+the sweeps give, unchecked: one non-empty column of finite xs (positive
+on a log axis) that every series shares, and per series a label and a
+finite y per x. So each x is mapped to the plot once, and each polyline
+is written in one pass from a single "%.2f,%.2f " template.
 
 Ticks are the whole multiples of a nice step, or the whole decades on a
 log axis, taken from an index range, so their number is fixed before any
@@ -30,6 +32,7 @@ _WIDTH, _HEIGHT = 860, 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 40, 56
 _FLOAT_MAX = sys.float_info.max
 _FLOAT_TINY = math.ulp(0.0)  # the smallest positive float, 5e-324
+_TICK_TARGET = 6  # about this many ticks on a linear axis
 
 
 def _half_span(lo: float, hi: float) -> float:
@@ -37,9 +40,9 @@ def _half_span(lo: float, hi: float) -> float:
     return hi / 2.0 - lo / 2.0
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     # a subnormal span's step stops at the smallest positive float, not at 0
-    raw = max(_half_span(lo, hi) / (target / 2.0), _FLOAT_TINY)
+    raw = max(_half_span(lo, hi) / (_TICK_TARGET / 2.0), _FLOAT_TINY)
     mag = max(10.0 ** math.floor(math.log10(raw)), _FLOAT_TINY)
     step = mag * next((mult for mult in (1.0, 2.0, 2.5, 5.0) if raw <= mult * mag), 10.0)
     return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
@@ -99,24 +102,14 @@ def _tick_labels(ticks: list[float]) -> list[str]:
     return labels
 
 
-def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
+def render_line_chart(xs: Sequence[float], series: Sequence[tuple[str, Sequence[float]]],
                       *, x_label: str, y_label: str, log_x: bool = False) -> str:
-    """Render labelled (x, y) series to an SVG document string.
+    """Render (label, ys) series over one shared xs to an SVG document string.
 
-    series: iterable of (label, xs, ys) with equal-length coordinate
-    sequences; at least one finite point is required overall.
+    Each ys is as long as xs; the module docstring says what the values must be.
     """
-    finite = [[(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
-              for _, xs, ys in series]
-    xs_all = [x for points in finite for x, _ in points]
-    ys_all = [y for points in finite for _, y in points]
-    if not xs_all:
-        raise ValueError("nothing to plot: no finite data points")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if log_x and x_lo <= 0:
-        raise ValueError("log-scaled x axis needs strictly positive x values")
-    x_lo, x_hi = _widen_empty(x_lo, x_hi, log_x)
+    x_lo, x_hi = _widen_empty(min(xs), max(xs), log_x)
+    y_lo, y_hi = min(min(ys) for _, ys in series), max(max(ys) for _, ys in series)
     pad = 0.1 * _half_span(y_lo, y_hi)  # 5% of the span
     y_lo, y_hi = _widen_empty(y_lo - pad, y_hi + pad, False)
 
@@ -136,14 +129,12 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
     def py(y: float) -> float:
         return _MARGIN_T + (1.0 - (y / 2.0 - y0) / y_half) * plot_h
 
-    # The sweeps give every series the same xs, so each distinct x (its
-    # log10 on a log axis) is mapped once, not once per series.
-    x_pixels = {x: px(x) for x in set(xs_all)}
+    # every series shares xs, so each x (its log10 on a log axis) is mapped once
+    x_pixels = [px(x) for x in xs]
 
-    out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-               f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">')
-    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+           f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+           f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
 
     x_ticks = _on_plot(_log_ticks(x_lo, x_hi) if log_x else _nice_ticks(x_lo, x_hi), px,
                        _MARGIN_L, _MARGIN_L + plot_w)
@@ -167,22 +158,20 @@ def render_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[floa
     out.append(f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
                f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">{_escape(y_label)}</text>')
 
-    for k, points in enumerate(finite):
-        if not points:
-            continue
-        coords = tuple(v for x, y in points for v in (x_pixels[x], py(y)))
-        path = ("%.2f,%.2f " * len(points) % coords)[:-1]
+    for k, (_, ys) in enumerate(series):
+        coords = tuple(v for x, y in zip(x_pixels, ys) for v in (x, py(y)))
+        path = ("%.2f,%.2f " * len(xs) % coords)[:-1]
         color = _PALETTE[k % len(_PALETTE)]
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.8"/>')
 
     # legend, top right inside the plot area
-    legend_w = 14 + 34 + 8 + max(6 * max(len(label) for label, _, _ in series), 40)
+    legend_w = 14 + 34 + 8 + max(6 * max(len(label) for label, _ in series), 40)
     legend_x = _MARGIN_L + plot_w - legend_w - 10
     legend_y = _MARGIN_T + 10
     out.append(f'<rect x="{legend_x}" y="{legend_y}" width="{legend_w}" '
                f'height="{16 * len(series) + 10}" fill="white" fill-opacity="0.85" '
                f'stroke="#999999"/>')
-    for k, (label, _, _) in enumerate(series):
+    for k, (label, _) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         y = legend_y + 14 + 16 * k
         out.append(f'<line x1="{legend_x + 8}" y1="{y - 4}" x2="{legend_x + 34}" y2="{y - 4}" '

@@ -56,10 +56,9 @@ def test_exports_are_the_submodules_exports():
 
 
 def test_every_raise_is_one_error_type():
-    # a caller catches one class for every rejected input; svg.py is left
-    # out: its renderer is not exported, and the CLI hands it only finite,
-    # clamped series. The scan sees explicit raises only; the implicit
-    # TypeError and OverflowError of a bad scalar are covered by
+    # a caller catches one class for every rejected input. The scan reads
+    # every module but sees explicit raises only; the implicit TypeError
+    # and OverflowError of a bad scalar are covered by
     # test_bad_scalar_in_any_slot_raises_the_one_error_type, and the
     # TypeError and AttributeError of a bad sequence or value type by
     # test_bad_sequence_in_any_slot_raises_the_one_error_type and
@@ -67,12 +66,11 @@ def test_every_raise_is_one_error_type():
     package = Path(blockfade.__file__).parent
     raised = {}
     for path in sorted(package.glob("*.py")):
-        if path.name != "svg.py":
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Raise):
-                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                    name = "a bare raise" if exc is None else ast.unparse(exc)
-                    raised.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = "a bare raise" if exc is None else ast.unparse(exc)
+                raised.setdefault(name, []).append(f"{path.name}:{node.lineno}")
     assert "InvalidParameterError" in raised, "no raise found; the scan is broken"
     assert set(raised) == {"InvalidParameterError"}, raised
 

@@ -445,6 +445,25 @@ class TestBoundColumns:
         with pytest.raises(InvalidParameterError, match=message):
             bound_columns(spec, [1e-300], [100], 0.01)
 
+    def test_bound_that_overflows_a_float_is_rejected(self):
+        # at noise_var 1e-310 and budget 1e-320 the water level is about 1e-320,
+        # so sqrt(n) / (2 * level) in log_m_ub_lt overflows; the error names the
+        # first row at fault, and no RuntimeWarning (an error in this suite) comes first
+        spec = ChannelSpec(noise_var=1e-310, n_c=1, fading=two_state_spec().fading)
+        message = r"^log_m_ub_lt overflows a float at n {} and power budget 1e-320$"
+        with pytest.raises(InvalidParameterError, match=message.format(100)):
+            bound_columns(spec, [1e-320], [100], 0.01)
+        with pytest.raises(InvalidParameterError, match=message.format(200)):
+            bound_columns(spec, [1e-300, 1e-320], [200], 0.01)
+        assert np.isfinite(bound_columns(spec, [1e-300], [200], 0.01)["log_m_ub_lt"]).all()
+
+    def test_bound_near_the_float_range_is_kept(self):
+        # a single state with gain 1e154 at budget 1e-300 and n = 2^53 puts
+        # log_m_ub_lt within a factor of 4 of the largest float: finite, so kept
+        spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1e154], [1.0]))
+        log_m = bound_columns(spec, [1e-300], [2 ** 53], 0.01)["log_m_ub_lt"][0]
+        assert 4e307 < log_m < math.inf
+
 
 def unit_scale(columns, name, i):
     """How far a unit-free column may move: 1e-12 of this, per row."""
