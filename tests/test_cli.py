@@ -660,6 +660,21 @@ class TestSchema:
         assert err == "error: log_m_ub_lt overflows a float at n 100 and power budget 1e-320\n"
         assert not out.exists() and not svg.exists()
 
+    def test_power_sweep_bound_that_overflows_a_float_rejected(self, tmp_path, capsys):
+        # the power sweep shares the check: its lowest budget, -3200 dB, overflows
+        # log_m_ub_lt as in the blocklength sweep, so no row of the sweep is written
+        cfg, out, svg = tmp_path / "cfg.json", tmp_path / "o.csv", tmp_path / "o.svg"
+        cfg.write_text(json.dumps({"channel": json.loads(TWO_STATE_JSON), "noise_var": 1e-310,
+                                   "power_sweep": {"p_min_db": -3200, "p_max_db": -3000,
+                                                   "points": 2, "blocks": 10}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rate-vs-power", "--config", str(cfg), "--out", str(out),
+                         "--svg", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: log_m_ub_lt overflows a float at n 10 and power budget 1e-320\n"
+        assert not out.exists() and not svg.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--power-db", "1545"],
         ["--channel", '{"gains": [0.5, 1.0], "probs": [0.5, 0.5]}', "--power-db", "3070"],

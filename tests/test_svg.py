@@ -46,6 +46,16 @@ def test_flat_series_padded():
     assert "<polyline" in doc
 
 
+def test_every_series_draws_a_point_per_shared_x():
+    # xs are drawn as given, unsorted and repeated: every series has a point
+    # for each x, in the same pixel column as every other series
+    series = [("a", [0.0, 1.0, 2.0, 3.0]), ("b", [3.0, 2.0, 1.0, 0.0])]
+    doc = render_line_chart([3.0, 1.0, 2.0, 2.0], series, x_label="x", y_label="y")
+    paths = [line.split('"')[1] for line in doc.splitlines() if line.startswith("<polyline")]
+    assert [[point.split(",")[0] for point in path.split()] for path in paths] == [
+        ["836.00", "72.00", "454.00", "454.00"]] * 2
+
+
 # Inputs at the edges of the axis padding, each with the polylines it draws
 # and the sha256 of the whole document. A flat series is padded by 0.5
 # either side, and a single point is padded on both axes (halved and
