@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, items, real, whole
 from .fading import ChannelSpec, _codeword_length
-from .specfun import std_normal_inv_cdf
 from .waterfill import _mean_and_var, link_moments, water_fill
 
 __all__ = ["sweep_dispersion_stats", "bound_columns"]
@@ -23,6 +22,20 @@ _STAT_FIELDS = ("capacity", "v_bf", "v_bf_prime", "water_level", "nocsit_capacit
 _BOUND_FIELDS = ("n", "blocks", "epsilon", "beta",
                  "log_m_lb_st", "log_m_lb_lt", "log_m_ub_st", "log_m_ub_lt",
                  "rate_lb_st", "rate_lb_lt", "rate_ub_st", "rate_ub_lt", "rate_nocsit")
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Rational quantile approximation (Acklam), ~1.15e-9 relative error on its
+# own; one Newton step against the erfc-based cdf brings it to ~1e-15.
+_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+      6.680131188771972e+01, -1.328068155288572e+01)
+_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+      3.754408661907416e+00)
+_P_LOW = 0.02425
 
 
 def _checked_columns(columns) -> np.ndarray:
@@ -40,6 +53,34 @@ def _checked_columns(columns) -> np.ndarray:
         raise InvalidParameterError(f"{_STAT_FIELDS[field]} must be {rule}, got "
                                     f"{float(table[field, row])!r}")
     return table
+
+
+def _acklam(p: float) -> float:
+    # Three-region rational approximation of the standard normal quantile.
+    if p < _P_LOW:
+        q = math.sqrt(-2.0 * math.log(p))
+        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
+                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+    if p > 1.0 - _P_LOW:
+        q = math.sqrt(-2.0 * math.log(1.0 - p))
+        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
+                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+    q = p - 0.5
+    r = q * q
+    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
+            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile at a checked float p in (0, 1).
+
+    Acklam's approximation, then one Newton step on the cdf 0.5*erfc(-x/sqrt(2)).
+    """
+    x = _acklam(p)
+    density = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    if density > 0.0:
+        x -= (0.5 * math.erfc(-x / _SQRT2) - p) / density
+    return x
 
 
 def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
@@ -118,7 +159,7 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     stats = sweep_dispersion_stats(spec, budgets)
     cap, v_bf, v_bf_prime, level, nocsit_cap, nocsit_v = stats.values()
     rows = max(len(cap), len(n))
-    quantile = std_normal_inv_cdf(epsilon)
+    quantile = _normal_quantile(epsilon)
     ints = np.broadcast_to(np.array(n), rows)
     nf = np.array(n, dtype=float)
     # math.log and float ** are taken per n: NumPy's SIMD log and power can

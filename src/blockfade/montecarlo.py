@@ -33,12 +33,12 @@ import numpy as np
 
 from .errors import InvalidParameterError, real, whole
 from .fading import _INT_MAX, ChannelSpec, _codeword_length
-from .specfun import _SQRT2
 from .waterfill import link_moments, water_fill
 
 __all__ = ["SimConfig", "simulate_st_controller", "simulate_information_density"]
 
 _MASK64 = (1 << 64) - 1
+_SQRT2 = math.sqrt(2.0)
 _CONTROLLER_STREAM = 1
 _DENSITY_STREAM = 11
 # The density simulation's trial floor, and the lo of the CLI's
@@ -319,8 +319,8 @@ def _density_totals(cfg: SimConfig, fixed: np.ndarray, lin: np.ndarray,
 
 def _ks_distance(sorted_sample: np.ndarray) -> float:
     n = len(sorted_sample)
-    # specfun.std_normal_cdf's 0.5*erfc(-t/sqrt(2)) without revalidating
-    # each finite point; -t/s is t/-s, and no list of n floats is built
+    # the standard normal cdf 0.5*erfc(-t/sqrt(2)), which keeps full
+    # precision in both tails; -t/s is t/-s, and no list of n floats is built
     cdf = 0.5 * np.fromiter(map(math.erfc, sorted_sample / -_SQRT2), float, n)
     steps = np.arange(1, n + 1) / n
     d_plus = float(np.max(steps - cdf))

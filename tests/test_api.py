@@ -10,8 +10,8 @@ import pytest
 import blockfade
 from blockfade import (ChannelSpec, FadingDistribution, InvalidParameterError, SimConfig,
                        bound_columns, bounds, discretize_rayleigh, fading, make_distribution,
-                       montecarlo, simulate_st_controller, specfun, sweep_dispersion_stats,
-                       water_fill, waterfill)
+                       montecarlo, simulate_st_controller, sweep_dispersion_stats, water_fill,
+                       waterfill)
 
 ERROR_CLASSES = {"InvalidParameterError"}
 
@@ -45,11 +45,9 @@ def test_star_import_binds_every_export():
 
 def test_exports_are_the_submodules_exports():
     # a name deleted from a module cannot stay listed by the package, nor
-    # the other way round; specfun's two functions serve bounds and
-    # montecarlo and are imported from blockfade.specfun, not the package
+    # the other way round
     names = [name for module in (bounds, fading, montecarlo, waterfill)
              for name in module.__all__]
-    assert not set(specfun.__all__) & set(blockfade.__all__)
     assert len(set(names)) == len(names)
     assert len(set(blockfade.__all__)) == len(blockfade.__all__)
     assert set(blockfade.__all__) == set(names) | ERROR_CLASSES

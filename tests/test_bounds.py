@@ -15,11 +15,13 @@ from blockfade import (
     water_fill,
 )
 import blockfade.bounds as bounds
-from blockfade.specfun import std_normal_inv_cdf
+from blockfade.bounds import _normal_quantile
 from blockfade.waterfill import link_moments
 from oracles import (
     TWO_STATE,
     awgn_dispersion,
+    bisect_quantile,
+    mp_norm_cdf,
     oracle_bound_terms,
     oracle_bounds,
     oracle_channel_quantities,
@@ -60,6 +62,43 @@ def no_sweep(monkeypatch):
     """Fail the test if bound_columns starts the sweep or a water-filling solve."""
     for name in ("sweep_dispersion_stats", "water_fill"):
         monkeypatch.setattr(bounds, name, must_not_run)
+
+
+class TestNormalQuantile:
+    def test_median_exact(self):
+        assert _normal_quantile(0.5) == 0.0
+
+    def test_001_against_bisection_oracle(self):
+        value = _normal_quantile(0.01)
+        assert value == pytest.approx(bisect_quantile(0.01), abs=1e-9)
+        assert value == pytest.approx(-2.3263479, abs=1e-6)
+
+    @pytest.mark.parametrize("branch", ["tail", "central"])
+    def test_within_16_ulps_of_bisection(self, branch):
+        # Acklam's approximation alone is 8e4 to 1e7 ulps off on this grid;
+        # one Newton step brings every point within 7
+        for p in np.geomspace(1e-30, 0.49, 41):
+            if (p < bounds._P_LOW) == (branch == "tail"):
+                oracle = bisect_quantile(float(p))
+                assert abs(_normal_quantile(float(p)) - oracle) <= 16 * math.ulp(oracle), p
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-2, 0.1])
+    def test_correctly_rounded_at_common_epsilons(self, p):
+        assert _normal_quantile(p) == bisect_quantile(p)
+
+    def test_inverse_round_trip_on_x_grid(self):
+        for x in np.linspace(-5.0, 5.0, 101):
+            x = float(x)
+            assert _normal_quantile(mp_norm_cdf(x)) == pytest.approx(x, abs=1e-8)
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-9, 1.0 - 1e-9])
+    def test_extreme_tail_round_trip(self, p):
+        assert mp_norm_cdf(_normal_quantile(p)) == pytest.approx(p, rel=1e-6)
+
+    def test_monotonic(self):
+        ps = np.linspace(1e-9, 1.0 - 1e-9, 2001)
+        values = [_normal_quantile(float(p)) for p in ps]
+        assert all(b > a for a, b in zip(values, values[1:]))
 
 
 class TestDispersions:
@@ -244,7 +283,7 @@ class TestBoundPoint:
         with pytest.raises(InvalidParameterError):
             bound_columns(self.spec, [1.0], [0], 0.01)
 
-    @pytest.mark.parametrize("eps", [0.6, 0.5, 0.0, -0.1, 1.0])
+    @pytest.mark.parametrize("eps", [0.6, 0.5, 0.0, -0.1, 1.0, 1.1, math.nan])
     def test_epsilon_domain(self, no_sweep, eps):
         with pytest.raises(InvalidParameterError, match="error probability"):
             bound_columns(self.spec, [1.0], [1000], eps)
@@ -308,7 +347,7 @@ class TestConvergence:
 
 def scalar_bound_point(stats, n, num_states, epsilon, beta):
     """The bounds at one n in scalar math, in the library's order of operations."""
-    q = std_normal_inv_cdf(epsilon)
+    q = _normal_quantile(epsilon)
     log_n = math.log(n)
     backoff = float(n) ** ((1.0 - beta) / 2.0)
     lb_lt = n * stats["capacity"] + math.sqrt(n * stats["v_bf"]) * q + 0.5 * log_n - backoff
@@ -586,7 +625,7 @@ class TestInvariants:
         i = fits[index % len(fits)]
         n = [100 * n_c, 10 ** 4 * n_c]
         nf = np.array(n, dtype=float)
-        q = abs(std_normal_inv_cdf(0.01))
+        q = abs(_normal_quantile(0.01))
         base = bound_table(gains, probs, noise_var, budget, n_c, n)
         v, v_prime, v_const = (base[name][0] for name in ("v_bf", "v_bf_prime", "nocsit_v"))
         k_v = 2.0 * (1.0 + math.sqrt(n_c * v))

@@ -28,6 +28,7 @@ from blockfade import (
 )
 import blockfade.montecarlo as montecarlo
 import blockfade.waterfill as waterfill
+from blockfade.bounds import _normal_quantile
 from blockfade.cli import main
 from blockfade.montecarlo import (_CONTROLLER_CHUNK, _CONTROLLER_STREAM, _DENSITY_STREAM,
                                   _MIN_PART_TRIALS, _delta_b, _density_coefficients,
@@ -38,6 +39,7 @@ from oracles import (
     controller_powers,
     exact_violation_probability,
     fsum_mean_var,
+    mp_norm_cdf,
     oracle_link_c,
     oracle_link_v,
     per_block_violations,
@@ -825,16 +827,48 @@ class TestDensityParts:
 
 class TestKsHelper:
     def test_perfect_quantile_grid_scores_low(self):
-        from blockfade.specfun import std_normal_inv_cdf
         n = 2000
-        sample = np.array([std_normal_inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
+        sample = np.array([_normal_quantile((i - 0.5) / n) for i in range(1, n + 1)])
         assert _ks_distance(np.sort(sample)) <= 1.0 / n
 
     def test_shifted_sample_scores_high(self):
-        from blockfade.specfun import std_normal_inv_cdf
         n = 500
-        sample = np.array([std_normal_inv_cdf((i - 0.5) / n) + 1.0 for i in range(1, n + 1)])
+        sample = np.array([_normal_quantile((i - 0.5) / n) + 1.0 for i in range(1, n + 1)])
         assert _ks_distance(np.sort(sample)) > 0.3
+
+
+class TestKsCdf:
+    # The KS distance of a one-point sample [t] is max(1 - cdf(t), cdf(t)),
+    # which is cdf(|t|): these read the erfc map of _ks_distance.
+    @staticmethod
+    def one_point(t):
+        return _ks_distance(np.array([float(t)]))
+
+    def test_at_zero(self):
+        assert self.one_point(0.0) == 0.5
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
+    def test_symmetry(self, x):
+        # reads 1 - cdf(-x) and cdf(x)
+        assert self.one_point(-x) == pytest.approx(self.one_point(x), abs=1e-15)
+
+    @pytest.mark.parametrize("half", ["negative", "non-negative"])
+    def test_against_series_oracle(self, half):
+        for t in np.linspace(-8.0, 8.0, 161):
+            if (t < 0.0) == (half == "negative"):
+                assert self.one_point(t) == pytest.approx(mp_norm_cdf(abs(float(t))), abs=1e-12)
+
+    def test_975_point(self):
+        assert self.one_point(1.959964) == pytest.approx(mp_norm_cdf(1.959964), abs=1e-12)
+        assert round(self.one_point(1.959964), 3) == 0.975
+
+    def test_monotonic(self):
+        # strict where double precision can resolve the increments,
+        # non-decreasing out to the saturated tail
+        values = [self.one_point(t) for t in np.linspace(0.0, 6.0, 1001)]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        values = [self.one_point(t) for t in np.linspace(0.0, 9.0, 1001)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestVerifySections:
