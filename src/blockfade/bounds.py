@@ -101,12 +101,12 @@ def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
     levels, powers = water_fill(spec, budgets)  # checks the budgets
     budgets = np.asarray(budgets, dtype=float)
     gains = np.asarray(spec.fading.gains, dtype=float)
+    g2 = gains * gains
     rows = len(budgets)
     # The water-filling rows, then the constant-power rows (the budget in
-    # every state), in one kernel call: np.sum reduces each row on its own.
-    const = np.broadcast_to(budgets[:, None], powers.shape)
+    # every state), in one kernel call: the sums reduce each row on its own.
     c_vals, l_vals, cap, var_c, var_l, mean_v = link_moments(
-        spec, gains * gains * np.concatenate((powers, const)))
+        spec, np.concatenate((g2 * powers, g2 * budgets[:, None])))
     v_bf = mean_v + spec.n_c * var_c + 0.5 * var_l
     # budget / level * 0.5 has the bits of budget / (2 * level) and cannot
     # overflow where 2 * level would.
@@ -160,7 +160,7 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     cap, v_bf, v_bf_prime, level, nocsit_cap, nocsit_v = stats.values()
     rows = max(len(cap), len(n))
     quantile = _normal_quantile(epsilon)
-    ints = np.broadcast_to(np.array(n), rows)
+    ints = np.array(n).repeat(rows // len(n))  # one length may serve every row
     nf = np.array(n, dtype=float)
     # math.log and float ** are taken per n: NumPy's SIMD log and power can
     # differ from them in the last bit, and the outputs are pinned to them.
@@ -186,8 +186,8 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
         budget = float(budgets[row % len(budgets)])
         raise InvalidParameterError(f"{_BOUND_FIELDS[4 + field]} overflows a float at n "
                                     f"{ints[row]} and power budget {budget!r}")
-    columns = dict(zip(_BOUND_FIELDS, (ints.copy(), ints // spec.n_c, np.full(rows, epsilon),
+    columns = dict(zip(_BOUND_FIELDS, (ints, ints // spec.n_c, np.full(rows, epsilon),
                                        np.full(rows, beta), *log_m, *(x / nf for x in log_m),
                                        nocsit_log_m / nf)))
-    columns.update((name, np.broadcast_to(col, rows).copy()) for name, col in stats.items())
+    columns.update((name, col.repeat(rows // len(col))) for name, col in stats.items())
     return columns

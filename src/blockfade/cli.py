@@ -285,11 +285,12 @@ def _blocklength_grid(cfg: dict) -> list[int]:
     points, log_spaced = cfg["blocklength_sweep.points"], cfg["blocklength_sweep.log_spaced"]
     if points == 1:
         return [b_min]
+    log_min, log_max = math.log(b_min), math.log(b_max)
     grid = []
     for i in range(points):
         frac = i / (points - 1)
         if log_spaced:
-            value = math.exp(math.log(b_min) + frac * (math.log(b_max) - math.log(b_min)))
+            value = math.exp(log_min + frac * (log_max - log_min))
         else:
             value = b_min + frac * (b_max - b_min)
         grid.append(int(round(value)))
@@ -322,13 +323,22 @@ def _write_sweep(cfg: dict, budgets: list[float], n: list[int], xs: list[float],
     """Write the bounds of every row to the CSV and the optional SVG; see bound_columns."""
     columns = bound_columns(cfg["spec"], budgets, n, cfg["epsilon"], cfg["beta"])
     rows = len(columns["n"])
-    columns.update(B=columns["blocks"], n_c=np.full(rows, cfg["n_c"]),
-                   power_linear=np.broadcast_to(budgets, rows))
-    table = [columns[name] for name in _CSV_COLUMNS]
-    # One row template from the column dtypes, applied to the whole table at
-    # once: %d prints an int as str does, %.17g a float as format(v, ".17g").
-    row = ",".join("%d" if column.dtype.kind in "iu" else "%.17g" for column in table) + "\n"
-    values = tuple(chain.from_iterable(zip(*(column.tolist() for column in table))))
+    columns.update(B=columns["blocks"], n_c=np.array([cfg["n_c"]]),
+                   power_linear=np.array(budgets))
+    # Columns that are constant by construction, as the input lengths (never
+    # the values) tell: n_c and epsilon always, the budget's columns for one
+    # budget and the length's for one length.
+    constant = {"n_c", "epsilon", *(("power_linear", "capacity") if len(budgets) == 1 else ()),
+                *(("n", "B") if len(n) == 1 else ())}
+    # One row template from the column dtypes, with each constant column's
+    # value printed into it once, applied to the varying columns of the whole
+    # table at once: %d prints an int as str does, %.17g a float as
+    # format(v, ".17g").
+    specs = {name: "%d" if columns[name].dtype.kind in "iu" else "%.17g" for name in _CSV_COLUMNS}
+    row = ",".join(specs[name] % columns[name][0].item() if name in constant else specs[name]
+                   for name in _CSV_COLUMNS) + "\n"
+    values = tuple(chain.from_iterable(zip(*(columns[name].tolist() for name in _CSV_COLUMNS
+                                             if name not in constant))))
     with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\n" + row * rows % values)
     if cfg.get("svg"):

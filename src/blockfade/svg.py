@@ -5,8 +5,10 @@ log-scaled x axis and a legend. Output is a deterministic function of
 the inputs so repeated runs emit byte-identical files. The input is what
 the sweeps give, unchecked: one non-empty column of finite xs (positive
 on a log axis) that every series shares, and per series a label and a
-finite y per x. So each x is mapped to the plot once, and each polyline
-is written in one pass from a single "%.2f,%.2f " template.
+finite y per x. So each x is mapped to the plot and printed once, into
+a polyline template that holds a "%.2f" slot per y; the ys of all series
+are mapped in one array expression, and each series fills the template in
+one pass.
 
 Ticks are the whole multiples of a nice step, or the whole decades on a
 log axis, taken from an index range, so their number is fixed before any
@@ -24,6 +26,8 @@ axis: ys at -1e308 and 1e308 have a span past the largest float.
 import math
 import sys
 from typing import Sequence
+
+import numpy as np
 
 __all__ = ["render_line_chart"]
 
@@ -126,11 +130,12 @@ def render_line_chart(xs: Sequence[float], series: Sequence[tuple[str, Sequence[
     def px(x: float) -> float:
         return _MARGIN_L + ((math.log10(x) if log_x else x) / 2.0 - x0) / x_half * plot_w
 
-    def py(y: float) -> float:
+    def py(y):  # a float, or an array elementwise
         return _MARGIN_T + (1.0 - (y / 2.0 - y0) / y_half) * plot_h
 
-    # every series shares xs, so each x (its log10 on a log axis) is mapped once
-    x_pixels = [px(x) for x in xs]
+    # every series shares xs, so each x (its log10 on a log axis) is mapped
+    # and printed once, into a polyline template that every series fills
+    points = " ".join([f"{px(x):.2f},%.2f" for x in xs])
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
            f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
@@ -158,9 +163,10 @@ def render_line_chart(xs: Sequence[float], series: Sequence[tuple[str, Sequence[
     out.append(f'<text x="18" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
                f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">{_escape(y_label)}</text>')
 
-    for k, (_, ys) in enumerate(series):
-        coords = tuple(v for x, y in zip(x_pixels, ys) for v in (x, py(y)))
-        path = ("%.2f,%.2f " * len(xs) % coords)[:-1]
+    # py on the ys of every series as one array: IEEE +, -, * and / give a
+    # numpy float the bits of a Python float
+    for k, ys in enumerate(py(np.array([ys for _, ys in series], dtype=float)).tolist()):
+        path = points % tuple(ys)
         color = _PALETTE[k % len(_PALETTE)]
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.8"/>')
 

@@ -36,11 +36,11 @@ def link_terms(x, noise_var: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _mean_and_var(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Two-pass centered form along the state (last) axis; exact finite sums.
-    # np.sum reduces each row alone, so a row's result does not depend on
+    # A sum reduces each row alone, so a row's result does not depend on
     # how many rows are stacked (a BLAS matrix-vector product can).
-    mean = np.sum(values * probs, axis=-1)
+    mean = (values * probs).sum(axis=-1)
     centered = values - mean[..., None]
-    return mean, np.sum(centered * centered * probs, axis=-1)
+    return mean, (centered * centered * probs).sum(axis=-1)
 
 
 def link_moments(spec: ChannelSpec, g2: np.ndarray):
@@ -52,9 +52,10 @@ def link_moments(spec: ChannelSpec, g2: np.ndarray):
     """
     probs = np.asarray(spec.fading.probs, dtype=float)
     c_vals, l_vals, v_vals = link_terms(g2, spec.noise_var)
-    mean_c, var_c = _mean_and_var(c_vals, probs)
-    _, var_l = _mean_and_var(l_vals, probs)
-    return c_vals, l_vals, mean_c, var_c, var_l, np.sum(v_vals * probs, axis=-1)
+    # c, l and v stacked on a new first axis: one pass for all three
+    (mean_c, _, mean_v), (var_c, var_l, _) = _mean_and_var(np.stack((c_vals, l_vals, v_vals)),
+                                                           probs)
+    return c_vals, l_vals, mean_c, var_c, var_l, mean_v
 
 
 def _floors(spec: ChannelSpec) -> np.ndarray:

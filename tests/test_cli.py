@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from blockfade import (ChannelSpec, InvalidParameterError, bound_columns, discretize_rayleigh,
-                       make_distribution, sweep_dispersion_stats)
+from blockfade import (ChannelSpec, FadingDistribution, InvalidParameterError, bound_columns,
+                       discretize_rayleigh, make_distribution, sweep_dispersion_stats)
 import blockfade.bounds as bounds
 import blockfade.cli as cli
 import blockfade.montecarlo as montecarlo
@@ -214,6 +215,93 @@ class TestPowerSweep:
         assert main(["rate-vs-blocklength", "--config", str(b_cfg),
                      "--power-db", "5", "--out", str(b_out)]) == 0
         assert p_out.read_bytes() == b_out.read_bytes()
+
+
+@st.composite
+def sweep_commands(draw):
+    """(argv without the file and output flags, config, channel profile) of a random sweep."""
+    k = draw(st.integers(1, 6))
+    gains = [draw(st.floats(0.05, 2.0))]
+    for step in draw(st.lists(st.floats(1e-3, 1.0), min_size=k - 1, max_size=k - 1)):
+        gains.append(gains[-1] + step)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    probs = [w / math.fsum(weights) for w in weights]
+    argv = ["--nc", str(draw(st.integers(1, 4))),
+            "--epsilon", repr(draw(st.sampled_from((1e-3, 0.01, 0.1)))),
+            "--points", str(draw(st.integers(1, 60)))]
+    if draw(st.booleans()):
+        b_min = draw(st.integers(1, 10 ** 6))
+        # in the file: argparse reads a flag value such as -5e-3 as a flag
+        config = {"power_db": draw(st.floats(-200.0, 60.0)),
+                  "blocklength_sweep": {"b_min": b_min, "b_max": draw(st.integers(b_min, 10 ** 7)),
+                                        "log_spaced": draw(st.booleans())}}
+        argv = ["rate-vs-blocklength"] + argv
+    else:
+        p_min = draw(st.floats(-200.0, 60.0))
+        config = {"power_sweep": {"p_min_db": p_min, "p_max_db": draw(st.floats(p_min, 60.0)),
+                                  "blocks": draw(st.integers(1, 10 ** 6))}}
+        argv = ["rate-vs-power"] + argv
+    return argv, config, {"gains": gains, "probs": probs}
+
+
+def flag(argv, name):
+    return argv[argv.index(name) + 1]
+
+
+def reference_csv(argv, config, profile):
+    """The CSV of a sweep, row by row from bound_columns, one %d or %.17g per value.
+
+    The grids are rebuilt here, not taken from the CLI: block counts
+    rounded from points evenly spaced in log(blocks) or in blocks, with
+    both ends pinned, and budgets 10^(dB/10) at evenly spaced dB.
+    """
+    n_c, epsilon = int(flag(argv, "--nc")), float(flag(argv, "--epsilon"))
+    points = int(flag(argv, "--points"))
+    if argv[0] == "rate-vs-blocklength":
+        sweep = config["blocklength_sweep"]
+        lo, hi = sweep["b_min"], sweep["b_max"]
+        fracs = [i / (points - 1) for i in range(1, points - 1)]
+        if sweep["log_spaced"]:
+            inner = [math.exp(math.log(lo) + f * (math.log(hi) - math.log(lo))) for f in fracs]
+        else:
+            inner = [lo + f * (hi - lo) for f in fracs]
+        blocks = [lo] if points == 1 else [lo] + [round(v) for v in inner] + [hi]
+        n = [b * n_c for b in blocks]
+        budgets = [10.0 ** (config["power_db"] / 10.0)]
+    else:
+        sweep = config["power_sweep"]
+        lo, hi = sweep["p_min_db"], sweep["p_max_db"]
+        grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)] if points > 1 else [lo]
+        n = [sweep["blocks"] * n_c]
+        budgets = [10.0 ** (db / 10.0) for db in grid]
+    spec = ChannelSpec(noise_var=1.0, n_c=n_c, fading=FadingDistribution.from_json_dict(profile))
+    columns = {name: col.tolist() for name, col in
+               bound_columns(spec, budgets, n, epsilon, 0.01).items()}
+    columns.update(B=columns["blocks"], n_c=[n_c] * len(columns["n"]),
+                   power_linear=budgets * (len(columns["n"]) // len(budgets)))
+    lines = [",".join(cli._CSV_COLUMNS)]
+    for i in range(len(columns["n"])):
+        values = [columns[name][i] for name in cli._CSV_COLUMNS]
+        lines.append(",".join(("%d" if isinstance(v, int) else "%.17g") % v for v in values))
+    return "\n".join(lines) + "\n"
+
+
+@given(sweep_commands())
+# p_min_db == p_max_db: a varying column (power_linear, capacity) repeats one value
+@example((["rate-vs-power", "--nc", "2", "--epsilon", "0.01", "--points", "3"],
+          {"power_sweep": {"p_min_db": 7.5, "p_max_db": 7.5, "blocks": 250}},
+          {"gains": [0.5, 1.5], "probs": [0.25, 0.75]}))
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sweep_csv_bytes_equal_a_row_by_row_reference(tmp_path, command):
+    # the CLI prints columns constant by construction into its row template
+    # once; every byte must still be the value's own %d or %.17g
+    argv, config, profile = command
+    chan, cfg, out = tmp_path / "chan.json", tmp_path / "cfg.json", tmp_path / "out.csv"
+    chan.write_text(json.dumps(profile))
+    cfg.write_text(json.dumps(config))
+    assert main(argv + ["--channel", str(chan), "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == reference_csv(argv, config, profile)
 
 
 # sha256 of the CSV and SVG that each sweep writes at its defaults with --svg.

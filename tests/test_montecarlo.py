@@ -430,6 +430,19 @@ class TestDensitySimulation:
         assert main(["verify", "--seed", "0", "--out", str(out)] + flags) == 3
         assert json.loads(out.read_text())["density"]["mean_pass"] is False
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 17: l enters only Var L, which no density "
+                              "target reads, so no check sees a wrong l")
+    def test_a_wrong_link_power_fraction_fails_verify(self, tmp_path, monkeypatch):
+        # l 5% high in link_terms moves Var L and with it the bounds, but
+        # verify at seed 0 still passes
+        def planted(x, noise_var):
+            c, l, v = link_terms(x, noise_var)
+            return c, 1.05 * l, v
+
+        monkeypatch.setattr(waterfill, "link_terms", planted)
+        assert main(["verify", "--seed", "0", "--out", str(tmp_path / "report.json")]) == 3
+
     @given(random_channels(), st.integers(1, 3))
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_analytic_targets_share_the_bounds_moments(self, params, n_c):
