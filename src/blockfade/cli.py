@@ -401,9 +401,29 @@ def cmd_verify(cfg: dict) -> int:
 _RUN = dict(zip(_COMMANDS, (cmd_rate_vs_blocklength, cmd_rate_vs_power, cmd_verify)))
 
 
+# argparse reads a flag value such as -1e-3 as an option (its negative-number
+# pattern has no exponent), so main joins each of these flags and a following
+# number into one "--flag=value" token.
+_VALUE_FLAGS = {"--config"} | {field.flag for field in _FIELDS if field.flag}
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        tokens = []
+        for token in sys.argv[1:] if argv is None else argv:
+            if tokens and tokens[-1] in _VALUE_FLAGS and _is_number(token):
+                tokens[-1] += "=" + token
+            else:
+                tokens.append(token)
+        args = _build_parser().parse_args(tokens)
         return _RUN[args.command](_resolve(args))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

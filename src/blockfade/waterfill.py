@@ -5,9 +5,9 @@ state; the common level is chosen so that the average spent power equals
 the budget. Gains are strictly increasing, so the per-state floors
 noise_var/gain^2 decrease in state order and every active set is a
 suffix of the states. The level is solved in closed form, without
-iteration: for each candidate suffix the budget equation is linear in
-the level, and the largest consistent suffix is picked with cumulative
-sums. Many budgets are solved in one array pass.
+iteration: one sorted search finds the active suffix, on which the
+budget equation is linear in the level. Many budgets are solved in one
+array pass.
 """
 
 import numpy as np
@@ -73,15 +73,15 @@ def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     one error, no warning). Row i equals the one-row call on [budgets[i]]
     bit for bit.
 
-    With the states reversed (floors f increasing, probabilities q),
-    raising the water to f_k over the first k states costs
-    to_floor_k = sum_{j<k} q_j*(f_k - f_j), a cumulative sum of
-    non-negative terms, so it carries no cancellation. With the first k
-    states active the level sits above_k = (budget - to_floor_k) /
-    cumsum(q)_k above f_k. above_1 = budget/q_1 > 0, and above_k > 0
-    exactly while budget > to_floor_k, so the active states form a
-    prefix whose last index (top) count_nonzero finds. Powers are formed
-    as (f_top - f_j) + above_top rather than level - f_j, so the spent
+    With the states reversed (floors f increasing, probabilities q,
+    Q = cumsum(q)), raising the water to f_k over the first k states
+    costs to_floor_k = sum_{j<k} q_j*(f_k - f_j), formed as the running
+    sum of Q_i*(f_{i+1} - f_i) over i < k in order. Its terms are
+    non-negative, so it never decreases and has no cancellation. State k
+    is active exactly while budget > to_floor_k (a tie leaves it off), so
+    one sorted search finds the last active index, top, and the level
+    sits depth = (budget - to_floor_top) / Q_top above f_top. Powers are
+    formed as (f_top - f_j) + depth rather than level - f_j, so the spent
     power meets the budget to rounding (far inside 1e-9*max(1, budget))
     even when the floors dwarf the budget.
     """
@@ -91,12 +91,11 @@ def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     probs = np.asarray(spec.fading.probs, dtype=float)[::-1]
     cum_q = np.cumsum(probs)
     to_floor = np.concatenate(([0.0], np.cumsum(cum_q[:-1] * np.diff(floors))))
+    top = np.searchsorted(to_floor, budgets) - 1
     # A budget near the float range overflows here; such rows are rejected
     # below, so the overflow is not worth a warning.
     with np.errstate(over="ignore"):
-        above = (budgets[:, None] - to_floor) / cum_q
-        top = np.count_nonzero(above > 0.0, axis=1) - 1
-        depth = above[np.arange(len(budgets)), top]
+        depth = (budgets - to_floor[top]) / cum_q[top]
         levels = floors[top] + depth
         # The largest received power per row. The link terms form it, noise_var
         # plus it and its SNR; the quotient below is finite only if all are.

@@ -53,6 +53,14 @@ def bounds_at(spec, budget, n, epsilon, beta=0.01):
     return {name: col.tolist()[0] for name, col in columns.items()}
 
 
+def assert_implied_pairs(bp):
+    # no lower bound exceeds the upper bound under its own cap, and a
+    # per-codeword (st) cap is stricter than an average (lt) one, so lb_st
+    # may not exceed ub_lt either
+    for lower, upper in (("lb_st", "ub_st"), ("lb_lt", "ub_lt"), ("lb_st", "ub_lt")):
+        assert bp[f"log_m_{lower}"] <= bp[f"log_m_{upper}"], (lower, upper)
+
+
 def must_not_run(*args, **kwargs):
     raise AssertionError("bound_columns computed before it checked its inputs")
 
@@ -307,6 +315,14 @@ class TestBoundPoint:
         assert bp["log_m_lb_st"] <= bp["log_m_lb_lt"]
         assert bp["log_m_ub_st"] <= bp["log_m_ub_lt"]
         assert bp["log_m_lb_lt"] <= bp["log_m_ub_st"]
+        assert_implied_pairs(bp)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 9: from n_c = 2 lb_lt exceeds ub_lt on some channels")
+    def test_implied_pairs_at_two_uses_per_block(self):
+        # log_m_lb_lt - log_m_ub_lt is +5.84 nats here; the preset stays ordered
+        spec = ChannelSpec(noise_var=1.0, n_c=2, fading=make_distribution([0.3, 3.0], [0.5, 0.5]))
+        assert_implied_pairs(bounds_at(spec, 10.0, 20_000, 0.01))
 
 
 class TestConvergence:

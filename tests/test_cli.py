@@ -231,9 +231,9 @@ def sweep_commands(draw):
             "--points", str(draw(st.integers(1, 60)))]
     if draw(st.booleans()):
         b_min = draw(st.integers(1, 10 ** 6))
-        # in the file: argparse reads a flag value such as -5e-3 as a flag
-        config = {"power_db": draw(st.floats(-200.0, 60.0)),
-                  "blocklength_sweep": {"b_min": b_min, "b_max": draw(st.integers(b_min, 10 ** 7)),
+        # as two tokens, so a value such as -5e-05 follows its flag alone
+        argv += ["--power-db", repr(draw(st.floats(-200.0, 60.0)))]
+        config = {"blocklength_sweep": {"b_min": b_min, "b_max": draw(st.integers(b_min, 10 ** 7)),
                                         "log_spaced": draw(st.booleans())}}
         argv = ["rate-vs-blocklength"] + argv
     else:
@@ -267,7 +267,7 @@ def reference_csv(argv, config, profile):
             inner = [lo + f * (hi - lo) for f in fracs]
         blocks = [lo] if points == 1 else [lo] + [round(v) for v in inner] + [hi]
         n = [b * n_c for b in blocks]
-        budgets = [10.0 ** (config["power_db"] / 10.0)]
+        budgets = [10.0 ** (float(flag(argv, "--power-db")) / 10.0)]
     else:
         sweep = config["power_sweep"]
         lo, hi = sweep["p_min_db"], sweep["p_max_db"]
@@ -445,6 +445,16 @@ class TestConfigHandling:
         _, rows = read_csv(out)
         spec = ChannelSpec(noise_var=1.0, n_c=1, fading=make_distribution([1.0, 2.0], [0.5, 0.5]))
         assert float(rows[0]["capacity"]) == sweep_dispersion_stats(spec, [1.0])["capacity"][0]
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-5E-05", "-3"])
+    def test_negative_flag_value_as_its_own_token(self, tmp_path, value):
+        # argparse reads -1e-3 alone as an option; the CLI joins it to its flag
+        split, joined = tmp_path / "split.csv", tmp_path / "joined.csv"
+        assert main(["rate-vs-blocklength", "--power-db", value, "--out", str(split)]) == 0
+        assert main(["rate-vs-blocklength", f"--power-db={value}", "--out", str(joined)]) == 0
+        assert split.read_bytes() == joined.read_bytes()
+        _, rows = read_csv(split)
+        assert float(rows[0]["power_linear"]) == 10.0 ** (float(value) / 10.0)
 
     def test_preset_matches_library_constructor(self):
         assert preset_fading() == discretize_rayleigh(0.1, 4.1, 10, 1.0)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,31 @@ def test_every_series_draws_a_point_per_shared_x():
     paths = [line.split('"')[1] for line in doc.splitlines() if line.startswith("<polyline")]
     assert [[point.split(",")[0] for point in path.split()] for path in paths] == [
         ["836.00", "72.00", "454.00", "454.00"]] * 2
+
+
+def test_pixel_rows_follow_the_map_at_rounding_boundaries():
+    # The documented map, op by op: the ends 0 and 3 padded by 5% of the span,
+    # halved, and py(y) = 40 + (1 - (y/2 - y0) / y_half) * 444.
+    pad = 0.1 * (3.0 / 2.0 - 0.0 / 2.0)
+    y0 = (0.0 - pad) / 2.0
+    y_half = (3.0 + pad) / 2.0 - y0
+
+    def py(y):
+        return 40.0 + (1.0 - (y / 2.0 - y0) / y_half) * 444.0
+
+    # Each y between the ends is the float nearest the exact y whose pixel is
+    # the %.2f rounding boundary j + 0.005, so the printed pixel turns on the
+    # last bit of the map (a py that multiplies by 1 / y_half moves 31 rows).
+    ys = [0.0, 3.0]
+    for j in range(61, 464):  # every row strictly between the ends' rows
+        boundary = j + Fraction(1, 200)
+        y = float(2 * (Fraction(y0) + Fraction(y_half) * (1 - (boundary - 40) / 444)))
+        assert abs(Fraction(py(y)) - boundary) <= 8 * Fraction(math.ulp(py(y)))
+        ys.append(y)
+    doc = render_line_chart([float(i) for i in range(len(ys))], [("s", ys)],
+                            x_label="x", y_label="y")
+    (path,) = [line.split('"')[1] for line in doc.splitlines() if line.startswith("<polyline")]
+    assert [point.split(",")[1] for point in path.split()] == [f"{py(y):.2f}" for y in ys]
 
 
 # Inputs at the edges of the axis padding and of the float range, each with

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -14,6 +15,7 @@ from blockfade import (
     sweep_dispersion_stats,
     water_fill,
 )
+from blockfade.cli import preset_fading
 from oracles import closed_form_water_level, oracle_link_c, oracle_link_l, oracle_link_v
 
 
@@ -223,6 +225,38 @@ class TestWaterLevels:
         spec = channel([1.0, 2.0], [0.5, 0.5])
         levels = water_fill(spec, [0.1, 0.375, 1.0])[0]
         assert levels.tolist() == pytest.approx([0.45, 1.0, 1.625], abs=1e-15)
+
+    @staticmethod
+    def assert_ties_follow_the_strict_prefix(spec):
+        # Budgets exactly at each breakpoint to_floor_k, formed in the order
+        # water_fill documents. A tie must leave state k off, so the level
+        # and powers equal, bit for bit, the strict rule budget > to_floor_k
+        # evaluated here in Python floats.
+        floors = [spec.noise_var / (g * g) for g in spec.fading.gains][::-1]
+        cum_q = list(itertools.accumulate(spec.fading.probs[::-1]))
+        steps = [q * (hi - lo) for q, lo, hi in zip(cum_q, floors, floors[1:])]
+        to_floor = [0.0] + list(itertools.accumulate(steps))
+        ties = [b for b in to_floor if b > 0.0]
+        assert ties
+        levels, rows = water_fill(spec, ties)
+        for budget, level, row in zip(ties, levels.tolist(), rows.tolist()):
+            top = max(k for k, cost in enumerate(to_floor) if budget > cost)
+            depth = (budget - to_floor[top]) / cum_q[top]
+            assert level == floors[top] + depth
+            assert row == [max(0.0, (floors[top] - f) + depth) for f in floors][::-1]
+
+    @pytest.mark.parametrize("fading", [preset_fading(), make_distribution([1.0, 2.0], [0.5, 0.5])],
+                             ids=["preset", "two-state"])
+    def test_breakpoint_tie_leaves_the_next_state_off(self, fading):
+        for noise_var in (0.3, 1.0, 7.0):
+            self.assert_ties_follow_the_strict_prefix(
+                ChannelSpec(noise_var=noise_var, n_c=1, fading=fading))
+
+    @given(random_channels())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_breakpoint_tie_on_random_channels(self, params):
+        gains, probs, noise_var, _ = params
+        self.assert_ties_follow_the_strict_prefix(channel(gains, probs, noise_var))
 
     def test_empty_budget_array(self):
         assert water_fill(channel([1.0, 2.0], [0.5, 0.5]), [])[0].shape == (0,)
