@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError, items, real, whole
-from .fading import ChannelSpec, _codeword_length
-from .waterfill import _mean_and_var, link_moments, water_fill
+from .fading import _INT_MAX, ChannelSpec, _codeword_length
+from .waterfill import link_moments, water_fill
 
 __all__ = ["sweep_dispersion_stats", "bound_columns"]
 
@@ -84,7 +84,7 @@ def _normal_quantile(p: float) -> float:
 
 
 def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
-    """Every bound ingredient for each budget (as for water_fill), in one array pass.
+    """Every bound ingredient for each budget (as for water_fill), in one moment pass.
 
     Returns one float array per field: capacity, v_bf, v_bf_prime and
     water_level at the water-filling allocation, and nocsit_capacity and
@@ -93,10 +93,13 @@ def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
     state). v_bf = E[V] + n_c*Var C + Var L / 2, and v_bf_prime = E[V] +
     Var(n_c*C + budget/(2*level) - L/2), whose constant middle term does
     not move the variance but is kept as part of the defining expression.
-    Row i equals the one-row call sweep_dispersion_stats(spec,
-    [budgets[i]]) bit for bit, whatever the other budgets. Every field
-    must be finite, all but nocsit_capacity positive, and nocsit_capacity
-    at most capacity + 1e-12; else InvalidParameterError names the field.
+    Every moment comes from one link_moments call: one reduction over the
+    water-filling rows, the constant-power rows and the v_bf_prime
+    composite rows together. Row i equals the one-row call
+    sweep_dispersion_stats(spec, [budgets[i]]) bit for bit, whatever the
+    other budgets. Every field must be finite, all but nocsit_capacity
+    positive, and nocsit_capacity at most capacity + 1e-12; else
+    InvalidParameterError names the field.
     """
     levels, powers = water_fill(spec, budgets)  # checks the budgets
     budgets = np.asarray(budgets, dtype=float)
@@ -104,15 +107,13 @@ def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
     g2 = gains * gains
     rows = len(budgets)
     # The water-filling rows, then the constant-power rows (the budget in
-    # every state), in one kernel call: the sums reduce each row on its own.
-    c_vals, l_vals, cap, var_c, var_l, mean_v = link_moments(
-        spec, np.concatenate((g2 * powers, g2 * budgets[:, None])))
+    # every state), and the v_bf_prime composite of each water-filling row,
+    # in one moment pass: the sums reduce each row on its own. budget /
+    # level * 0.5 has the bits of budget / (2 * level) and cannot overflow
+    # where 2 * level would.
+    _, _, cap, var_c, var_l, mean_v, var_comp = link_moments(
+        spec, np.concatenate((g2 * powers, g2 * budgets[:, None])), budgets / levels * 0.5)
     v_bf = mean_v + spec.n_c * var_c + 0.5 * var_l
-    # budget / level * 0.5 has the bits of budget / (2 * level) and cannot
-    # overflow where 2 * level would.
-    composite = (spec.n_c * c_vals[:rows] + (budgets / levels * 0.5)[:, None]
-                 - 0.5 * l_vals[:rows])
-    _, var_comp = _mean_and_var(composite, np.asarray(spec.fading.probs, dtype=float))
     table = _checked_columns((cap[:rows], v_bf[:rows], mean_v[:rows] + var_comp,
                               levels, cap[rows:], v_bf[rows:]))
     return dict(zip(_STAT_FIELDS, table))
@@ -146,10 +147,14 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     rate_ub_st and rate_ub_lt by log(n)/(2n) + O(delta), for any delta.
     """
     budgets, n = items("budgets", budgets), items("codeword lengths", n)
-    for v in n:
-        if _codeword_length(whole("codeword length", v, 1)) % spec.n_c:
-            raise InvalidParameterError(f"codeword length {v!r} is not a multiple of the block "
-                                        f"length {spec.n_c}")
+    # In bulk first; the loop, which names the bad entry, runs only if that
+    # fails (a bool, say, which an int array would read as 1).
+    if not ({*map(type, n)} == {int} and 1 <= min(n) and max(n) <= _INT_MAX
+            and not (np.array(n) % spec.n_c).any()):
+        for v in n:
+            if _codeword_length(whole("codeword length", v, 1)) % spec.n_c:
+                raise InvalidParameterError(f"codeword length {v!r} is not a multiple of the "
+                                            f"block length {spec.n_c}")
     if not n or not len(budgets) or (len(budgets) != len(n) and 1 not in (len(budgets), len(n))):
         raise InvalidParameterError(f"budgets and n need equal lengths or length 1, got "
                                     f"{len(budgets)} and {len(n)}")
@@ -159,7 +164,6 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     stats = sweep_dispersion_stats(spec, budgets)
     cap, v_bf, v_bf_prime, level, nocsit_cap, nocsit_v = stats.values()
     rows = max(len(cap), len(n))
-    quantile = _normal_quantile(epsilon)
     ints = np.array(n).repeat(rows // len(n))  # one length may serve every row
     nf = np.array(n, dtype=float)
     # math.log and float ** are taken per n: NumPy's SIMD log and power can
@@ -167,27 +171,26 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     log_n = np.array([math.log(v) for v in n])
     backoff = np.array([float(v) ** ((1.0 - beta) / 2.0) for v in n])
 
-    def achievability(capacity, dispersion):
-        return nf * capacity + np.sqrt(nf * dispersion) * quantile + 0.5 * log_n - backoff
-
-    lb_lt = achievability(cap, v_bf)
-    lb_st = lb_lt - np.sqrt(nf / 2.0)
-    ub_st = (nf * cap + np.sqrt(nf * v_bf_prime) * quantile
-             + 0.5 * spec.fading.num_states * log_n)
-    # not / (2 * level), which can overflow; a tiny level still overflows
-    # the quotient, and such rows are rejected below, so no warning
+    # The heads n*C + sqrt(n*V)*Q^-1(epsilon) of lb_lt, ub_st and the
+    # baseline, then their tails: + log(n)/2 - n^((1-beta)/2) for the two
+    # achievability bounds, + num_states*log(n)/2 - 0.0 (no change) for ub_st.
+    heads = (nf * np.array((cap, cap, nocsit_cap))
+             + np.sqrt(nf * np.array((v_bf, v_bf_prime, nocsit_v))) * _normal_quantile(epsilon))
+    lb_lt, ub_st, nocsit_log_m = (heads + [[0.5], [0.5 * spec.fading.num_states], [0.5]] * log_n
+                                  - [[1.0], [0.0], [1.0]] * backoff)
+    # ub_lt adds sqrt(n)/(2*level), not formed as / (2 * level), which can
+    # overflow; a tiny level still overflows the quotient, and such rows
+    # are rejected below, so no warning
     with np.errstate(over="ignore"):
-        ub_lt = ub_st + np.sqrt(nf) / level * 0.5
-    nocsit_log_m = achievability(nocsit_cap, nocsit_v)
-
-    log_m = (lb_st, lb_lt, ub_st, ub_lt)
-    if not np.isfinite(log_m).all():
-        field, row = np.argwhere(~np.isfinite(log_m))[0]
+        log_m = np.array((lb_lt - np.sqrt(nf / 2.0), lb_lt, ub_st,
+                          ub_st + np.sqrt(nf) / level * 0.5, nocsit_log_m))
+    bad = ~np.isfinite(log_m[:4])
+    if bad.any():
+        field, row = np.argwhere(bad)[0]
         budget = float(budgets[row % len(budgets)])
         raise InvalidParameterError(f"{_BOUND_FIELDS[4 + field]} overflows a float at n "
                                     f"{ints[row]} and power budget {budget!r}")
     columns = dict(zip(_BOUND_FIELDS, (ints, ints // spec.n_c, np.full(rows, epsilon),
-                                       np.full(rows, beta), *log_m, *(x / nf for x in log_m),
-                                       nocsit_log_m / nf)))
+                                       np.full(rows, beta), *log_m[:4], *(log_m / nf))))
     columns.update((name, col.repeat(rows // len(col))) for name, col in stats.items())
     return columns

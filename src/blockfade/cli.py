@@ -10,6 +10,11 @@ and checks the whole result before any work starts. Outputs are a pure
 function of the resolved configuration, so repeated runs are
 byte-identical.
 
+A command word in first place is parsed by that command's own parser;
+the top-level parser handles everything else (no arguments, ``-h``, an
+unknown word), with the same messages and exit codes as if it had
+handed the tokens to the command's parser itself.
+
 Exit codes: 0 success, 1 configuration error, 3 verification failure;
 2 is reserved and unused.
 """
@@ -143,13 +148,15 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built on the first command and reused: parsing leaves it unchanged.
+    # Its commands attribute maps each command word to that command's parser.
     parser = _Parser(prog="blockfade",
                      description="Finite-blocklength rate bounds for block-fading channels")
+    parser.commands = {}
     sub = parser.add_subparsers(dest="command", required=True)
     for command, desc in zip(_COMMANDS, ("sweep the bounds over the codeword length",
                                          "sweep the bounds over the power budget",
                                          "run the Monte Carlo verification suite")):
-        p = sub.add_parser(command, help=desc, description=desc)
+        p = parser.commands[command] = sub.add_parser(command, help=desc, description=desc)
         p.add_argument("--config", help="JSON configuration file")
         declared = set()
         for field, _ in _SCHEMAS[command].values():
@@ -415,15 +422,28 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _joined(argv) -> list[str]:
+    """argv with each value-taking flag and a following number joined into one token."""
+    tokens = []
+    for token in argv:
+        if tokens and tokens[-1] in _VALUE_FLAGS and _is_number(token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    return tokens
+
+
 def main(argv=None) -> int:
     try:
-        tokens = []
-        for token in sys.argv[1:] if argv is None else argv:
-            if tokens and tokens[-1] in _VALUE_FLAGS and _is_number(token):
-                tokens[-1] += "=" + token
-            else:
-                tokens.append(token)
-        args = _build_parser().parse_args(tokens)
+        tokens = _joined(sys.argv[1:] if argv is None else argv)
+        parser = _build_parser()
+        if tokens and tokens[0] in parser.commands:
+            # the command's own parser reads the rest, as the top-level
+            # parser would hand it over, without a scan of every token first
+            args = parser.commands[tokens[0]].parse_args(
+                tokens[1:], argparse.Namespace(command=tokens[0]))
+        else:  # no command, -h or an unknown word: the top-level parser says so
+            args = parser.parse_args(tokens)
         return _RUN[args.command](_resolve(args))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -291,6 +291,38 @@ class TestBoundPoint:
         with pytest.raises(InvalidParameterError):
             bound_columns(self.spec, [1.0], [0], 0.01)
 
+    @pytest.mark.parametrize("n,n_c,message", [
+        # numpy would read the bool among ints as 1, so it must not pass in bulk
+        ([4000, True], 1, "codeword length must be an integer >= 1, got True"),
+        ([4000.0], 1, "codeword length must be an integer >= 1, got 4000.0"),
+        ([4000, 0], 1, "codeword length must be an integer >= 1, got 0"),
+        ([4000, -1], 1, "codeword length must be an integer >= 1, got -1"),
+        ([2 ** 53 + 1], 1, "codeword length 9007199254740993 exceeds 2^53 = 9007199254740992, "
+                           "the largest integer a float holds exactly"),
+        ([2 ** 64], 1, "codeword length 18446744073709551616 exceeds 2^53"),
+        ([300, 301], 3, "codeword length 301 is not a multiple of the block length 3"),
+    ], ids=["bool", "float", "zero", "negative", "past-2-to-the-53", "past-2-to-the-63",
+            "non-multiple"])
+    def test_bad_length_named_by_the_entry_rule(self, no_sweep, n, n_c, message):
+        # the bulk length check passes only what the entry-by-entry rule
+        # passes, and a failing bulk check leaves that rule to name the entry
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(message)):
+            bound_columns(two_state_spec(n_c=n_c), [1.0], n, 0.01)
+
+    @pytest.mark.parametrize("n,n_c,as_ints", [
+        ([np.int64(4000), np.int64(300)], 1, [4000, 300]),
+        ([2 ** 53], 1, [2 ** 53]),
+        ([300, 9], 3, [300, 9]),
+        (np.array([300, 9]), 3, [300, 9]),
+    ], ids=["numpy-ints", "2-to-the-53", "multiples", "int-array"])
+    def test_good_lengths_accepted_in_any_integer_form(self, n, n_c, as_ints):
+        spec = two_state_spec(n_c=n_c)
+        columns = bound_columns(spec, [1.0], n, 0.01)
+        reference = bound_columns(spec, [1.0], as_ints, 0.01)
+        assert columns["n"].tolist() == as_ints
+        for name, col in reference.items():
+            assert np.array_equal(columns[name], col), name
+
     @pytest.mark.parametrize("eps", [0.6, 0.5, 0.0, -0.1, 1.0, 1.1, math.nan])
     def test_epsilon_domain(self, no_sweep, eps):
         with pytest.raises(InvalidParameterError, match="error probability"):
@@ -323,6 +355,30 @@ class TestBoundPoint:
         # log_m_lb_lt - log_m_ub_lt is +5.84 nats here; the preset stays ordered
         spec = ChannelSpec(noise_var=1.0, n_c=2, fading=make_distribution([0.3, 3.0], [0.5, 0.5]))
         assert_implied_pairs(bounds_at(spec, 10.0, 20_000, 0.01))
+
+    @pytest.mark.parametrize("n_c", [1] + [
+        pytest.param(n_c, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 9: from n_c = 2 the implied pairs invert on some random channels"))
+        for n_c in (2, 3)])
+    @pytest.mark.parametrize("blocks", [10 ** 3, 10 ** 4])
+    def test_implied_pairs_on_random_channels(self, n_c, blocks):
+        # 200 channels from a fixed seed: 1 to 6 states, gains U(0.05, 3),
+        # noise_var 1, probabilities from weights U(0.05, 1), each swept over
+        # 61 budgets from 0.1 to 100 at epsilon 0.01. The pairs hold on all
+        # of them at n_c = 1; they invert on 8 and 18 channels (B = 10^3,
+        # 10^4) at n_c = 2, and on 82 and 91 at n_c = 3.
+        rng = np.random.default_rng(9)
+        budgets = np.geomspace(0.1, 100.0, 61)
+        for _ in range(200):
+            states = int(rng.integers(1, 7))
+            gains = np.sort(rng.uniform(0.05, 3.0, states)).tolist()
+            weights = rng.uniform(0.05, 1.0, states)
+            spec = ChannelSpec(noise_var=1.0, n_c=n_c,
+                               fading=make_distribution(gains, (weights / weights.sum()).tolist()))
+            columns = bound_columns(spec, budgets, [blocks * n_c], 0.01)
+            for row in range(len(budgets)):
+                assert_implied_pairs({name: col[row] for name, col in columns.items()})
 
 
 class TestConvergence:

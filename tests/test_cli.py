@@ -528,6 +528,17 @@ class TestConfigHandling:
         assert main(["rate-vs-power", "--points", "2", "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert len(rows) == 2
+        # a usage error inside one command's own parser leaves that parser
+        # as it was: the next call through it reads only its own tokens
+        power = cli._build_parser().commands["rate-vs-power"]
+        before = vars(power.parse_args(["--out", str(out)]))
+        assert main(["rate-vs-power", "--epsilon", "--out", str(out)]) == 1  # no value
+        assert main(["rate-vs-power", "--points", "x", "--out", str(out)]) == 1
+        assert main(["rate-vs-power", "--seed", "3", "--out", str(out)]) == 1  # verify's flag
+        assert vars(power.parse_args(["--out", str(out)])) == before
+        assert main(["rate-vs-power", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 41
 
     @pytest.mark.parametrize("argv", [
         ["rate-vs-blocklength", "--nc", "1000000000000000", "--points", "3"],
@@ -554,6 +565,95 @@ class TestConfigHandling:
         series = _clamped_rate_series(columns)
         assert [len(ys) for _, ys in series] == [2] * 6
         assert all(y >= 0.0 for _, ys in series for y in ys)
+
+
+# One valid and one invalid value per flag. The invalid ones reach every
+# rejecting step: argparse's type (x), the field's range or kind, and the
+# channel lookup.
+PARITY_VALUES = {
+    "--channel": ("paper-rayleigh", "no-such-channel.json"),
+    "--nc": ("2", "0"),
+    "--power-db": ("-1e-3", "nan"),
+    "--epsilon": ("0.1", "0.5"),
+    "--beta": ("0.5", "x"),
+    "--points": ("3", "0"),
+    "--seed": ("7", "-1"),
+    "--alpha": ("0.5", "1.5"),
+    "--trials": ("200", "99"),
+    "--out": ("o.csv", ""),
+    "--svg": ("o.svg", ""),
+}
+
+
+def parity_cases():
+    cases = {}
+    for command in COMMANDS:
+        base = [command, "--out", "o.csv"] if command != "verify" else [command]
+        flags = {field.flag for field, _ in cli._SCHEMAS[command].values() if field.flag}
+        for flag_name in sorted(flags):
+            for valid, value in zip((True, False), PARITY_VALUES[flag_name]):
+                tag = f"{command}{flag_name}-{'valid' if valid else 'invalid'}"
+                cases[tag + "-split"] = base + [flag_name, value]
+                cases[tag + "-joined"] = base + [f"{flag_name}={value}"]
+    cases.update({
+        "negative-exponent": ["rate-vs-blocklength", "--power-db", "-1e-3", "--out", "o.csv"],
+        "abbreviation": ["rate-vs-power", "--eps", "0.1", "--out", "o.csv"],
+        "unknown-flag": ["rate-vs-power", "--frobnicate", "--out", "o.csv"],
+        "other-commands-flag": ["rate-vs-power", "--seed", "1", "--out", "o.csv"],
+        "extra-positional": ["rate-vs-power", "extra", "--out", "o.csv"],
+        "missing-value": ["rate-vs-power", "--out"],
+        "double-dash": ["rate-vs-power", "--", "--out", "o.csv"],
+        "no-command": [],
+        "unknown-command": ["no-such-command", "--out", "o.csv"],
+        "flag-before-command": ["--out", "o.csv", "rate-vs-power"],
+        "top-level-help": ["--help"],
+        "top-level-h": ["-h"],
+    })
+    cases.update({f"{command}-help": [command, "--help"] for command in COMMANDS})
+    return cases
+
+
+PARITY_CASES = parity_cases()
+
+
+@pytest.mark.parametrize("argv", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+def test_main_parses_as_the_top_level_parser_does(tmp_path, monkeypatch, capsys, argv):
+    # main hands a command word's tokens to that command's own parser; the
+    # reference below hands every token to the top-level parser. Each
+    # gives the same exit code, the same one stderr line (or help text)
+    # and the same resolved config. No command runs: each is replaced by
+    # a recorder of its config.
+    monkeypatch.chdir(tmp_path)
+
+    def outcome(call):
+        resolved = []
+        try:
+            code = call(lambda cfg: resolved.append(cfg) or 0)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") <= 1
+        return code, captured.err, captured.out, resolved
+
+    def through_main(record):
+        monkeypatch.setattr(cli, "_RUN", dict.fromkeys(COMMANDS, record))
+        return main(argv)
+
+    def through_top_level(record):
+        try:
+            return record(cli._resolve(cli._build_parser().parse_args(cli._joined(argv))))
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+    assert outcome(through_main) == outcome(through_top_level)
+
+
+def test_each_command_word_has_its_own_parser():
+    parser = cli._build_parser()
+    assert list(parser.commands) == list(COMMANDS)
+    for command, own in parser.commands.items():
+        assert own.prog == f"blockfade {command}"
 
 
 class TestVerify:

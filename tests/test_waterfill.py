@@ -266,6 +266,26 @@ class TestWaterLevels:
         with pytest.raises(InvalidParameterError):
             water_fill(channel([1.0, 2.0], [0.5, 0.5]), budgets)
 
+    @pytest.mark.parametrize("budgets,shown", [
+        ([1.0, True], "True"), ([1.0, "1.0"], "'1.0'"), ([1.0, math.nan], "nan"),
+        ([1.0, math.inf], "inf"), ([1.0, -0.0], "-0.0"), ([1.0, -1.0], "-1.0"),
+    ])
+    def test_bad_budget_named_by_the_entry_rule(self, budgets, shown):
+        # Python floats pass in bulk; any other entry, or a float out of
+        # range, leaves real to name the entry
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"power budget must be positive and finite, got {shown}")):
+            water_fill(channel([1.0, 2.0], [0.5, 0.5]), budgets)
+
+    @pytest.mark.parametrize("budgets", [[1, 2.5], [np.float64(1.0), 2.5], np.array([1.0, 2.5]),
+                                         [5e-324, 2.5]])
+    def test_good_budgets_accepted_in_any_number_form(self, budgets):
+        spec = channel([1.0, 2.0], [0.5, 0.5])
+        levels, powers = water_fill(spec, budgets)
+        for i, budget in enumerate(budgets):
+            level, row = fill_one(spec, float(budget))
+            assert levels[i] == level and powers[i].tolist() == row
+
     def test_budget_that_overflows_the_largest_snr_rejected(self):
         # gain^2 tops out at 4: at 1e308 the level is finite but 4 * level is
         # not, and 1e308 / 0.5 overflows inside the solve; neither may warn
