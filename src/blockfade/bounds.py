@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError, items, real, whole
-from .fading import _INT_MAX, ChannelSpec, _codeword_length
+from .fading import ChannelSpec, _codeword_length
 from .waterfill import link_moments, water_fill
 
 __all__ = ["sweep_dispersion_stats", "bound_columns"]
@@ -147,14 +147,10 @@ def bound_columns(spec: ChannelSpec, budgets, n, epsilon: float,
     rate_ub_st and rate_ub_lt by log(n)/(2n) + O(delta), for any delta.
     """
     budgets, n = items("budgets", budgets), items("codeword lengths", n)
-    # In bulk first; the loop, which names the bad entry, runs only if that
-    # fails (a bool, say, which an int array would read as 1).
-    if not ({*map(type, n)} == {int} and 1 <= min(n) and max(n) <= _INT_MAX
-            and not (np.array(n) % spec.n_c).any()):
-        for v in n:
-            if _codeword_length(whole("codeword length", v, 1)) % spec.n_c:
-                raise InvalidParameterError(f"codeword length {v!r} is not a multiple of the "
-                                            f"block length {spec.n_c}")
+    for v in n:
+        if _codeword_length(whole("codeword length", v, 1)) % spec.n_c:
+            raise InvalidParameterError(f"codeword length {v!r} is not a multiple of the block "
+                                        f"length {spec.n_c}")
     if not n or not len(budgets) or (len(budgets) != len(n) and 1 not in (len(budgets), len(n))):
         raise InvalidParameterError(f"budgets and n need equal lengths or length 1, got "
                                     f"{len(budgets)} and {len(n)}")

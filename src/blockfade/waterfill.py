@@ -46,17 +46,18 @@ def _mean_and_var(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np
 def link_moments(spec: ChannelSpec, g2: np.ndarray, offsets=None):
     """Link terms and their moments over the fading law, per row of received powers.
 
-    g2 holds one row of per-state received powers per allocation (a 1-D
-    g2 is one row). Returns c and l from link_terms and, per row, E[C],
-    Var C, Var L and E[V]. Every capacity and dispersion constant is
-    composed from these but one: offsets, if given, holds a constant per
-    leading row of g2, and Var(n_c*C + offset - L/2) of each such row is
-    returned seventh. All moments come from a single reduction: the rows
-    of c, l and v and those composite rows are concatenated, and each row
-    is reduced on its own.
+    g2 is 2-D: one row of per-state received powers per allocation.
+    Returns c and l from link_terms and, per row, E[C], Var C, Var L and
+    E[V]. Every capacity and dispersion constant is composed from these
+    but the variance in v_bf_prime: offsets, if given, holds a constant
+    per leading row of g2, and Var(n_c*C + offset - L/2) of each such row
+    is returned as a seventh value (without offsets there are six, which
+    is what montecarlo unpacks). All moments come from a single
+    reduction: the rows of c, l and v and those composite rows are
+    concatenated, and each row is reduced on its own.
     """
     probs = np.asarray(spec.fading.probs, dtype=float)
-    c_vals, l_vals, v_vals = link_terms(np.atleast_2d(g2), spec.noise_var)
+    c_vals, l_vals, v_vals = link_terms(g2, spec.noise_var)
     terms = [c_vals, l_vals, v_vals]
     if offsets is not None:
         terms.append(spec.n_c * c_vals[:len(offsets)] + offsets[:, None]
@@ -95,12 +96,7 @@ def water_fill(spec: ChannelSpec, budgets) -> tuple[np.ndarray, np.ndarray]:
     power meets the budget to rounding (far inside 1e-9*max(1, budget))
     even when the floors dwarf the budget.
     """
-    entries = items("budgets", budgets)
-    # Python floats in (0, inf) pass in bulk; else real checks entry by
-    # entry and names the bad one.
-    budgets = np.array(entries) if {*map(type, entries)} == {float} else None
-    if budgets is None or not ((0.0 < budgets) & (budgets < np.inf)).all():
-        budgets = np.array([real("power budget", b) for b in entries], dtype=float)
+    budgets = np.array([real("power budget", b) for b in items("budgets", budgets)], dtype=float)
 
     floors = _floors(spec)[::-1]
     probs = np.asarray(spec.fading.probs, dtype=float)[::-1]

@@ -228,12 +228,12 @@ class TestDispersionStats:
             assert row == {name: col[0] for name, col in sweep_dispersion_stats(spec, [b]).items()}
             levels, powers = water_fill(spec, [b])
             assert row["water_level"] == levels[0]
-            _, _, cap, var_c, var_l, mean_v = link_moments(spec, g * g * powers[0])
+            _, _, cap, var_c, var_l, mean_v = link_moments(spec, g * g * powers)
             assert row["capacity"] == cap
             assert row["v_bf"] == mean_v + spec.n_c * var_c + 0.5 * var_l
             # the constant-power pair is capacity and V_bf at power b in every state,
             # from the kernel's own call on that one row
-            _, _, cap, var_c, var_l, mean_v = link_moments(spec, g * g * b)
+            _, _, cap, var_c, var_l, mean_v = link_moments(spec, (g * g * b)[None, :])
             assert row["nocsit_capacity"] == cap
             assert row["nocsit_v"] == mean_v + spec.n_c * var_c + 0.5 * var_l
 
@@ -292,7 +292,7 @@ class TestBoundPoint:
             bound_columns(self.spec, [1.0], [0], 0.01)
 
     @pytest.mark.parametrize("n,n_c,message", [
-        # numpy would read the bool among ints as 1, so it must not pass in bulk
+        # an int array would read the bool among ints as 1; it is not a length
         ([4000, True], 1, "codeword length must be an integer >= 1, got True"),
         ([4000.0], 1, "codeword length must be an integer >= 1, got 4000.0"),
         ([4000, 0], 1, "codeword length must be an integer >= 1, got 0"),
@@ -304,8 +304,7 @@ class TestBoundPoint:
     ], ids=["bool", "float", "zero", "negative", "past-2-to-the-53", "past-2-to-the-63",
             "non-multiple"])
     def test_bad_length_named_by_the_entry_rule(self, no_sweep, n, n_c, message):
-        # the bulk length check passes only what the entry-by-entry rule
-        # passes, and a failing bulk check leaves that rule to name the entry
+        # each bad entry is refused and named, with the message of its rule
         with pytest.raises(InvalidParameterError, match="^" + re.escape(message)):
             bound_columns(two_state_spec(n_c=n_c), [1.0], n, 0.01)
 

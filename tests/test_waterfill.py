@@ -271,8 +271,7 @@ class TestWaterLevels:
         ([1.0, math.inf], "inf"), ([1.0, -0.0], "-0.0"), ([1.0, -1.0], "-1.0"),
     ])
     def test_bad_budget_named_by_the_entry_rule(self, budgets, shown):
-        # Python floats pass in bulk; any other entry, or a float out of
-        # range, leaves real to name the entry
+        # real names the bad entry, whatever the good ones beside it
         with pytest.raises(InvalidParameterError,
                            match=re.escape(f"power budget must be positive and finite, got {shown}")):
             water_fill(channel([1.0, 2.0], [0.5, 0.5]), budgets)
