@@ -111,7 +111,7 @@ def sweep_dispersion_stats(spec: ChannelSpec, budgets) -> dict[str, np.ndarray]:
     # in one moment pass: the sums reduce each row on its own. budget /
     # level * 0.5 has the bits of budget / (2 * level) and cannot overflow
     # where 2 * level would.
-    _, _, cap, var_c, var_l, mean_v, var_comp = link_moments(
+    cap, var_c, var_l, mean_v, var_comp = link_moments(
         spec, np.concatenate((g2 * powers, g2 * budgets[:, None])), budgets / levels * 0.5)
     v_bf = mean_v + spec.n_c * var_c + 0.5 * var_l
     table = _checked_columns((cap[:rows], v_bf[:rows], mean_v[:rows] + var_comp,

@@ -13,7 +13,8 @@ byte-identical.
 A command word in first place is parsed by that command's own parser;
 the top-level parser handles everything else (no arguments, ``-h``, an
 unknown word), with the same messages and exit codes as if it had
-handed the tokens to the command's parser itself.
+handed the tokens to the command's parser itself. A flag in first place
+is an error that names the flag and says the command word comes first.
 
 Exit codes: 0 success, 1 configuration error, 3 verification failure;
 2 is reserved and unused.
@@ -133,9 +134,17 @@ _RANGES = (("blocklength_sweep.b_min", "blocklength_sweep.b_max"),
            ("power_sweep.p_min_db", "power_sweep.p_max_db"))
 
 
+_PRESET = discretize_rayleigh(0.1, 4.1, 10, 1.0)
+
+
 def preset_fading() -> FadingDistribution:
-    """The built-in 10-state quantized Rayleigh profile."""
-    return discretize_rayleigh(0.1, 4.1, 10, 1.0)
+    """The built-in 10-state quantized Rayleigh profile.
+
+    Every call returns the same value, built once at import, and every
+    command that names the preset shares it: a FadingDistribution is
+    frozen, so sharing it is safe.
+    """
+    return _PRESET
 
 
 class _Parser(argparse.ArgumentParser):
@@ -346,13 +355,14 @@ def _write_sweep(cfg: dict, budgets: list[float], n: list[int], xs: list[float],
                    for name in _CSV_COLUMNS) + "\n"
     values = tuple(chain.from_iterable(zip(*(columns[name].tolist() for name in _CSV_COLUMNS
                                              if name not in constant))))
-    with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n" + row * rows % values)
+    # Written as UTF-8 bytes, with no newline translation.
+    with open(cfg["out"], "wb") as fh:
+        fh.write((",".join(_CSV_COLUMNS) + "\n" + row * rows % values).encode())
     if cfg.get("svg"):
         chart = render_line_chart(xs, _clamped_rate_series(columns), x_label=x_label,
                                   y_label="rate (nats per channel use)", log_x=log_x)
-        with open(cfg["svg"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(chart)
+        with open(cfg["svg"], "wb") as fh:
+            fh.write(chart.encode())
 
 
 def cmd_rate_vs_blocklength(cfg: dict) -> int:
@@ -410,11 +420,14 @@ _RUN = dict(zip(_COMMANDS, (cmd_rate_vs_blocklength, cmd_rate_vs_power, cmd_veri
 
 # argparse reads a flag value such as -1e-3 as an option (its negative-number
 # pattern has no exponent), so main joins each of these flags and a following
-# number into one "--flag=value" token.
+# negative number into one "--flag=value" token. Any other value stays as
+# typed, so argparse's messages echo it as the user wrote it.
 _VALUE_FLAGS = {"--config"} | {field.flag for field in _FIELDS if field.flag}
 
 
-def _is_number(token: str) -> bool:
+def _is_negative_number(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
     try:
         float(token)
     except ValueError:
@@ -423,10 +436,10 @@ def _is_number(token: str) -> bool:
 
 
 def _joined(argv) -> list[str]:
-    """argv with each value-taking flag and a following number joined into one token."""
+    """argv with each value-taking flag and a following negative number joined into one token."""
     tokens = []
     for token in argv:
-        if tokens and tokens[-1] in _VALUE_FLAGS and _is_number(token):
+        if tokens and tokens[-1] in _VALUE_FLAGS and _is_negative_number(token):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
@@ -442,12 +455,29 @@ def main(argv=None) -> int:
             # parser would hand it over, without a scan of every token first
             args = parser.commands[tokens[0]].parse_args(
                 tokens[1:], argparse.Namespace(command=tokens[0]))
-        else:  # no command, -h or an unknown word: the top-level parser says so
-            args = parser.parse_args(tokens)
+        else:  # no command, -h, an unknown word or a flag first
+            args = _parse_without_command(parser, tokens)
         return _RUN[args.command](_resolve(args))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _parse_without_command(parser: argparse.ArgumentParser, tokens: list[str]):
+    """The top-level parse of argv that does not start with a command word.
+
+    It fails unless it prints help. A flag in first place would get the
+    top-level parser's message on the token after it, so it gets its own.
+    """
+    try:
+        return parser.parse_args(tokens)
+    except InvalidParameterError as exc:
+        flag = tokens[0].partition("=")[0] if tokens else ""
+        message = str(exc)
+        if flag.startswith("-") and flag != "--" and not _is_negative_number(flag):
+            message = (f"the command word comes first, before any flag, but {flag} comes "
+                       f"before it (commands: {', '.join(_COMMANDS)})")
+        raise InvalidParameterError(message) from None
 
 
 if __name__ == "__main__":

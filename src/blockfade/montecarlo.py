@@ -356,7 +356,7 @@ def simulate_information_density(cfg: SimConfig) -> dict:
     n_c = spec.n_c
     gains = np.asarray(spec.fading.gains, dtype=float)
     x = gains * gains * water_fill(spec, [cfg.budget])[1][0]
-    _, _, mean_c, var_c, _, mean_v = link_moments(spec, x[None, :])
+    mean_c, var_c, _, mean_v, _ = link_moments(spec, x[None, :])
     fixed, lin, quad = _density_coefficients(spec, x)
     analytic_mean = float(mean_c[0])
     analytic_var = float(mean_v[0] + n_c * var_c[0])

@@ -44,17 +44,18 @@ def _mean_and_var(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np
 
 
 def link_moments(spec: ChannelSpec, g2: np.ndarray, offsets=None):
-    """Link terms and their moments over the fading law, per row of received powers.
+    """The moments of the link terms over the fading law, per row of received powers.
 
     g2 is 2-D: one row of per-state received powers per allocation.
-    Returns c and l from link_terms and, per row, E[C], Var C, Var L and
-    E[V]. Every capacity and dispersion constant is composed from these
-    but the variance in v_bf_prime: offsets, if given, holds a constant
-    per leading row of g2, and Var(n_c*C + offset - L/2) of each such row
-    is returned as a seventh value (without offsets there are six, which
-    is what montecarlo unpacks). All moments come from a single
-    reduction: the rows of c, l and v and those composite rows are
-    concatenated, and each row is reduced on its own.
+    Returns E[C], Var C, Var L and E[V], one entry per row, and the
+    variances of the composite rows. Every capacity and dispersion
+    constant is composed from these but the variance in v_bf_prime:
+    offsets, if given, holds a constant per leading row of g2, and the
+    fifth value holds Var(n_c*C + offset - L/2) of each such row (empty
+    without offsets). All moments come from a single reduction: the rows
+    of c, l and v from link_terms and those composite rows are
+    concatenated, and each row is reduced on its own. g2 and offsets are
+    only read.
     """
     probs = np.asarray(spec.fading.probs, dtype=float)
     c_vals, l_vals, v_vals = link_terms(g2, spec.noise_var)
@@ -64,9 +65,8 @@ def link_moments(spec: ChannelSpec, g2: np.ndarray, offsets=None):
                      - 0.5 * l_vals[:len(offsets)])
     means, variances = _mean_and_var(np.concatenate(terms), probs)
     rows = len(c_vals)
-    moments = (c_vals, l_vals, means[:rows], variances[:rows], variances[rows:2 * rows],
-               means[2 * rows:3 * rows])
-    return moments if offsets is None else (*moments, variances[3 * rows:])
+    return (means[:rows], variances[:rows], variances[rows:2 * rows], means[2 * rows:3 * rows],
+            variances[3 * rows:])
 
 
 def _floors(spec: ChannelSpec) -> np.ndarray:

@@ -228,12 +228,12 @@ class TestDispersionStats:
             assert row == {name: col[0] for name, col in sweep_dispersion_stats(spec, [b]).items()}
             levels, powers = water_fill(spec, [b])
             assert row["water_level"] == levels[0]
-            _, _, cap, var_c, var_l, mean_v = link_moments(spec, g * g * powers)
+            cap, var_c, var_l, mean_v, _ = link_moments(spec, g * g * powers)
             assert row["capacity"] == cap
             assert row["v_bf"] == mean_v + spec.n_c * var_c + 0.5 * var_l
             # the constant-power pair is capacity and V_bf at power b in every state,
             # from the kernel's own call on that one row
-            _, _, cap, var_c, var_l, mean_v = link_moments(spec, (g * g * b)[None, :])
+            cap, var_c, var_l, mean_v, _ = link_moments(spec, (g * g * b)[None, :])
             assert row["nocsit_capacity"] == cap
             assert row["nocsit_v"] == mean_v + spec.n_c * var_c + 0.5 * var_l
 
@@ -250,6 +250,37 @@ class TestDispersionStats:
     def test_sweep_rejects_bad_budget(self):
         with pytest.raises(InvalidParameterError):
             sweep_dispersion_stats(two_state_spec(), [1.0, -1.0])
+
+    def test_array_arguments_are_left_bit_identical(self):
+        # The solve, the moment pass and the bounds only read the arrays
+        # they are given.
+        spec = preset_spec()
+        budgets = np.geomspace(0.01, 100.0, 9)  # the smallest leaves states off
+        g2 = np.square(spec.fading.gains) * water_fill(spec, budgets)[1]
+        offsets = budgets / 3.0
+        n = np.array([400, 4000])
+        args = (budgets, g2, offsets, n)
+        before = [a.copy() for a in args]
+        water_fill(spec, budgets)
+        link_moments(spec, g2)
+        link_moments(spec, g2, offsets)
+        sweep_dispersion_stats(spec, budgets)
+        bound_columns(spec, budgets[:1], n, 0.01)
+        bound_columns(spec, budgets[:2], n, 0.01)
+        for arg, copy in zip(args, before):
+            assert arg.tobytes() == copy.tobytes() and arg.dtype == copy.dtype
+
+    def test_link_moments_returns_five_values_with_or_without_offsets(self):
+        spec = preset_spec()
+        budgets = np.array([0.5, 5.0, 50.0])
+        g2 = np.square(spec.fading.gains) * water_fill(spec, budgets)[1]
+        plain = link_moments(spec, g2)
+        composite = link_moments(spec, g2, budgets)
+        assert len(plain) == len(composite) == 5
+        assert plain[4].shape == (0,) and composite[4].shape == (3,)
+        # each row reduces on its own, so the composite rows move no other moment
+        for without, with_offsets in zip(plain[:4], composite[:4]):
+            assert without.tobytes() == with_offsets.tobytes()
 
 
 class TestBoundPoint:

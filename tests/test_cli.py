@@ -459,6 +459,17 @@ class TestConfigHandling:
     def test_preset_matches_library_constructor(self):
         assert preset_fading() == discretize_rayleigh(0.1, 4.1, 10, 1.0)
 
+    def test_preset_is_built_once(self):
+        assert preset_fading() is preset_fading()
+
+    @pytest.mark.parametrize("argv", [["verify", "--epsilon", "0.1"],
+                                      ["rate-vs-power", "--seed", "7", "--out", "o.csv"]])
+    def test_usage_error_echoes_the_tokens_as_typed(self, capsys, argv):
+        # only a negative number is joined to the flag before it, so the
+        # message shows a positive value as its own token, as typed
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(argv[1:3])}\n"
+
     def test_unknown_config_field(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"powre_db": 5.0}))
@@ -605,7 +616,6 @@ def parity_cases():
         "double-dash": ["rate-vs-power", "--", "--out", "o.csv"],
         "no-command": [],
         "unknown-command": ["no-such-command", "--out", "o.csv"],
-        "flag-before-command": ["--out", "o.csv", "rate-vs-power"],
         "top-level-help": ["--help"],
         "top-level-h": ["-h"],
     })
@@ -647,6 +657,24 @@ def test_main_parses_as_the_top_level_parser_does(tmp_path, monkeypatch, capsys,
             return 1
 
     assert outcome(through_main) == outcome(through_top_level)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "o.csv", "rate-vs-power"],
+    ["--epsilon=0.1", "rate-vs-power", "--out", "o.csv"],
+    ["--power-db", "-3", "rate-vs-blocklength", "--out", "o.csv"],
+    ["--frobnicate", "verify"],
+], ids=["split", "joined", "negative-value", "unknown-flag"])
+def test_flag_before_the_command_word(tmp_path, monkeypatch, capsys, argv):
+    # The top-level parser would skip the flag and read its value as the
+    # command word; main names the flag instead, and nothing runs.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    flag_name = argv[0].partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"error: the command word comes first, before any flag, but {flag_name} comes before "
+        "it (commands: rate-vs-blocklength, rate-vs-power, verify)\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_each_command_word_has_its_own_parser():
